@@ -4,11 +4,11 @@
 paths — linear ``label in order`` scans, per-call content-dict rebuilds,
 uncached summaries and copied ``buildorder`` prefixes — by overriding
 exactly the indexed helpers that the optimised
-:class:`~repro.core.vstoto.process.VStoTOProcess` introduced.  It exists
-so the benchmark suite (E20, ``benchmarks/bench_hotpath.py``) can
-measure the optimisation and so the equivalence tests can assert that
-optimised and legacy stacks produce *identical* externally visible
-behaviour (same traces, same deliveries, same simulation events).
+:class:`~repro.core.vstoto.process.VStoTOProcess` introduced.  It is
+the reference implementation ``tests/core/test_hotpath_equivalence.py``
+compares against: optimised and legacy stacks must produce *identical*
+externally visible behaviour (same traces, same deliveries, same
+simulation events).
 
 :func:`legacy_process_installed` patches the class the runtime
 instantiates for the duration of a ``with`` block; combined with

@@ -136,8 +136,9 @@ class RingConfig:
         #: (``token.seen``), so a steady-state hop carries O(appends)
         #: entries instead of the view's whole history.  False restores
         #: the legacy full-order-every-hop encoding (the literal
-        #: ``queue[g]``-on-the-token reading of Section 8); both modes
-        #: deliver identical sequences.
+        #: ``queue[g]``-on-the-token reading of Section 8), kept as the
+        #: reference ``tests/membership/test_delta_token.py`` holds the
+        #: delta encoding to: both modes deliver identical sequences.
         self.delta_token = delta_token
 
     @property

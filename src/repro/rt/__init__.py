@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from repro.rt.clock import LiveScheduler
 from repro.rt.framing import (
-    FrameDecoder,
     FrameError,
     MAX_FRAME,
     decode_message,
@@ -51,7 +50,6 @@ from repro.rt.trace import EventLog, VerifyReport, load_event_logs, verify_event
 __all__ = [
     "Ctl",
     "EventLog",
-    "FrameDecoder",
     "FrameError",
     "Hello",
     "LiveNetwork",

@@ -17,6 +17,10 @@ sides (the majority keeps a primary quorum, so its deliveries continue;
 the minority's wait), heals, and waits until every value is delivered
 at every node.  Exit status is 0 iff the captured trace is violation-
 free *and* delivery completed everywhere.
+
+The driver verifies; it does not measure.  Latency against the Section
+8 SLOs comes from ``python -m repro.obs report <log-dir>``, throughput
+and the per-layer cost stack from ``python -m benchmarks.perf``.
 """
 
 from __future__ import annotations
@@ -51,11 +55,7 @@ from repro.rt.node import initial_view_for, resolve_flush_after
 from repro.rt.trace import VerifyReport, load_event_logs, verify_events
 from repro.rt.transport import DRIVER_ID, Ctl, Hello
 from repro.rt.wire import WireReader, WireWriter, make_wire
-from repro.shard.live import (
-    delivered_order_from_logs,
-    encode_live_op,
-    verify_shard_logs,
-)
+from repro.shard.live import delivered_order, encode_live_op, shard_log_paths
 from repro.shard.router import ShardRouter
 from repro.shard.routing import HashRing, group_names, point_for_key
 from repro.shard.verify import ShardOp, check_cross_shard_order
@@ -336,43 +336,27 @@ class LiveCluster:
             pass
 
     # ------------------------------------------------------------------
-    async def send_traffic(
-        self, values: list[str], targets: tuple[str, ...] | None = None
-    ) -> None:
-        """Round-robin client sends over the control plane."""
-        targets = targets if targets is not None else self.alive()
-        for index, value in enumerate(values):
-            target = targets[index % len(targets)]
-            self.clients[target].send_nowait(Ctl("send", value))
-            await asyncio.sleep(self.send_interval)
-
-    async def send_poisson(
-        self,
-        values: list[str],
-        rate: float | None = None,
-        seed: int = 0,
-        targets: tuple[str, ...] | None = None,
-    ) -> None:
+    async def send_poisson(self, values: list[str], seed: int = 0) -> None:
         """Open-loop Poisson client load.
 
         Arrival times are drawn up front from a seeded exponential
-        process at ``rate`` (default ``1/send_interval``, matching the
-        round-robin generator's mean throughput) and honoured against
+        process at mean rate ``1/send_interval`` and honoured against
         the wall clock — a send that the cluster absorbs slowly does
         NOT delay later arrivals, so measured latencies are free of
-        coordinated omission.  Origins rotate round-robin as before.
+        coordinated omission.  Origins rotate over the alive nodes.
         """
-        if rate is None:
-            rate = 1.0 / self.send_interval
-        if rate <= 0:
-            raise ValueError(f"rate must be positive: {rate}")
+        if self.send_interval <= 0:
+            raise ValueError(
+                f"send_interval must be positive: {self.send_interval}"
+            )
+        rate = 1.0 / self.send_interval
         rng = random.Random(seed)
         arrivals: list[float] = []
         t = 0.0
         for _ in values:
             t += rng.expovariate(rate)
             arrivals.append(t)
-        targets = targets if targets is not None else self.alive()
+        targets = self.alive()
         loop = asyncio.get_running_loop()
         origin = loop.time()
         self._mark("load", arrivals="poisson", rate=rate, sends=len(values))
@@ -576,24 +560,20 @@ async def run_cluster(
     settle: float | None = None,
     scenario: str | Path | None = None,
     time_scale: float = 0.05,
-    arrivals: str = "poisson",
     seed: int = 0,
     metrics_interval: float = 0.25,
     wire: str = "json",
 ) -> dict[str, Any]:
     """One full scripted episode; returns the verification report dict.
 
-    ``arrivals`` selects the client load shape: ``"poisson"`` (default;
-    open-loop, seeded, mean rate ``1/send_interval``) or
-    ``"round-robin"`` (the closed-loop fixed-interval generator).
+    Client load is open-loop Poisson (seeded, mean rate
+    ``1/send_interval``; see :meth:`LiveCluster.send_poisson`).
     Metrics snapshots are streamed every ``metrics_interval`` seconds
     and the run's observability artifacts — ``metrics.jsonl``,
     ``cluster.timeline.json``, ``cluster.spans.jsonl`` (stitched spans)
     and ``cluster.trace.json`` (whole-cluster Perfetto) — are written
     into the log directory.
     """
-    if arrivals not in ("poisson", "round-robin"):
-        raise ValueError(f"unknown arrival process {arrivals!r}")
     owns_dir = log_dir is None
     if owns_dir:
         log_dir = tempfile.mkdtemp(prefix="repro-rt-")
@@ -613,14 +593,6 @@ async def run_cluster(
     hold = partition_hold if partition_hold is not None else 50 * delta
     settle_time = settle if settle is not None else 40 * delta
 
-    async def send_load(
-        chunk: list[str], targets: tuple[str, ...] | None = None
-    ) -> None:
-        if arrivals == "poisson":
-            await cluster.send_poisson(chunk, seed=seed, targets=targets)
-        else:
-            await cluster.send_traffic(chunk, targets=targets)
-
     started = time.time()
     await cluster.spawn()
     try:
@@ -631,11 +603,11 @@ async def run_cluster(
             # Replay the sim scenario's partition timeline: first half
             # of the traffic before the episodes, the rest during them.
             half = len(values) // 2
-            await send_load(values[:half])
+            await cluster.send_poisson(values[:half], seed=seed)
             replay = asyncio.get_running_loop().create_task(
                 replay_scenario_windows(cluster, scenario_windows)
             )
-            await send_load(values[half:])
+            await cluster.send_poisson(values[half:], seed=seed)
             await replay
             cluster._mark(
                 "scenario_replayed",
@@ -644,7 +616,7 @@ async def run_cluster(
             )
         elif partition or kill:
             half = len(values) // 2
-            await send_load(values[:half])
+            await cluster.send_poisson(values[:half], seed=seed)
             if kill:
                 await cluster.kill(max(cluster.processors))
             window: FirewallWindow | None = None
@@ -653,12 +625,12 @@ async def run_cluster(
                 await cluster.apply_partition(window)
             # Traffic continues into both sides of the split; minority
             # sends are delivered only after the heal reconciles state.
-            await send_load(values[half:])
+            await cluster.send_poisson(values[half:], seed=seed)
             if partition:
                 await asyncio.sleep(hold)
                 await cluster.heal()
         else:
-            await send_load(values)
+            await cluster.send_poisson(values, seed=seed)
         await asyncio.sleep(settle_time)
         # A SIGKILLed node may take accepted-but-unpropagated values with
         # it, so completeness cannot be awaited to the full count there.
@@ -680,7 +652,6 @@ async def run_cluster(
             "kill": kill,
             "scenario": None if scenario is None else str(scenario),
             "delta": delta,
-            "arrivals": arrivals,
             "wire": wire_stats,
             "polled_complete": complete,
             "wall_seconds": wall,
@@ -867,16 +838,19 @@ def verify_sharded(
     """Per-group live verification plus the cross-shard invariant.
 
     Each group's event logs are a complete single-group capture, so the
-    standard live checkers run once per group; the groups' delivered
-    orders then feed :func:`~repro.shard.verify.check_cross_shard_order`.
+    standard live checkers run once per group; the delivered orders
+    recovered from the same decoded events then feed
+    :func:`~repro.shard.verify.check_cross_shard_order`.
     """
+    initial_view = initial_view_for(tuple(processors))
     per_group: dict[str, VerifyReport] = {}
     orders: dict[str, list[ShardOp]] = {}
     for group in groups:
-        per_group[group] = verify_shard_logs(
-            log_dir, group, processors, expect_at=expect_at
+        events = load_event_logs(shard_log_paths(log_dir, group))
+        per_group[group] = verify_events(
+            events, processors, initial_view, expect_at=expect_at
         )
-        orders[group] = delivered_order_from_logs(log_dir, group)
+        orders[group] = delivered_order(events)
     cross = check_cross_shard_order(submitted, orders, ring)
     ok = all(r.ok for r in per_group.values()) and cross.ok
     return {
@@ -994,9 +968,6 @@ async def run_sharded_cluster(
             "drained": drained,
             "polled_complete": complete,
             "wall_seconds": wall,
-            "throughput": (
-                report["deliveries"] / wall if wall > 0 else 0.0
-            ),
             "log_dir": str(log_dir),
             "timeline": cluster.timeline,
             "obs": {"metrics_snapshots": snapshots},
@@ -1059,6 +1030,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.rt.cluster",
         description="Spawn, drive and verify a live localhost ring.",
+        epilog="Throughput and latency are not printed here: run "
+        "'python -m repro.obs report <log-dir>' over the capture, or "
+        "'python -m benchmarks.perf' for like-for-like numbers.",
     )
     parser.add_argument("--nodes", type=int, default=3)
     parser.add_argument("--sends", type=int, default=50)
@@ -1094,13 +1068,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         default="json",
         help="wire codec for nodes and driver (default json; binary "
         "adds interning + frame batching)",
-    )
-    parser.add_argument(
-        "--arrivals",
-        choices=("poisson", "round-robin"),
-        default="poisson",
-        help="client load shape: open-loop Poisson (default) or the "
-        "closed-loop fixed-interval round-robin",
     )
     parser.add_argument(
         "--seed",
@@ -1159,13 +1126,12 @@ def sharded_main(args: argparse.Namespace) -> int:
     print(
         "live-shard: nodes={nodes} shards={shards} sends={sends} "
         "deliveries={deliveries} complete={complete} "
-        "throughput={tput:.1f}/s wall={wall:.1f}s".format(
+        "wall={wall:.1f}s".format(
             nodes=report["nodes"],
             shards=report["shards"],
             sends=report["sends"],
             deliveries=report["deliveries"],
             complete=report["delivered_complete"],
-            tput=report["throughput"],
             wall=report["wall_seconds"],
         )
     )
@@ -1215,7 +1181,6 @@ def main(argv: list[str] | None = None) -> int:
             send_interval=args.send_interval,
             scenario=args.scenario,
             time_scale=args.time_scale,
-            arrivals=args.arrivals,
             seed=args.seed,
             metrics_interval=args.metrics_interval,
             wire=args.wire,
@@ -1229,7 +1194,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         "live-cluster: nodes={nodes} sends={sends} deliveries={deliveries} "
         "views={views} violations={violations} to_ok={to_ok} "
-        "complete={complete} throughput={tput:.1f}/s wall={wall:.1f}s".format(
+        "complete={complete} wall={wall:.1f}s".format(
             nodes=report["nodes"],
             sends=report["sends"],
             deliveries=report["deliveries"],
@@ -1237,7 +1202,6 @@ def main(argv: list[str] | None = None) -> int:
             violations=len(report["violations"]),
             to_ok=report["to_ok"],
             complete=report["delivered_complete"],
-            tput=report["throughput"],
             wall=report["wall_seconds"],
         )
     )

@@ -1,10 +1,11 @@
 """Wire format of the live transport: frames and the message codec.
 
 A *frame* is a 4-byte big-endian length prefix followed by that many
-payload bytes.  :class:`FrameDecoder` reassembles frames from an
-arbitrary sequence of reads (TCP gives no message boundaries) and
-rejects frames above a configurable ceiling before buffering them, so a
-corrupt or hostile peer cannot make a node allocate unbounded memory.
+payload bytes.  :class:`~repro.rt.wire.WireDecoder` reassembles frames
+(these and the binary-era ones) from an arbitrary sequence of reads
+(TCP gives no message boundaries) and rejects frames above a
+configurable ceiling before buffering them, so a corrupt or hostile
+peer cannot make a node allocate unbounded memory.
 
 The *payload* is a JSON document produced by :func:`encode_message`.
 JSON alone cannot round-trip the protocol's value shapes (tuples vs
@@ -68,76 +69,6 @@ def encode_frame(payload: bytes, max_frame: int = MAX_FRAME) -> bytes:
             f"{max_frame}-byte ceiling"
         )
     return _HEADER.pack(len(payload)) + payload
-
-
-#: Compact the decode buffer once this many consumed bytes accumulate
-#: ahead of the cursor (amortises the one memmove over many frames).
-_COMPACT_THRESHOLD = 1 << 16
-
-
-class FrameDecoder:
-    """Incremental frame reassembly over a byte stream.
-
-    Feed it whatever the socket produced — half a header, three frames
-    and a tail, one byte at a time — and it yields complete payloads in
-    order.  State is one buffer, a consumed-prefix cursor and the
-    expected length; a declared length above ``max_frame`` raises
-    :class:`FrameError` immediately, *before* any of the oversized
-    payload is buffered.
-
-    The cursor matters for cost: consuming a frame advances an offset
-    instead of deleting the buffer's prefix (which memmoves everything
-    behind it — quadratic when one read carries thousands of frames).
-    The consumed prefix is dropped in one ``del`` per feed, and only
-    once it exceeds a threshold, so a feed of F frames costs O(bytes)
-    rather than O(F · bytes).
-    """
-
-    def __init__(self, max_frame: int = MAX_FRAME) -> None:
-        self.max_frame = max_frame
-        self._buffer = bytearray()
-        self._pos = 0
-        self._expect: int | None = None
-        self.frames_decoded = 0
-        self.bytes_fed = 0
-
-    def feed(self, data: bytes) -> list[bytes]:
-        """Absorb ``data``; return every frame completed by it."""
-        self.bytes_fed += len(data)
-        buffer = self._buffer
-        buffer.extend(data)
-        pos = self._pos
-        out: list[bytes] = []
-        try:
-            while True:
-                if self._expect is None:
-                    if len(buffer) - pos < _HEADER.size:
-                        break
-                    (length,) = _HEADER.unpack_from(buffer, pos)
-                    if length > self.max_frame:
-                        raise FrameError(
-                            f"incoming frame declares {length} bytes, above "
-                            f"the {self.max_frame}-byte ceiling"
-                        )
-                    pos += _HEADER.size
-                    self._expect = length
-                if len(buffer) - pos < self._expect:
-                    break
-                out.append(bytes(buffer[pos : pos + self._expect]))
-                pos += self._expect
-                self._expect = None
-                self.frames_decoded += 1
-        finally:
-            if pos and (pos == len(buffer) or pos >= _COMPACT_THRESHOLD):
-                del buffer[:pos]
-                pos = 0
-            self._pos = pos
-        return out
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered towards an incomplete frame."""
-        return len(self._buffer) - self._pos
 
 
 # ----------------------------------------------------------------------

@@ -21,9 +21,10 @@ magnitude above its resolution.
 *same* checkers the simulator uses — :class:`~repro.core.monitor.
 OnlineVSMonitor` in permissive mode for the VS events and
 :func:`~repro.core.to_spec.check_to_trace` for TO-machine trace
-membership — and derives throughput/latency figures from the
-``bcast``/``brcv`` timestamps.  This closes the loop the ISSUE asks
-for: live runs are verified against the same specs as simulated ones.
+membership.  It is an oracle: it returns verdicts and counts, never
+timings.  Throughput and latency are measured from outside by
+``benchmarks/perf`` and judged against the Section 8 SLOs by
+``python -m repro.obs report``.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def load_event_logs(paths: Iterable[str | Path]) -> list[dict[str, Any]]:
 
 @dataclass
 class VerifyReport:
-    """Verdict and measurements over one captured live run."""
+    """Verdict and counts over one captured live run."""
 
     processors: tuple[str, ...]
     events: int = 0
@@ -115,12 +116,6 @@ class VerifyReport:
     views_installed: int = 0
     #: every bcast value delivered at every processor in ``expect_at``.
     delivered_complete: bool = False
-    #: wall seconds from first bcast to last brcv.
-    span_seconds: float = 0.0
-    #: brcv events per wall second over the span.
-    throughput: float = 0.0
-    #: per-delivery latency (brcv ts - bcast ts), summary stats.
-    latency: dict[str, float] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -137,26 +132,8 @@ class VerifyReport:
             "deliveries": self.deliveries,
             "views_installed": self.views_installed,
             "delivered_complete": self.delivered_complete,
-            "span_seconds": self.span_seconds,
-            "throughput": self.throughput,
-            "latency": dict(self.latency),
             "ok": self.ok,
         }
-
-
-def _latency_stats(samples: Sequence[float]) -> dict[str, float]:
-    if not samples:
-        return {}
-    ordered = sorted(samples)
-    n = len(ordered)
-    return {
-        "count": float(n),
-        "mean": sum(ordered) / n,
-        "p50": ordered[n // 2],
-        "p95": ordered[min(n - 1, (n * 95) // 100)],
-        "p99": ordered[min(n - 1, (n * 99) // 100)],
-        "max": ordered[-1],
-    }
 
 
 def verify_events(
@@ -175,15 +152,11 @@ def verify_events(
     report = VerifyReport(processors=procs, events=len(events))
     monitor = OnlineVSMonitor(procs, initial_view, strict=False)
     to_actions: list[Action] = []
-    bcast_ts: dict[Any, float] = {}
     bcast_values: list[Any] = []
     delivered_at: dict[str, list[Any]] = {p: [] for p in procs}
-    latencies: list[float] = []
-    first_bcast: float | None = None
-    last_brcv: float | None = None
 
     for entry in events:
-        name, args, ts = entry["ev"], entry["args"], entry["ts"]
+        name, args = entry["ev"], entry["args"]
         if name == "newview":
             view, p = args
             monitor.on_newview(view, p)
@@ -201,18 +174,12 @@ def verify_events(
             value, p = args
             to_actions.append(act("bcast", value, p))
             report.sends += 1
-            bcast_ts.setdefault(value, ts)
             bcast_values.append(value)
-            if first_bcast is None:
-                first_bcast = ts
         elif name == "brcv":
             value, origin, dst = args
             to_actions.append(act("brcv", value, origin, dst))
             report.deliveries += 1
             delivered_at[dst].append(value)
-            last_brcv = ts
-            if value in bcast_ts:
-                latencies.append(ts - bcast_ts[value])
 
     report.violations = list(monitor.violations)
     to_report = check_to_trace(to_actions, procs)
@@ -223,10 +190,6 @@ def verify_events(
     report.delivered_complete = bool(bcast_values) and all(
         set(bcast_values) <= set(delivered_at[p]) for p in required
     )
-    if first_bcast is not None and last_brcv is not None and last_brcv > first_bcast:
-        report.span_seconds = last_brcv - first_bcast
-        report.throughput = report.deliveries / report.span_seconds
-    report.latency = _latency_stats(latencies)
     return report
 
 

@@ -127,10 +127,17 @@ def encode_wire_frame(
 class WireDecoder:
     """Incremental reassembly of a mixed legacy/binary frame stream.
 
-    The same offset-cursor technique as :class:`~repro.rt.framing.
-    FrameDecoder` (one compaction per feed, never per frame), plus one
-    byte of lookahead to pick the header format.  Legacy frames come
-    back as ``WireFrame(CODEC_JSON, 0, payload)``.
+    Feed it whatever the socket produced — half a header, three frames
+    and a tail, one byte at a time — and it yields complete frames in
+    order; one byte of lookahead picks the header format, and legacy
+    frames come back as ``WireFrame(CODEC_JSON, 0, payload)``.  A
+    declared length above ``max_frame`` raises :class:`FrameError`
+    *before* any of the oversized payload is buffered.
+
+    Consuming a frame advances an offset cursor instead of deleting the
+    buffer's prefix (a memmove of everything behind it — quadratic when
+    one read carries thousands of frames); the consumed prefix is
+    dropped once per feed, so F frames cost O(bytes), not O(F · bytes).
     """
 
     def __init__(self, max_frame: int = MAX_FRAME) -> None:

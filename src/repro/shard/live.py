@@ -24,11 +24,12 @@ after a JSON wire round trip; :func:`parse_live_op` recovers the
 ``(key, op_seq, payload)`` tuple the cross-shard checker consumes.
 
 Verification is per group: each group's event logs are its own files
-(``<node>@<group>.events.jsonl``), so :func:`verify_shard_logs` replays
-one group's capture through the standard live checkers
+(``<node>@<group>.events.jsonl``, :func:`shard_log_paths`), so
+:func:`repro.rt.cluster.verify_sharded` replays one group's capture
+through the standard live checkers
 (:func:`~repro.rt.trace.verify_events`) exactly as an unsharded run
-would, and :func:`delivered_order_from_logs` recovers the group's total
-order for the cross-shard invariant.
+would, and :func:`delivered_order` recovers the group's total order
+from the same decoded events for the cross-shard invariant.
 """
 
 from __future__ import annotations
@@ -38,9 +39,7 @@ from pathlib import Path
 from typing import Any
 from collections.abc import Iterable, Mapping
 
-from repro.core.types import View
 from repro.rt.framing import register_wire_type
-from repro.rt.trace import VerifyReport, load_event_logs, verify_events
 from repro.shard.verify import ShardOp
 
 #: Separator inside a live operation string (keys must not contain it).
@@ -144,14 +143,7 @@ def parse_live_op(value: Any) -> ShardOp | None:
 
 
 # ----------------------------------------------------------------------
-# Per-group capture verification
-
-
-def shard_initial_view(processors: Iterable[str]) -> View:
-    """Every group's initial view v0: whole node set, id ``(0, min)``
-    — the same hybrid base case the unsharded node uses."""
-    procs = tuple(sorted(processors))
-    return View((0, min(procs)), frozenset(procs))
+# Per-group captures
 
 
 def shard_log_paths(log_dir: str | Path, group: str) -> list[Path]:
@@ -159,28 +151,13 @@ def shard_log_paths(log_dir: str | Path, group: str) -> list[Path]:
     return sorted(Path(log_dir).glob(f"*@{group}.events.jsonl"))
 
 
-def verify_shard_logs(
-    log_dir: str | Path,
-    group: str,
-    processors: Iterable[str],
-    expect_at: Iterable[str] | None = None,
-) -> VerifyReport:
-    """Verify one group's capture with the standard live checkers —
-    the group is a complete VS/TO instance, so nothing new is needed."""
-    events = load_event_logs(shard_log_paths(log_dir, group))
-    return verify_events(
-        events, processors, shard_initial_view(processors), expect_at
-    )
-
-
-def delivered_order_from_logs(
-    log_dir: str | Path, group: str
-) -> list[ShardOp]:
-    """The group's delivered total order of operations, recovered from
-    its event logs: the longest single-node ``brcv`` sequence (per-group
-    TO conformance proves all nodes agree on a common prefix)."""
+def delivered_order(events: Iterable[Mapping[str, Any]]) -> list[ShardOp]:
+    """One group's delivered total order of operations, recovered from
+    its merged capture: the longest single-node ``brcv`` sequence
+    (per-group TO conformance proves all nodes agree on a common
+    prefix)."""
     per_node: dict[str, list[ShardOp]] = {}
-    for entry in load_event_logs(shard_log_paths(log_dir, group)):
+    for entry in events:
         if entry["ev"] != "brcv":
             continue
         value, _origin, dst = entry["args"]

@@ -12,7 +12,6 @@ from repro.core.vstoto.summary import Summary
 from repro.membership.messages import Accept, Join, NewGroup, Probe, Sequenced, Token
 from repro.rt.framing import (
     MAX_FRAME,
-    FrameDecoder,
     FrameError,
     decode_message,
     decode_value,
@@ -21,6 +20,7 @@ from repro.rt.framing import (
     encode_value,
 )
 from repro.rt.transport import Ctl, Hello
+from repro.rt.wire import WireDecoder
 
 
 def roundtrip(value):
@@ -126,35 +126,43 @@ class TestCodecRoundtrip:
         assert decode_value(encode_value(value)) == value
 
 
+def bodies(frames):
+    return [frame.payload for frame in frames]
+
+
 class TestFrameDecoder:
+    """Length-prefixed JSON-era frames through the one stream decoder,
+    :class:`~repro.rt.wire.WireDecoder` (the binary-era header cases
+    live in ``test_wire.py``)."""
+
     def test_single_frame(self):
         frame = encode_frame(b"hello")
-        decoder = FrameDecoder()
-        assert decoder.feed(frame) == [b"hello"]
+        decoder = WireDecoder()
+        assert bodies(decoder.feed(frame)) == [b"hello"]
         assert decoder.frames_decoded == 1
         assert decoder.pending_bytes == 0
 
     def test_partial_reads_byte_at_a_time(self):
         payloads = [b"one", b"twotwo", b"", b"x" * 300]
         stream = b"".join(encode_frame(p) for p in payloads)
-        decoder = FrameDecoder()
+        decoder = WireDecoder()
         seen: list[bytes] = []
         for i in range(len(stream)):
-            seen.extend(decoder.feed(stream[i : i + 1]))
+            seen.extend(bodies(decoder.feed(stream[i : i + 1])))
         assert seen == payloads
         assert decoder.bytes_fed == len(stream)
         assert decoder.pending_bytes == 0
 
     def test_multiple_frames_in_one_read(self):
         stream = encode_frame(b"a") + encode_frame(b"bb") + encode_frame(b"ccc")
-        assert FrameDecoder().feed(stream) == [b"a", b"bb", b"ccc"]
+        assert bodies(WireDecoder().feed(stream)) == [b"a", b"bb", b"ccc"]
 
     def test_split_across_header_boundary(self):
         frame = encode_frame(b"payload")
-        decoder = FrameDecoder()
+        decoder = WireDecoder()
         assert decoder.feed(frame[:2]) == []  # half a header
         assert decoder.feed(frame[2:5]) == []  # header + 1 byte
-        assert decoder.feed(frame[5:]) == [b"payload"]
+        assert bodies(decoder.feed(frame[5:])) == [b"payload"]
 
     def test_oversized_outgoing_frame_rejected(self):
         with pytest.raises(FrameError, match="exceeds"):
@@ -163,7 +171,7 @@ class TestFrameDecoder:
             encode_message("y" * (MAX_FRAME + 1))
 
     def test_oversized_incoming_frame_rejected_before_buffering(self):
-        decoder = FrameDecoder(max_frame=64)
+        decoder = WireDecoder(max_frame=64)
         header = struct.pack(">I", 65)
         with pytest.raises(FrameError, match="declares 65 bytes"):
             decoder.feed(header + b"x" * 10)
@@ -171,6 +179,8 @@ class TestFrameDecoder:
         assert decoder.pending_bytes <= len(header) + 10
 
     def test_frame_at_exact_ceiling_accepted(self):
-        decoder = FrameDecoder(max_frame=64)
+        decoder = WireDecoder(max_frame=64)
         payload = b"z" * 64
-        assert decoder.feed(encode_frame(payload, max_frame=64)) == [payload]
+        assert bodies(decoder.feed(encode_frame(payload, max_frame=64))) == [
+            payload
+        ]

@@ -200,3 +200,44 @@ class TestLiveClusterSmoke:
             )
         )
         assert obs_main(["report", str(tmp_path)]) == 0
+
+
+@pytest.mark.soak
+class TestLivePartitionSoak:
+    """Nightly: the conformance gates the retired E22/E24/E25 scripts
+    ran at sizes and codecs tier-1 does not.  n=3 is here for E24's
+    fault-window gate; its verdict under a partition is also checked
+    on every push by ``test_wire_equivalence.py``."""
+
+    @pytest.mark.parametrize(
+        "nodes,wire", [(3, "json"), (5, "json"), (5, "binary"), (7, "json")]
+    )
+    def test_partition_heal_verifies_complete_and_stitches(
+        self, tmp_path, nodes, wire
+    ):
+        report = asyncio.run(
+            run_cluster(
+                nodes=nodes,
+                sends=30,
+                partition=True,
+                log_dir=tmp_path,
+                delta=0.05,
+                send_interval=0.01,
+                metrics_interval=0.1,
+                wire=wire,
+            )
+        )
+        assert report["ok"], report["violations"] or report["to_reason"]
+        assert report["delivered_complete"]
+        assert report["deliveries"] == 30 * nodes
+        # The split and the heal each installed a view at every node.
+        assert report["views_installed"] >= 2 * nodes
+        # The capture stitches across nodes, with the firewall window
+        # annotated so faulted spans leave the SLO population.
+        obs = report["obs"]
+        assert "stitch_error" not in obs
+        assert obs["cross_node_spans"] > 0
+        assert obs["fault_windows"] >= 1
+        assert sorted(obs["metrics_nodes"]) == sorted(
+            f"p{i + 1}" for i in range(nodes)
+        )

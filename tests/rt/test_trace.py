@@ -80,7 +80,8 @@ class TestVerifyEvents:
         assert report.sends == 2
         assert report.deliveries == 6
         assert report.delivered_complete
-        assert report.latency["count"] == 6.0
+        events = load_event_logs(sorted(tmp_path.glob("*.events.jsonl")))
+        assert report.events == len(events)
 
     def test_detects_to_order_violation(self, tmp_path):
         # p2 delivers the two values in the opposite order from p1.
@@ -127,16 +128,6 @@ class TestVerifyEvents:
         assert not full.delivered_complete
         scoped = verify_log_dir(tmp_path, PROCS, V0, expect_at=("p1", "p2"))
         assert scoped.delivered_complete
-
-    def test_throughput_and_latency_derived_from_timestamps(self, tmp_path):
-        healthy_run(tmp_path, values=("m0",))
-        report = verify_log_dir(tmp_path, PROCS, V0)
-        events = load_event_logs(sorted(tmp_path.glob("*.events.jsonl")))
-        assert report.events == len(events)
-        assert report.span_seconds >= 0.0
-        assert set(report.latency) == {
-            "count", "mean", "p50", "p95", "p99", "max",
-        }
 
     def test_empty_capture_is_not_complete(self, tmp_path):
         report = verify_events([], PROCS, V0)

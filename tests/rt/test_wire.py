@@ -1,5 +1,5 @@
 """Binary wire codec tests: registry sweep, interning, batching,
-frame sniffing, ceilings, and FrameDecoder linearity (E25)."""
+frame sniffing, ceilings, and stream-decoder linearity (E25)."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from repro.membership.messages import (
     Token,
 )
 from repro.rt.framing import (
-    FrameDecoder,
     FrameError,
     encode_frame,
     encode_message,
@@ -364,7 +363,7 @@ class TestFrameDecoderLinearity:
     def test_many_frames_single_feed_is_fast(self):
         frames = 50_000
         blob = encode_frame(b"x") * frames
-        decoder = FrameDecoder()
+        decoder = WireDecoder()
         start = time.perf_counter()
         out = decoder.feed(blob)
         elapsed = time.perf_counter() - start
@@ -377,9 +376,9 @@ class TestFrameDecoderLinearity:
     def test_one_byte_feeds_stay_incremental(self):
         payloads = [bytes([65 + (i % 26)]) * (i % 7 + 1) for i in range(50)]
         stream = b"".join(encode_frame(p) for p in payloads)
-        decoder = FrameDecoder()
+        decoder = WireDecoder()
         out = []
         for i in range(len(stream)):
-            out.extend(decoder.feed(stream[i : i + 1]))
+            out.extend(f.payload for f in decoder.feed(stream[i : i + 1]))
         assert out == payloads
         assert decoder.pending_bytes == 0

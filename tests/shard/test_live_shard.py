@@ -59,9 +59,23 @@ class TestGroupDemux:
 
 class TestLiveEpisode:
     def test_two_shard_cluster_delivers_and_verifies(self):
+        self.run_and_check(sends=12, partition=False)
+
+    @pytest.mark.soak
+    def test_two_shard_partition_heals_and_verifies(self):
+        """Nightly: the 2-shard partition episode the retired E27
+        script gated (per-group verdicts plus cross-shard order)."""
+        self.run_and_check(sends=24, partition=True)
+
+    def run_and_check(self, sends, partition):
         report = asyncio.run(
             run_sharded_cluster(
-                nodes=3, shards=2, sends=12, delta=0.05, send_interval=0.02
+                nodes=3,
+                shards=2,
+                sends=sends,
+                partition=partition,
+                delta=0.05,
+                send_interval=0.02,
             )
         )
         assert report["ok"], report["violations"]
@@ -72,6 +86,6 @@ class TestLiveEpisode:
             assert entry["ok"], f"{group} failed verification"
             assert entry["deliveries"] > 0
         # Every send was routed, completed and accounted for.
-        assert report["sends"] == 12
+        assert report["sends"] == sends
         assert report["router"]["pending_total"] == 0
         assert report["polled_complete"]

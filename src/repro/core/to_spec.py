@@ -143,7 +143,9 @@ def check_to_trace(
     # point; a delivery (a, p) as the k-th element of the common order of
     # origin p requires at least k bcasts by p to have occurred already.
     bcast_count: dict[ProcId, int] = {p: 0 for p in processors}
-    origin_delivered_max: dict[ProcId, int] = {p: 0 for p in processors}
+    # Deliveries at q of origin p so far, kept running (recounting
+    # ``delivered[q]`` per brcv made the check quadratic).
+    origin_rank: dict[tuple[ProcId, ProcId], int] = {}
 
     for action in trace:
         if action.name == "bcast":
@@ -153,13 +155,12 @@ def check_to_trace(
         elif action.name == "brcv":
             a, p, q = action.args
             delivered[q].append((a, p))
-            origin_rank = sum(1 for (_, src) in delivered[q] if src == p)
-            if origin_rank > bcast_count[p]:
+            rank = origin_rank[q, p] = origin_rank.get((q, p), 0) + 1
+            if rank > bcast_count[p]:
                 return TOTraceReport(
                     ok=False,
                     reason=f"delivery of {a!r} at {q!r} precedes its bcast at {p!r}",
                 )
-            origin_delivered_max[p] = max(origin_delivered_max[p], origin_rank)
         elif action.name in TO_INTERNALS or action.name in FAILURE_STATUS_NAMES:
             continue
         else:

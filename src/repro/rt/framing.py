@@ -81,13 +81,24 @@ _REGISTRY: dict[str, type] = {
     cls.__name__: cls
     for cls in (NewGroup, Accept, Join, Probe, Token, Sequenced, Label, Summary)
 }
-_REGISTERED_TYPES: dict[type, str] = {cls: name for name, cls in _REGISTRY.items()}
+
+
+def _wire_spec(cls: type) -> tuple[str, tuple[str, ...]]:
+    return cls.__name__, tuple(f.name for f in dataclasses.fields(cls))
+
+
+#: Registry name and field names per registered class, computed once at
+#: registration: both codecs read it per message instead of asking
+#: ``dataclasses.fields`` each time.
+_WIRE_SPECS: dict[type, tuple[str, tuple[str, ...]]] = {
+    cls: _wire_spec(cls) for cls in _REGISTRY.values()
+}
 
 
 def register_wire_type(cls: type) -> type:
     """Add a dataclass to the wire registry (decorator-friendly)."""
     _REGISTRY[cls.__name__] = cls
-    _REGISTERED_TYPES[cls] = cls.__name__
+    _WIRE_SPECS[cls] = _wire_spec(cls)
     return cls
 
 
@@ -103,9 +114,10 @@ def lookup_wire_type(name: str) -> type | None:
     return _REGISTRY.get(name)
 
 
-def wire_type_name(cls: type) -> str | None:
-    """The registry name of ``cls`` (None when not a wire type)."""
-    return _REGISTERED_TYPES.get(cls)
+def wire_type_spec(cls: type) -> tuple[str, tuple[str, ...]] | None:
+    """The registry name and field names of ``cls`` (None when it is
+    not a wire type)."""
+    return _WIRE_SPECS.get(cls)
 
 
 def _enc(value: Any) -> Any:
@@ -113,12 +125,10 @@ def _enc(value: Any) -> Any:
         return value
     if value is BOTTOM or isinstance(value, Bottom):
         return {"!": "bot"}
-    kind = _REGISTERED_TYPES.get(type(value))
-    if kind is not None:
-        fields = {
-            f.name: _enc(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
+    spec = _WIRE_SPECS.get(type(value))
+    if spec is not None:
+        kind, names = spec
+        fields = {name: _enc(getattr(value, name)) for name in names}
         return {"!": "m", "m": kind, "f": fields}
     if isinstance(value, View):
         return {

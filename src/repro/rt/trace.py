@@ -7,15 +7,21 @@ Each node appends one JSON line per external event to its own log:
 
 Events are the VS interface (``gpsnd``/``gprcv``/``safe``/``newview``)
 and the TO interface (``bcast``/``brcv``) — exactly the external
-actions the specifications constrain.  The file is line-buffered so a
-SIGKILL loses at most the event being written; a killed node's log is
-a valid prefix, which is all trace inclusion needs.
+actions the specifications constrain.
+
+The log-line contract: a line is ``json.dumps(entry, separators=(",",
+":"))`` of the entry above, byte for byte; the file is line-buffered,
+one ``write`` per event, so a SIGKILL loses at most the line being
+written and a killed node's log is a valid prefix, which is all trace
+inclusion needs; and the line is written ahead of the action it
+records (``gpsnd`` is in the file before the frame leaves the node).
 
 :func:`load_event_logs` merges the per-node files into one global
 sequence ordered by ``(ts, node, seq)``.  All nodes run on one host in
 the supported deployment, so timestamps come from a single clock; the
 protocol's causal gaps (a token hop, a TCP round trip) are orders of
-magnitude above its resolution.
+magnitude above its resolution.  Only a file's last line may be torn;
+an undecodable line before it raises :class:`EventLogError`.
 
 :func:`verify_events` then replays the merged sequence through the
 *same* checkers the simulator uses — :class:`~repro.core.monitor.
@@ -49,26 +55,64 @@ VS_EVENTS = ("gpsnd", "gprcv", "safe", "newview")
 TO_EVENTS = ("bcast", "brcv")
 
 
+#: ``json.dumps(x, separators=(",", ":"))`` without building an encoder
+#: per call.
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+#: Rendered-argument memo ceiling per log; the table is cleared when
+#: full.  Strings longer than ``_MEMO_STR_LEN`` are rendered each time.
+_MEMO_ENTRIES = 512
+_MEMO_STR_LEN = 64
+
+
 class EventLog:
-    """Append-only JSONL capture of one node's external events."""
+    """Append-only JSONL capture of one node's external events.
+
+    A line is assembled from pieces rendered once: the ``node``/``ev``
+    fragment per event name, and the JSON text of each argument.  A
+    tuple argument is remembered by *identity* — the ring hands
+    ``gprcv`` and ``safe`` the one payload object it logged, so a node
+    renders each payload once — and the memo keeps the tuple alive, so
+    its ``id`` cannot be reused by another value while the text is
+    held.  Event arguments are protocol values: nothing mutates them
+    after they are recorded.
+    """
 
     def __init__(self, path: str | Path, node: str) -> None:
         self.path = Path(path)
         self.node = node
         self._seq = 0
         self._file: TextIO = open(self.path, "w", buffering=1, encoding="utf-8")
+        self._heads: dict[str, str] = {}
+        #: ``id(tuple)`` or the string itself -> (argument, its JSON).
+        self._memo: dict[int | str, tuple[Any, str]] = {}
+
+    def _render(self, arg: Any) -> str:
+        kind = type(arg)
+        if kind is tuple:
+            key: int | str = id(arg)
+        elif kind is str and len(arg) <= _MEMO_STR_LEN:
+            key = arg
+        else:
+            return _dumps(encode_value(arg))
+        hit = self._memo.get(key)
+        if hit is None:
+            if len(self._memo) >= _MEMO_ENTRIES:
+                self._memo.clear()
+            hit = self._memo[key] = (arg, _dumps(encode_value(arg)))
+        return hit[1]
 
     def record(self, name: str, *args: Any) -> None:
         """Append one event, stamped with the shared host clock."""
+        ts = time.time()
         self._seq += 1
-        entry = {
-            "ts": time.time(),
-            "seq": self._seq,
-            "node": self.node,
-            "ev": name,
-            "args": [encode_value(a) for a in args],
-        }
-        self._file.write(json.dumps(entry, separators=(",", ":")) + "\n")
+        head = self._heads.get(name)
+        if head is None:
+            head = self._heads[name] = (
+                f',"node":{_dumps(self.node)},"ev":{_dumps(name)},"args":['
+            )
+        body = ",".join([self._render(arg) for arg in args])
+        self._file.write(f'{{"ts":{ts!r},"seq":{self._seq}{head}{body}]}}\n')
 
     def close(self) -> None:
         self._file.close()
@@ -78,23 +122,37 @@ class EventLog:
         return self._seq
 
 
+class EventLogError(ValueError):
+    """An event log holds an undecodable line that is not its torn
+    tail: an event is missing from the middle of the oracle's input."""
+
+
 def load_event_logs(paths: Iterable[str | Path]) -> list[dict[str, Any]]:
     """Merge per-node JSONL logs into one time-ordered event list.
 
     Argument lists are decoded back to protocol values (tuples, views).
-    A trailing partial line (a node killed mid-write) is skipped.
+    A trailing partial line (a node killed mid-write) is skipped; an
+    undecodable line anywhere else raises :class:`EventLogError`.
     """
     events: list[dict[str, Any]] = []
     for path in paths:
+        torn: int | None = None
         with open(path, encoding="utf-8") as handle:
-            for line in handle:
+            for number, line in enumerate(handle, 1):
                 line = line.strip()
                 if not line:
                     continue
+                if torn is not None:
+                    raise EventLogError(
+                        f"{path}: line {torn} is not valid JSON and is "
+                        f"not the last line of the log"
+                    )
                 try:
                     entry = json.loads(line)
                 except json.JSONDecodeError:
-                    continue  # torn tail write of a killed node
+                    # Tolerated only as the tail write of a killed node.
+                    torn = number
+                    continue
                 entry["args"] = [decode_value(a) for a in entry["args"]]
                 events.append(entry)
     events.sort(key=lambda e: (e["ts"], str(e["node"]), e["seq"]))

@@ -47,7 +47,7 @@ from __future__ import annotations
 import struct
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.types import BOTTOM, Bottom, View
@@ -59,7 +59,7 @@ from repro.rt.framing import (
     encode_message,
     encode_value,
     lookup_wire_type,
-    wire_type_name,
+    wire_type_spec,
 )
 
 #: First header byte of a binary-era frame.  A legacy frame's first
@@ -291,6 +291,32 @@ def _canonical_set_order(values: Any) -> list[Any]:
     return sorted(values, key=lambda v: repr(encode_value(v)))
 
 
+#: The encoder's shape (a value tag) per exact type.  Subclasses miss
+#: this table and are classified by :func:`_subclass_shape`, which
+#: walks the same table in the same order with ``isinstance``.
+_SHAPES: dict[type, int] = {
+    type(None): _T_NONE,
+    bool: _T_TRUE,
+    str: _T_STR,
+    int: _T_INT,
+    float: _T_FLOAT,
+    Bottom: _T_BOTTOM,
+    View: _T_VIEW,
+    tuple: _T_TUPLE,
+    list: _T_LIST,
+    set: _T_FROZENSET,
+    frozenset: _T_FROZENSET,
+    dict: _T_DICT,
+}
+
+
+def _subclass_shape(value: Any) -> int:
+    for base, shape in _SHAPES.items():
+        if isinstance(value, base):
+            return shape
+    raise FrameError(f"cannot encode value of type {type(value).__name__}: {value!r}")
+
+
 class BinaryEncoder:
     """Stateful (per-connection) compact encoder.
 
@@ -332,87 +358,79 @@ class BinaryEncoder:
             )
         return bytes(out)
 
-    def _enc_str(self, value: str, out: bytearray, added: list[str]) -> None:
-        index = self._table.get(value)
-        if index is not None:
-            out.append(_T_SREF)
-            _write_uvarint(out, index)
-            return
-        raw = value.encode("utf-8")
-        if len(raw) <= _MAX_INTERN_LEN and len(self._table) < self._max_table:
-            self._table[value] = len(self._table)
-            added.append(value)
-            out.append(_T_SDEF)
-        else:
-            out.append(_T_STR)
-        _write_uvarint(out, len(raw))
-        out += raw
-
     def _enc(self, value: Any, out: bytearray, added: list[str]) -> None:
-        if value is None:
-            out.append(_T_NONE)
-        elif value is True:
-            out.append(_T_TRUE)
-        elif value is False:
-            out.append(_T_FALSE)
-        elif isinstance(value, str):
-            self._enc_str(value, out, added)
-        elif isinstance(value, int) and not isinstance(value, bool):
+        # Arms in order of frequency on a token; lengths and indexes
+        # below 0x80 are their own one-byte varint.
+        kind = type(value)
+        shape = _SHAPES.get(kind)
+        if shape is None:
+            spec = wire_type_spec(kind)
+            if spec is None:
+                shape = _subclass_shape(value)
+            else:
+                name, field_names = spec
+                out.append(_T_MESSAGE)
+                self._enc(name, out, added)
+                _write_uvarint(out, len(field_names))
+                for field_name in field_names:
+                    self._enc(getattr(value, field_name), out, added)
+                return
+        if shape == _T_STR:
+            index = self._table.get(value)
+            if index is not None:
+                out.append(_T_SREF)
+                if index < 0x80:
+                    out.append(index)
+                else:
+                    _write_uvarint(out, index)
+                return
+            raw = value.encode("utf-8")
+            if len(raw) <= _MAX_INTERN_LEN and len(self._table) < self._max_table:
+                self._table[value] = len(self._table)
+                added.append(value)
+                out.append(_T_SDEF)
+            else:
+                out.append(_T_STR)
+            _write_uvarint(out, len(raw))
+            out += raw
+        elif shape == _T_INT:
             out.append(_T_INT)
             # Generalised zigzag: sign in the low bit, magnitude above.
-            _write_uvarint(
-                out, (value << 1) if value >= 0 else ((-value << 1) - 1)
-            )
-        elif isinstance(value, float):
+            raw_int = (value << 1) if value >= 0 else ((-value << 1) - 1)
+            if raw_int < 0x80:
+                out.append(raw_int)
+            else:
+                _write_uvarint(out, raw_int)
+        elif shape == _T_TUPLE or shape == _T_LIST:
+            out.append(shape)
+            if len(value) < 0x80:
+                out.append(len(value))
+            else:
+                _write_uvarint(out, len(value))
+            for item in value:
+                self._enc(item, out, added)
+        elif shape == _T_DICT:
+            out.append(_T_DICT)
+            _write_uvarint(out, len(value))
+            for key, item in value.items():
+                self._enc(key, out, added)
+                self._enc(item, out, added)
+        elif shape == _T_NONE or shape == _T_BOTTOM:
+            out.append(shape)
+        elif shape == _T_TRUE:
+            out.append(_T_TRUE if value else _T_FALSE)
+        elif shape == _T_FLOAT:
             out.append(_T_FLOAT)
             out += _DOUBLE.pack(value)
-        elif value is BOTTOM or isinstance(value, Bottom):
-            out.append(_T_BOTTOM)
-        else:
-            kind = wire_type_name(type(value))
-            if kind is not None:
-                out.append(_T_MESSAGE)
-                self._enc_str(kind, out, added)
-                field_values = [
-                    getattr(value, f.name) for f in dataclass_fields(value)
-                ]
-                _write_uvarint(out, len(field_values))
-                for field_value in field_values:
-                    self._enc(field_value, out, added)
-            elif isinstance(value, View):
-                out.append(_T_VIEW)
+        else:  # _T_VIEW, _T_FROZENSET: tag, [view id,] sorted elements
+            out.append(shape)
+            if shape == _T_VIEW:
                 self._enc(value.id, out, added)
-                members = _canonical_set_order(value.set)
-                _write_uvarint(out, len(members))
-                for member in members:
-                    self._enc(member, out, added)
-            elif isinstance(value, tuple):
-                out.append(_T_TUPLE)
-                _write_uvarint(out, len(value))
-                for item in value:
-                    self._enc(item, out, added)
-            elif isinstance(value, list):
-                out.append(_T_LIST)
-                _write_uvarint(out, len(value))
-                for item in value:
-                    self._enc(item, out, added)
-            elif isinstance(value, (set, frozenset)):
-                out.append(_T_FROZENSET)
-                elements = _canonical_set_order(value)
-                _write_uvarint(out, len(elements))
-                for element in elements:
-                    self._enc(element, out, added)
-            elif isinstance(value, dict):
-                out.append(_T_DICT)
-                _write_uvarint(out, len(value))
-                for key, item in value.items():
-                    self._enc(key, out, added)
-                    self._enc(item, out, added)
-            else:
-                raise FrameError(
-                    f"cannot encode value of type {type(value).__name__}: "
-                    f"{value!r}"
-                )
+                value = value.set
+            elements = _canonical_set_order(value)
+            _write_uvarint(out, len(elements))
+            for element in elements:
+                self._enc(element, out, added)
 
 
 class BinaryDecoder:
@@ -436,7 +454,7 @@ class BinaryDecoder:
 
     def decode(self, payload: bytes) -> Any:
         try:
-            value, pos = self._dec(payload, 0)
+            value, pos = self._dec(payload, 0, len(payload))
         except (IndexError, struct.error, UnicodeDecodeError) as exc:
             raise FrameError(f"undecodable binary payload: {exc}") from exc
         if pos != len(payload):
@@ -445,20 +463,55 @@ class BinaryDecoder:
             )
         return value
 
-    def _dec_str(self, data: bytes, pos: int, define: bool) -> tuple[str, int]:
-        length, pos = _read_uvarint(data, pos)
-        if pos + length > len(data):
-            raise FrameError("truncated string payload")
-        text = data[pos : pos + length].decode("utf-8")
-        if define:
-            self._table.append(text)
-        return text, pos + length
+    def _dec_items(self, data: bytes, pos: int, end: int) -> tuple[list[Any], int]:
+        """A varint count, then that many values."""
+        if pos < end and data[pos] < 0x80:
+            count = data[pos]
+            pos += 1
+        else:
+            count, pos = _read_uvarint(data, pos)
+        items = []
+        for _ in range(count):
+            item, pos = self._dec(data, pos, end)
+            items.append(item)
+        return items, pos
 
-    def _dec(self, data: bytes, pos: int) -> tuple[Any, int]:
-        if pos >= len(data):
+    def _dec(self, data: bytes, pos: int, end: int) -> tuple[Any, int]:
+        # Arms in order of frequency on a token (as in the encoder).
+        if pos >= end:
             raise FrameError("truncated binary payload")
         tag = data[pos]
         pos += 1
+        if tag == _T_SREF or tag == _T_INT:
+            if pos < end and data[pos] < 0x80:
+                raw = data[pos]
+                pos += 1
+            else:
+                raw, pos = _read_uvarint(data, pos)
+            if tag == _T_INT:
+                return (raw >> 1) if not raw & 1 else -((raw + 1) >> 1), pos
+            if raw >= len(self._table):
+                raise FrameError(f"string reference {raw} not defined")
+            return self._table[raw], pos
+        if tag == _T_TUPLE:
+            items, pos = self._dec_items(data, pos, end)
+            return tuple(items), pos
+        if tag == _T_LIST:
+            return self._dec_items(data, pos, end)
+        if tag == _T_MESSAGE:
+            name, pos = self._dec(data, pos, end)
+            if not isinstance(name, str):
+                raise FrameError("wire-type name is not a string")
+            cls = lookup_wire_type(name)
+            if cls is None:
+                raise FrameError(f"unknown wire type {name!r}")
+            field_values, pos = self._dec_items(data, pos, end)
+            try:
+                return cls(*field_values), pos
+            except TypeError as exc:
+                raise FrameError(
+                    f"wire type {name!r} rejected {len(field_values)} fields: {exc}"
+                ) from exc
         if tag == _T_NONE:
             return None, pos
         if tag == _T_TRUE:
@@ -467,66 +520,34 @@ class BinaryDecoder:
             return False, pos
         if tag == _T_BOTTOM:
             return BOTTOM, pos
-        if tag == _T_INT:
-            raw, pos = _read_uvarint(data, pos)
-            return (raw >> 1) if not raw & 1 else -((raw + 1) >> 1), pos
         if tag == _T_FLOAT:
-            if pos + _DOUBLE.size > len(data):
+            if pos + _DOUBLE.size > end:
                 raise FrameError("truncated float payload")
             (value,) = _DOUBLE.unpack_from(data, pos)
             return value, pos + _DOUBLE.size
-        if tag in (_T_STR, _T_SDEF):
-            return self._dec_str(data, pos, define=tag == _T_SDEF)
-        if tag == _T_SREF:
-            index, pos = _read_uvarint(data, pos)
-            if index >= len(self._table):
-                raise FrameError(f"string reference {index} not defined")
-            return self._table[index], pos
-        if tag in (_T_LIST, _T_TUPLE, _T_FROZENSET):
-            count, pos = _read_uvarint(data, pos)
-            items = []
-            for _ in range(count):
-                item, pos = self._dec(data, pos)
-                items.append(item)
-            if tag == _T_LIST:
-                return items, pos
-            if tag == _T_TUPLE:
-                return tuple(items), pos
+        if tag == _T_STR or tag == _T_SDEF:
+            length, pos = _read_uvarint(data, pos)
+            if pos + length > end:
+                raise FrameError("truncated string payload")
+            text = data[pos : pos + length].decode("utf-8")
+            if tag == _T_SDEF:
+                self._table.append(text)
+            return text, pos + length
+        if tag == _T_FROZENSET:
+            items, pos = self._dec_items(data, pos, end)
             return frozenset(items), pos
         if tag == _T_DICT:
             count, pos = _read_uvarint(data, pos)
             mapping: dict[Any, Any] = {}
             for _ in range(count):
-                key, pos = self._dec(data, pos)
-                value, pos = self._dec(data, pos)
+                key, pos = self._dec(data, pos, end)
+                value, pos = self._dec(data, pos, end)
                 mapping[key] = value
             return mapping, pos
         if tag == _T_VIEW:
-            viewid, pos = self._dec(data, pos)
-            count, pos = _read_uvarint(data, pos)
-            members = []
-            for _ in range(count):
-                member, pos = self._dec(data, pos)
-                members.append(member)
+            viewid, pos = self._dec(data, pos, end)
+            members, pos = self._dec_items(data, pos, end)
             return View(viewid, frozenset(members)), pos
-        if tag == _T_MESSAGE:
-            name, pos = self._dec(data, pos)
-            if not isinstance(name, str):
-                raise FrameError("wire-type name is not a string")
-            cls = lookup_wire_type(name)
-            if cls is None:
-                raise FrameError(f"unknown wire type {name!r}")
-            count, pos = _read_uvarint(data, pos)
-            field_values = []
-            for _ in range(count):
-                field_value, pos = self._dec(data, pos)
-                field_values.append(field_value)
-            try:
-                return cls(*field_values), pos
-            except TypeError as exc:
-                raise FrameError(
-                    f"wire type {name!r} rejected {count} fields: {exc}"
-                ) from exc
         raise FrameError(f"unknown binary tag 0x{tag:02x}")
 
 

@@ -181,3 +181,136 @@ class TestTraceChecker:
         )
         report = check_to_trace(execution.trace({"bcast", "brcv"}), PROCS)
         assert report.ok, report.reason
+
+
+# ----------------------------------------------------------------------
+# check_to_trace keeps a running count per (destination, origin); the
+# definition it replaced recounted the destination's deliveries on
+# every brcv.  The definition stays here as the reference.
+# ----------------------------------------------------------------------
+def reference_check_to_trace(trace, processors):
+    from repro.core.to_spec import (
+        FAILURE_STATUS_NAMES,
+        TO_INTERNALS,
+        TOTraceReport,
+    )
+
+    processors = tuple(processors)
+    delivered = {p: [] for p in processors}
+    bcast_seq = {p: [] for p in processors}
+    bcast_count = {p: 0 for p in processors}
+    for action in trace:
+        if action.name == "bcast":
+            a, p = action.args
+            bcast_seq[p].append(a)
+            bcast_count[p] += 1
+        elif action.name == "brcv":
+            a, p, q = action.args
+            delivered[q].append((a, p))
+            origin_rank = sum(1 for (_, src) in delivered[q] if src == p)
+            if origin_rank > bcast_count[p]:
+                return TOTraceReport(
+                    ok=False,
+                    reason=f"delivery of {a!r} at {q!r} precedes its bcast at {p!r}",
+                )
+        elif action.name in TO_INTERNALS or action.name in FAILURE_STATUS_NAMES:
+            continue
+        else:
+            return TOTraceReport(ok=False, reason=f"unexpected action {action}")
+    common = []
+    for q in processors:
+        seq = delivered[q]
+        limit = min(len(seq), len(common))
+        if seq[:limit] != common[:limit]:
+            return TOTraceReport(
+                ok=False,
+                reason=f"delivery order at {q!r} inconsistent with other locations",
+            )
+        if len(seq) > len(common):
+            common = list(seq)
+    for p in processors:
+        from_p = [a for (a, src) in common if src == p]
+        if from_p != bcast_seq[p][: len(from_p)]:
+            return TOTraceReport(
+                ok=False,
+                reason=(
+                    f"order of {p!r}'s values in the common order does not "
+                    f"match its bcast order"
+                ),
+            )
+    return TOTraceReport(ok=True, common_order=common)
+
+
+@st.composite
+def interleavings(draw):
+    """A correct run (bcasts ordered as sent, every location delivering
+    a prefix), then damaged: actions swapped (premature and mis-ordered
+    deliveries), dropped, duplicated, relabelled with the other value,
+    or replaced by a stray action."""
+    trace = []
+    queue = []
+    delivered_upto = {p: 0 for p in PROCS}
+    sends = draw(
+        st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from(PROCS)), max_size=8)
+    )
+    for value, origin in sends:
+        trace.append(act("bcast", value, origin))
+        queue.append((value, origin))
+        for q in draw(st.lists(st.sampled_from(PROCS), max_size=4)):
+            if delivered_upto[q] < len(queue):
+                a, p = queue[delivered_upto[q]]
+                trace.append(act("brcv", a, p, q))
+                delivered_upto[q] += 1
+    for _ in range(draw(st.integers(0, 3))):
+        if not trace:
+            break
+        i = draw(st.integers(0, len(trace) - 1))
+        j = draw(st.integers(0, len(trace) - 1))
+        damage = draw(
+            st.sampled_from(["swap", "drop", "duplicate", "relabel", "stray"])
+        )
+        if damage == "swap":
+            trace[i], trace[j] = trace[j], trace[i]
+        elif damage == "drop":
+            del trace[i]
+        elif damage == "duplicate":
+            trace.insert(j, trace[i])
+        elif damage == "relabel":
+            value, *rest = trace[i].args
+            trace[i] = act(trace[i].name, "b" if value == "a" else "a", *rest)
+        else:
+            trace[i] = act(draw(st.sampled_from(["to-order", "bad", "mystery"])), "a", "p")
+    return trace
+
+
+class TestTraceCheckerAgainstDefinition:
+    @settings(max_examples=300, deadline=None)
+    @given(interleavings())
+    def test_same_verdict_reason_and_order(self, trace):
+        got = check_to_trace(trace, PROCS)
+        want = reference_check_to_trace(trace, PROCS)
+        assert (got.ok, got.reason, got.common_order) == (
+            want.ok,
+            want.reason,
+            want.common_order,
+        )
+
+    def test_strategy_reaches_every_verdict(self):
+        # Not vacuous: the damaged interleavings include accepted
+        # traces and each kind of rejection.
+        reasons = set()
+
+        @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+        @given(interleavings())
+        def collect(trace):
+            report = reference_check_to_trace(trace, PROCS)
+            reasons.update(
+                word
+                for word in ("precedes", "inconsistent", "bcast order", "unexpected")
+                if word in report.reason
+            )
+            if report.ok:
+                reasons.add("ok")
+
+        collect()
+        assert reasons == {"ok", "precedes", "inconsistent", "bcast order", "unexpected"}

@@ -4,9 +4,17 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.core.types import View
 from repro.rt.node import initial_view_for
-from repro.rt.trace import EventLog, load_event_logs, verify_events, verify_log_dir
+from repro.rt.trace import (
+    EventLog,
+    EventLogError,
+    load_event_logs,
+    verify_events,
+    verify_log_dir,
+)
 
 PROCS = ("p1", "p2", "p3")
 V0 = initial_view_for(PROCS)
@@ -68,6 +76,21 @@ class TestEventLog:
             f.write('{"ts": 1.0, "seq": 2, "node": "p1", "ev": "gp')  # killed
         events = load_event_logs([path])
         assert len(events) == 1
+
+    def test_corrupt_interior_line_is_an_error_naming_path_and_line(self, tmp_path):
+        # Only the tail may be torn: a bad line with events after it
+        # would silently delete an event from the oracle's input.
+        path = tmp_path / "p1.events.jsonl"
+        write_events(
+            tmp_path, "p1", [("gpsnd", f"m{i}", "p1") for i in range(3)]
+        )
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(EventLogError) as caught:
+            load_event_logs([path])
+        assert str(path) in str(caught.value)
+        assert "line 2" in str(caught.value)
 
 
 class TestVerifyEvents:

@@ -135,6 +135,8 @@ class VStoTOProcess(Automaton):
         self._content_map_src: Any = self.content
         self._summary_cache: Summary | None = None
         self._summary_key: Any = None
+        self._primary: bool = False
+        self._primary_src: Any = None  # the ``current`` it was derived from
 
     # ------------------------------------------------------------------
     # Derived indexes (hot-path bookkeeping; all self-healing)
@@ -198,10 +200,15 @@ class VStoTOProcess(Automaton):
     @property
     def primary(self) -> bool:
         """Fig. 9's derived variable: current ≠ ⊥ and current.set
-        contains a quorum."""
-        return self.current is not BOTTOM and self.quorums.is_primary(
-            self.current.set
-        )
+        contains a quorum.  Views are immutable and Q is fixed, so it is
+        re-derived only when ``current`` is a different object."""
+        current = self.current
+        if self._primary_src is not current:
+            self._primary = current is not BOTTOM and self.quorums.is_primary(
+                current.set
+            )
+            self._primary_src = current
+        return self._primary
 
     def state_summary(self) -> Summary:
         """⟨content, order, nextconfirm, highprimary⟩ — the summary this

@@ -92,8 +92,8 @@ class VStoTORuntime:
         self.deliveries: list[Delivery] = []
         self._draining: set[ProcId] = set()
         self._status_listeners: list[StatusListener] = []
-        self._last_status: dict[ProcId, str] = {
-            p: proc.status.value for p, proc in self.procs.items()
+        self._last_status: dict[ProcId, Status] = {
+            p: proc.status for p, proc in self.procs.items()
         }
         # Observability slots (bound by attach_obs; `is None` guarded).
         self._m_views = None
@@ -205,11 +205,11 @@ class VStoTORuntime:
         self._status_listeners.append(fn)
 
     def _emit_status_edge(self, p: ProcId) -> None:
-        new = self.procs[p].status.value
-        old = self._last_status[p]
-        if new == old:
+        status = self.procs[p].status
+        if status is self._last_status[p]:
             return
-        self._last_status[p] = new
+        old, new = self._last_status[p].value, status.value
+        self._last_status[p] = status
         now = self.service.simulator.now
         if self._tracer is not None:
             self._tracer.on_status_edge(now, p, old, new)
@@ -218,8 +218,9 @@ class VStoTORuntime:
 
     def broadcast(self, p: ProcId, value: Any) -> None:
         """Client at p submits a value (the TO ``bcast`` input)."""
-        self._record("bcast", value, p)
-        self.procs[p].step(act("bcast", value, p))
+        action = act("bcast", value, p)
+        self._record(action)
+        self.procs[p].step(action)
         self._emit_status_edge(p)
         self._drain(p)
 
@@ -296,7 +297,7 @@ class VStoTORuntime:
             self.service.gpsnd(p, payload)
         elif action.name == "brcv":
             value, origin, dst = action.args
-            self._record("brcv", value, origin, dst)
+            self._record(action)
             self.deliveries.append(
                 Delivery(
                     time=self.service.simulator.now,
@@ -308,10 +309,13 @@ class VStoTORuntime:
             if self.on_deliver is not None:
                 self.on_deliver(value, origin, dst)
 
-    def _record(self, name: str, *args: Any) -> None:
-        self.trace.append(self.service.simulator.now, act(name, *args))
+    def _record(self, action: Action) -> None:
+        """Log a TO external action — the very (immutable) ``Action``
+        the automaton performs, not a rebuilt equal one."""
+        now = self.service.simulator.now
+        self.trace.append(now, action)
         if self._tracer is not None:
-            self._tracer.on_to_event(self.service.simulator.now, name, args)
+            self._tracer.on_to_event(now, action.name, action.args)
 
     # ------------------------------------------------------------------
     def merged_trace(self) -> TimedTrace:

@@ -79,6 +79,13 @@ class Signature:
         )
         if overlap:
             raise ValueError(f"action names in more than one class: {sorted(overlap)}")
+        # name -> kind, built once: every Automaton.step classifies its
+        # action here.
+        self._kinds: dict[str, ActionKind] = {
+            **dict.fromkeys(self._inputs, ActionKind.INPUT),
+            **dict.fromkeys(self._outputs, ActionKind.OUTPUT),
+            **dict.fromkeys(self._internals, ActionKind.INTERNAL),
+        }
 
     @property
     def inputs(self) -> frozenset[str]:
@@ -108,16 +115,13 @@ class Signature:
 
     def kind_of(self, name: str) -> ActionKind:
         """Classify ``name``; raises :class:`KeyError` if absent."""
-        if name in self._inputs:
-            return ActionKind.INPUT
-        if name in self._outputs:
-            return ActionKind.OUTPUT
-        if name in self._internals:
-            return ActionKind.INTERNAL
-        raise KeyError(f"action {name!r} not in signature")
+        try:
+            return self._kinds[name]
+        except KeyError:
+            raise KeyError(f"action {name!r} not in signature") from None
 
     def contains(self, name: str) -> bool:
-        return name in self.all_names
+        return name in self._kinds
 
     def hide(self, names: Iterable[str]) -> Signature:
         """Return a signature with the given output names made internal.

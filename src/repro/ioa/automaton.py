@@ -75,9 +75,12 @@ class Automaton(ABC):
     # ------------------------------------------------------------------
     def step(self, action: Action) -> None:
         """Validate and apply a single transition."""
-        if not self.signature.contains(action.name):
-            raise TransitionError(f"{self.name}: action {action} not in signature")
-        kind = self.signature.kind_of(action.name)
+        try:
+            kind = self.signature.kind_of(action.name)
+        except KeyError:
+            raise TransitionError(
+                f"{self.name}: action {action} not in signature"
+            ) from None
         if kind is not ActionKind.INPUT and not self.is_enabled(action):
             raise TransitionError(f"{self.name}: action {action} not enabled")
         self.apply(action)

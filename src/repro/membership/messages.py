@@ -71,8 +71,10 @@ class Token:
     delivered: dict = field(default_factory=dict)
     safed: dict = field(default_factory=dict)
     seen: dict = field(default_factory=dict)
-    #: members visited since the leader last launched the token — fresh
-    #: liveness evidence for the one-round connectivity estimate
+    #: the members of the last lap, in visiting order and at most
+    #: ``len(members)`` of them: liveness evidence no older than one
+    #: circulation, for the one-round connectivity estimate (periodic
+    #: mode also empties it at each launch)
     trail: list = field(default_factory=list)
     hop: int = 0
 

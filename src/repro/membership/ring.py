@@ -777,6 +777,10 @@ class RingMember(NetworkNode):
             if member != self.proc_id:
                 self.last_heard[member] = now
         token.trail.append(self.proc_id)
+        # One lap is enough: the ring order is fixed within a view, so
+        # the last n hops name every member any longer trail would, and
+        # ``last_heard`` only reads the trail as a set.
+        del token.trail[: -len(token.members)]
         if token.base > len(self.log):
             # Behind the window: request resync by advertising the true
             # position; no appends, no new deliveries this pass.
@@ -843,23 +847,34 @@ class RingMember(NetworkNode):
         self._send(successor, self._encode_for(successor, token))
 
     def _encode_for(self, successor: ProcId, token: Token) -> Token:
-        """The successor's copy of the token.  With delta encoding a
-        caught-up forwarder re-expands the window from its own log,
-        starting at the successor's acknowledged position — O(appends)
-        per hop in the steady state instead of O(order).  A forwarder
-        that is itself behind (so its log cannot produce arbitrary
-        suffixes) passes the window through unchanged, as does legacy
-        mode."""
-        out = token.copy()
+        """The successor's copy of the token (its own lists and dicts,
+        so an in-flight token never aliases member state).  With delta
+        encoding a caught-up forwarder re-expands the window from its
+        own log, starting at the successor's acknowledged position —
+        O(appends) per hop in the steady state instead of O(order).  A
+        forwarder that is itself behind (so its log cannot produce
+        arbitrary suffixes) passes the window through unchanged, as does
+        legacy mode."""
         if self.config.delta_token and len(self.log) == token.total:
-            ack = min(max(token.seen.get(successor, 0), 0), len(self.log))
-            out.base = ack
-            out.order = list(self.log[ack:])
+            base = min(max(token.seen.get(successor, 0), 0), len(self.log))
+            order = self.log[base:]
+        else:
+            base, order = token.base, list(token.order)
         self.token_forwards += 1
-        self.token_entries_sent += len(out.order)
-        if len(out.order) > self.token_entries_max:
-            self.token_entries_max = len(out.order)
-        return out
+        self.token_entries_sent += len(order)
+        if len(order) > self.token_entries_max:
+            self.token_entries_max = len(order)
+        return Token(
+            viewid=token.viewid,
+            members=token.members,
+            base=base,
+            order=order,
+            delivered=dict(token.delivered),
+            safed=dict(token.safed),
+            seen=dict(token.seen),
+            trail=list(token.trail),
+            hop=token.hop,
+        )
 
     def _on_token_timeout(self) -> None:
         if not self._alive():

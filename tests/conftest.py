@@ -11,10 +11,31 @@ from repro.core.vstoto import (
     RandomRunDriver,
     VStoTOSystem,
 )
+from repro.ioa.actions import ActionKind
+from repro.ioa.automaton import TransitionError
 
 PROCS3 = ("p1", "p2", "p3")
 PROCS4 = ("p1", "p2", "p3", "p4")
 PROCS5 = ("p1", "p2", "p3", "p4", "p5")
+
+
+def old_automaton_step(self, action) -> None:
+    """``Automaton.step`` as it was before ``Signature`` kept a table:
+    membership in the union of the three name sets, then a scan of each.
+    The reference ``tests/ioa`` and ``tests/core`` hold the one lookup
+    to."""
+    sig = self.signature
+    if action.name not in (sig.inputs | sig.outputs | sig.internals):
+        raise TransitionError(f"{self.name}: action {action} not in signature")
+    if action.name in sig.inputs:
+        kind = ActionKind.INPUT
+    elif action.name in sig.outputs:
+        kind = ActionKind.OUTPUT
+    else:
+        kind = ActionKind.INTERNAL
+    if kind is not ActionKind.INPUT and not self.is_enabled(action):
+        raise TransitionError(f"{self.name}: action {action} not enabled")
+    self.apply(action)
 
 
 def make_system(processors=PROCS3, quorums=None, **kwargs) -> VStoTOSystem:

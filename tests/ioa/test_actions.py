@@ -1,6 +1,8 @@
 """Tests for actions and signatures."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.ioa.actions import Action, ActionKind, Signature, act
 
@@ -74,3 +76,44 @@ class TestSignature:
     def test_empty_signature(self):
         sig = Signature()
         assert sig.all_names == frozenset()
+
+
+def classify_by_scanning(sig, name):
+    """The definition ``kind_of``/``contains`` are held to: the three
+    name sets, scanned (what they did before the table)."""
+    if name in sig.inputs:
+        return ActionKind.INPUT
+    if name in sig.outputs:
+        return ActionKind.OUTPUT
+    if name in sig.internals:
+        return ActionKind.INTERNAL
+    return None
+
+
+NAMES = st.sampled_from("abcdefgh")
+
+
+class TestSignatureTable:
+    @given(
+        assignment=st.dictionaries(NAMES, st.sampled_from([0, 1, 2])),
+        hidden=st.sets(NAMES),
+    )
+    def test_table_agrees_with_the_name_sets_before_and_after_hide(
+        self, assignment, hidden
+    ):
+        classes = [{n for n, c in assignment.items() if c == k} for k in range(3)]
+        sig = Signature(*classes)
+        hidden &= sig.outputs
+        for candidate in (sig, sig.hide(hidden), sig.hide(hidden).hide(())):
+            assert candidate.all_names == sig.all_names
+            for name in "abcdefgh":
+                expected = classify_by_scanning(candidate, name)
+                assert candidate.contains(name) == (expected is not None)
+                if expected is None:
+                    with pytest.raises(KeyError, match="not in signature"):
+                        candidate.kind_of(name)
+                else:
+                    assert candidate.kind_of(name) is expected
+        for name in hidden:
+            assert sig.kind_of(name) is ActionKind.OUTPUT  # hide() copies
+            assert sig.hide(hidden).kind_of(name) is ActionKind.INTERNAL

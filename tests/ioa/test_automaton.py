@@ -1,9 +1,12 @@
 """Tests for the Automaton base class, using a small counter automaton."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.ioa.actions import Signature, act
 from repro.ioa.automaton import Automaton, TransitionError
+from tests.conftest import old_automaton_step
 
 
 class Counter(Automaton):
@@ -84,3 +87,23 @@ class TestAutomaton:
 
     def test_repr_mentions_name(self):
         assert "counter" in repr(Counter())
+
+
+class OldStepCounter(Counter):
+    step = old_automaton_step
+
+
+@given(st.lists(st.sampled_from(["inc", "emit", "nope", "signature"]), max_size=30))
+def test_step_validates_exactly_as_the_old_body_did(names):
+    new, old = Counter(), OldStepCounter()
+    for name in names:
+        outcomes = []
+        for counter in (new, old):
+            try:
+                counter.step(act(name))
+                outcomes.append(None)
+            except TransitionError as error:
+                outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1]
+        assert new.snapshot() == old.snapshot()
+

@@ -1,11 +1,12 @@
 """Observability CLI: ``python -m repro.obs report <logdir>``.
 
 The ``report`` subcommand judges one live cluster run from its archived
-log directory (see :mod:`repro.obs.live.report`): it stitches the
-per-node event logs into distributed spans, summarises clean-span
-latencies, evaluates the SLOs derived from the run's configured δ/π/μ,
-and checks the Section 8 closed forms at measured δ*.  Exit status 0
-iff everything holds — the CI gate runs exactly this command.
+log directory (see :mod:`repro.obs.live.report`), one section per VS
+group the run hosted: it stitches the group's per-node event logs into
+distributed spans, summarises clean-span latencies, evaluates the SLOs
+derived from the run's configured δ/π/μ, and checks the Section 8
+closed forms at measured δ*.  Exit status 0 iff everything holds in
+every group — the CI gate runs exactly this command.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from repro.obs.live.report import build_report, render_text
+from repro.obs.live.report import build_reports, render_text, reports_json
+from repro.obs.live.stitch import StitchError
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -58,21 +60,21 @@ def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     if args.command == "report":
         try:
-            report = build_report(args.log_dir, delta=args.delta)
-        except FileNotFoundError as exc:
-            # Exit 2 (usage-class failure), distinct from 1 (the run
-            # was judged and found in violation).
+            reports = build_reports(args.log_dir, delta=args.delta)
+        except (FileNotFoundError, StitchError) as exc:
+            # Exit 2 (nothing could be judged), distinct from 1 (the
+            # run was judged and found in violation).
             print(f"error: {exc}")
             return 2
         if args.out:
             Path(args.out).write_text(
-                report.to_json() + "\n", encoding="utf-8"
+                reports_json(reports) + "\n", encoding="utf-8"
             )
         if args.json:
-            print(report.to_json())
+            print(reports_json(reports))
         else:
-            print(render_text(report), end="")
-        return report.exit_code
+            print("".join(render_text(r) for r in reports.values()), end="")
+        return max(r.exit_code for r in reports.values())
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -9,8 +9,8 @@ package assembles those per-node views into one cluster-wide picture:
   shipped over the driver control plane, and the
   :class:`~repro.obs.live.snapshot.ClusterTimeline` that aggregates the
   per-node series into ``metrics.jsonl``;
-- :mod:`repro.obs.live.stitch` — the post-run stitcher: merges the
-  per-node event logs and reconstructs *distributed* spans
+- :mod:`repro.obs.live.stitch` — the post-run stitcher: merges one
+  group's per-node event logs and reconstructs *distributed* spans
   (bcast→gpsnd→per-node gprcv/safe→brcv message spans, view-formation
   spans) that cross OS-process boundaries, with firewall/SIGKILL
   windows annotated, reusing :mod:`repro.obs.tracing` span types so
@@ -19,7 +19,8 @@ package assembles those per-node views into one cluster-wide picture:
   (p50/p99/p999), SLO evaluation, and the Section 8 bounds checker
   comparing measured safe-delivery latency against d = 2π + nδ;
 - :mod:`repro.obs.live.report` — the run-report builder behind
-  ``python -m repro.obs report <logdir>``.
+  ``python -m repro.obs report <logdir>``, one judged report per VS
+  group the directory holds.
 
 Everything here is *passive and deterministic*: the package never reads
 the host clock (timestamps come from the captured logs and control
@@ -30,7 +31,12 @@ assert both.
 
 from __future__ import annotations
 
-from repro.obs.live.report import RunReport, build_report, render_text
+from repro.obs.live.report import (
+    RunReport,
+    build_report,
+    build_reports,
+    render_text,
+)
 from repro.obs.live.snapshot import ClusterTimeline, MetricsSnapshot
 from repro.obs.live.slo import (
     BoundsVerdict,
@@ -40,6 +46,7 @@ from repro.obs.live.slo import (
     check_bounds,
 )
 from repro.obs.live.stitch import (
+    StitchError,
     StitchedRun,
     stitch_events,
     stitch_log_dir,
@@ -54,8 +61,10 @@ __all__ = [
     "RunReport",
     "SLOSpec",
     "SLOVerdict",
+    "StitchError",
     "StitchedRun",
     "build_report",
+    "build_reports",
     "check_bounds",
     "render_text",
     "stitch_events",

@@ -3,7 +3,9 @@
 ``python -m repro.obs report <logdir>`` points at a cluster run's log
 directory — the per-node ``*.events.jsonl`` logs, the driver's
 ``cluster.timeline.json``, and (when the driver streamed metrics)
-``metrics.jsonl`` — and produces one verdict:
+``metrics.jsonl`` — and produces one verdict per VS group the
+directory holds (:func:`build_reports`; a group is a complete
+single-group capture, judged on its own):
 
 - the stitcher's cross-node span counts (did the capture actually
   stitch into distributed spans?),
@@ -14,7 +16,7 @@ directory — the per-node ``*.events.jsonl`` logs, the driver's
   (:func:`~repro.obs.live.slo.check_bounds`).
 
 Exit status is the contract: 0 iff every SLO holds and the bounds
-checker is satisfied, 1 otherwise — so CI can gate on the report
+checker is satisfied in every group, 1 otherwise — so CI can gate on the report
 directly and a human reading the text rendering sees exactly which
 number went over which line.
 
@@ -43,6 +45,7 @@ from repro.obs.live.slo import (
     latency_summaries,
 )
 from repro.obs.live.stitch import StitchedRun, stitch_log_dir
+from repro.rt.trace import ONE_GROUP, group_event_logs, group_tag
 
 #: The assumed one-hop bound when the run recorded no config (matches
 #: the live node's default).
@@ -122,6 +125,8 @@ class RunReport:
     slos: list[SLOVerdict]
     bounds_verdict: BoundsVerdict
     metrics: ClusterTimeline | None
+    #: what the group adds to the directory's name (see ``group_tag``)
+    tag: str = ""
 
     @property
     def ok(self) -> bool:
@@ -174,16 +179,14 @@ class RunReport:
             ),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 def build_report(
-    log_dir: str | Path, delta: float | None = None
+    log_dir: str | Path, delta: float | None = None, group: str = ONE_GROUP
 ) -> RunReport:
-    """Stitch ``log_dir`` and judge it (see module docstring)."""
+    """Stitch one group of ``log_dir`` and judge it (see module
+    docstring)."""
     root = Path(log_dir)
-    run = stitch_log_dir(root)
+    run = stitch_log_dir(root, group=group)
     if delta is not None:
         bounds = bounds_for_delta(delta)
     else:
@@ -205,7 +208,28 @@ def build_report(
         slos=slos,
         bounds_verdict=verdict,
         metrics=metrics,
+        tag=group_tag(group, len(group_event_logs(root))),
     )
+
+
+def build_reports(
+    log_dir: str | Path, delta: float | None = None
+) -> dict[str, RunReport]:
+    """One judged report per group ``log_dir`` holds."""
+    groups = group_event_logs(log_dir) or (ONE_GROUP,)
+    return {g: build_report(log_dir, delta, group=g) for g in groups}
+
+
+def reports_json(reports: dict[str, RunReport]) -> str:
+    """The JSON rendering: one group's document as it is, several
+    keyed by group."""
+    docs = {group: report.to_dict() for group, report in reports.items()}
+    document = (
+        next(iter(docs.values()))
+        if len(docs) == 1
+        else {"type": "run_reports", "groups": docs}
+    )
+    return json.dumps(document, indent=2, sort_keys=True)
 
 
 def render_text(report: RunReport) -> str:
@@ -213,7 +237,7 @@ def render_text(report: RunReport) -> str:
     run = report.run
     verdict = report.bounds_verdict
     lines = [
-        f"run report: {report.log_dir}",
+        f"run report: {report.log_dir}{report.tag}",
         "  processors: {procs}   events: {events}   duration: {dur:.3f}s".format(
             procs=",".join(run.processors),
             events=run.events,

@@ -1,11 +1,13 @@
 """Cross-node span stitching: distributed spans from per-node logs.
 
-A live run leaves one JSONL event log per OS process (see
+A live run leaves one JSONL event log per OS process and VS group (see
 :mod:`repro.rt.trace`).  Each log sees only its own side of a message's
 lifecycle — the origin logs ``bcast``/``gpsnd``, every member logs its
-own ``gprcv``/``safe``/``brcv``.  The stitcher merges the logs on the
-shared host clock and replays them through the *same*
-:class:`~repro.obs.tracing.LifecycleTracer` the simulator uses, so one
+own ``gprcv``/``safe``/``brcv``.  The stitcher merges one group's logs
+on the shared host clock and replays them through the *same*
+:class:`~repro.obs.tracing.LifecycleTracer` the simulator uses (the
+live nodes keep none of their own: every live span is built here), so
+one
 :class:`~repro.obs.tracing.MessageSpan` ends up holding lifecycle
 points recorded by several different processes — a genuinely
 distributed span — and :mod:`repro.obs.export` renders the whole
@@ -41,10 +43,22 @@ from repro.ioa.actions import act
 from repro.ioa.timed import TimedTrace
 from repro.obs.export import jsonl_records
 from repro.obs.tracing import LifecycleTracer
-from repro.rt.trace import TO_EVENTS, VS_EVENTS, load_event_logs
+from repro.rt.trace import (
+    ONE_GROUP,
+    TO_EVENTS,
+    VS_EVENTS,
+    group_event_logs,
+    load_event_logs,
+)
 
 #: Driver-timeline mark names that become trace annotations.
 FAULT_MARKS = ("partition", "heal", "kill", "restart")
+
+
+class StitchError(ValueError):
+    """A capture whose events could not be stitched into spans: it
+    holds sends, and none of them opened a message span (the processor
+    set does not name the nodes that logged them)."""
 
 
 @dataclass
@@ -138,6 +152,12 @@ def stitch_events(
         elif name in TO_EVENTS:
             tracer.on_to_event(time, name, args)
             fed += 1
+    sends = sum(1 for entry in events if entry["ev"] == "gpsnd")
+    if sends and not tracer.message_spans:
+        raise StitchError(
+            f"{sends} gpsnd events at processors {','.join(procs)} "
+            f"opened no message span"
+        )
 
     marks = _rebase_timeline(timeline, origin)
     end = max(
@@ -159,21 +179,22 @@ def stitch_log_dir(
     log_dir: str | Path,
     processors: Sequence[str] | None = None,
     initial_view: View | None = None,
+    group: str = ONE_GROUP,
 ) -> StitchedRun:
-    """Stitch every ``*.events.jsonl`` under ``log_dir``.
+    """Stitch one group's event logs under ``log_dir``.
 
-    Processors default to the log file names; the driver timeline is
-    read from ``cluster.timeline.json`` when present.
+    Processors default to the nodes that logged the group; the driver
+    timeline is read from ``cluster.timeline.json`` when present.
     """
     root = Path(log_dir)
-    paths = sorted(root.glob("*.events.jsonl"))
+    logs = group_event_logs(root).get(group, {})
     if processors is None:
-        processors = tuple(
-            sorted(path.name[: -len(".events.jsonl")] for path in paths)
-        )
+        processors = tuple(logs)
     if not processors:
-        raise FileNotFoundError(f"no *.events.jsonl under {root}")
-    events = load_event_logs(paths)
+        raise FileNotFoundError(
+            f"no *.events.jsonl of group {group} under {root}"
+        )
+    events = load_event_logs(logs.values())
     timeline: Sequence[dict[str, Any]] = ()
     timeline_path = root / "cluster.timeline.json"
     if timeline_path.exists():

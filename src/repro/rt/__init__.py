@@ -23,10 +23,10 @@ processes over TCP:
 - :mod:`repro.rt.faults` — live partition windows, reusing
   :class:`~repro.faults.schedule.FaultSchedule` timing;
 - :mod:`repro.rt.node` — ``python -m repro.rt.node``, one ring member
-  as a daemon process;
+  per hosted VS group (``--shards``, default one) as a daemon process;
 - :mod:`repro.rt.cluster` — ``python -m repro.rt.cluster``, the driver
-  that spawns nodes, drives client load, partitions/heals/kills, and
-  verifies the captured trace.
+  that spawns nodes, drives keyed client load, partitions/heals/kills,
+  and verifies each group's captured trace.
 
 Determinism contract: live runs are *not* replayable from a seed (real
 scheduling and real sockets); what is preserved is checkability — every

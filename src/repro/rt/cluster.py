@@ -1,11 +1,15 @@
 """The live-cluster driver: ``python -m repro.rt.cluster``.
 
 Spawns one ``repro.rt.node`` OS process per ring member on localhost,
-drives client load over the control plane, optionally injects a
-partition (firewall windows from :mod:`repro.rt.faults`), heals it,
-optionally SIGKILLs a node, then collects every node's event log and
-verifies the merged capture with the VS monitor and TO-machine trace
-membership (:mod:`repro.rt.trace`).
+each hosting ``--shards`` VS groups (default one), drives keyed client
+load over the control plane through the consistent-hash router
+(:class:`LiveShardLoad`), optionally injects a partition (firewall
+windows from :mod:`repro.rt.faults`), heals it, optionally SIGKILLs a
+node, then collects every node's event logs and verifies each group's
+merged capture with the VS monitor and TO-machine trace membership
+(:mod:`repro.rt.trace`), and the per-key order across groups
+(:func:`~repro.shard.verify.check_cross_shard_order`).  There is one
+episode: a single group is the same code with one name in the ring.
 
 The acceptance run::
 
@@ -15,8 +19,9 @@ sends half the values into the initial whole-group view, splits the
 ring into a majority and a minority component, keeps sending into both
 sides (the majority keeps a primary quorum, so its deliveries continue;
 the minority's wait), heals, and waits until every value is delivered
-at every node.  Exit status is 0 iff the captured trace is violation-
-free *and* delivery completed everywhere.
+at every node.  Exit status is 0 iff every group's captured trace is
+violation-free, the cross-group key order holds *and* delivery
+completed everywhere.
 
 The driver verifies; it does not measure.  Latency against the Section
 8 SLOs comes from ``python -m repro.obs report <log-dir>``, throughput
@@ -38,13 +43,13 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from collections.abc import Sequence
+from collections.abc import Callable, Mapping, Sequence
 from typing import Any
 
 from repro.obs.export import write_chrome_trace
 from repro.obs.live.report import build_report
 from repro.obs.live.snapshot import ClusterTimeline, MetricsSnapshot
-from repro.obs.live.stitch import stitch_log_dir, stitched_jsonl
+from repro.obs.live.stitch import stitched_jsonl
 from repro.rt.faults import (
     FirewallWindow,
     single_partition_window,
@@ -52,7 +57,12 @@ from repro.rt.faults import (
 )
 from repro.rt.framing import encode_frame, encode_message
 from repro.rt.node import initial_view_for, resolve_flush_after
-from repro.rt.trace import VerifyReport, load_event_logs, verify_events
+from repro.rt.trace import (
+    VerifyReport,
+    group_event_logs,
+    load_event_logs,
+    verify_events,
+)
 from repro.rt.transport import DRIVER_ID, Ctl, Hello
 from repro.rt.wire import WireReader, WireWriter, make_wire
 from repro.shard.live import delivered_order, encode_live_op, shard_log_paths
@@ -95,7 +105,7 @@ class NodeClient:
         self._writer: asyncio.StreamWriter | None = None
         self._replies: asyncio.Queue[Ctl] = asyncio.Queue()
         self._read_task: asyncio.Task[None] | None = None
-        # One request in flight at a time: the metrics poller shares
+        # One request in flight at a time: the stats poller shares
         # this connection with the episode script, and the node pairs
         # each reply with the most recent request — without the lock a
         # concurrent ``stats`` could steal a ``block`` acknowledgement.
@@ -173,14 +183,13 @@ class NodeClient:
 
 
 class LiveCluster:
-    """Spawn, drive, perturb and verify a localhost ring."""
+    """Spawn, drive and perturb a localhost ring."""
 
     def __init__(
         self,
         nodes: int,
         log_dir: str | Path,
         delta: float = 0.05,
-        send_interval: float = 0.02,
         metrics_interval: float = 0.25,
         wire: str = "json",
         shards: int = 1,
@@ -194,7 +203,6 @@ class LiveCluster:
         self.log_dir = Path(log_dir)
         self.log_dir.mkdir(parents=True, exist_ok=True)
         self.delta = delta
-        self.send_interval = send_interval
         self.metrics_interval = metrics_interval
         self.wire = wire
         self.ports: dict[str, int] = {p: free_port() for p in self.processors}
@@ -204,6 +212,9 @@ class LiveCluster:
         self.timeline: list[dict[str, Any]] = []
         #: every metrics snapshot frame seen on any stats reply
         self.metrics = ClusterTimeline()
+        #: handed the data of every stats reply (the load's completion
+        #: feedback)
+        self.on_stats: Callable[[Any], None] | None = None
         self._metrics_task: asyncio.Task[None] | None = None
 
     # ------------------------------------------------------------------
@@ -241,8 +252,9 @@ class LiveCluster:
                     str(self.delta),
                     "--wire",
                     self.wire,
-                ]
-                + (["--shards", str(self.shards)] if self.shards > 1 else []),
+                    "--shards",
+                    str(self.shards),
+                ],
                 stdout=out,
                 stderr=subprocess.STDOUT,
                 env=env,
@@ -286,30 +298,35 @@ class LiveCluster:
         await asyncio.sleep(8 * self.delta)
 
     # ------------------------------------------------------------------
-    # Metrics streaming
+    # Stats polling
     # ------------------------------------------------------------------
-    def _harvest(self, reply: Ctl) -> None:
-        """Lift the snapshot frame off any stats reply into the
-        cluster timeline (every stats consumer streams for free)."""
-        if not isinstance(reply.data, dict):
-            return
-        frame = reply.data.get("snapshot")
-        if isinstance(frame, dict):
+    async def poll_stats(self) -> dict[str, dict[str, Any]]:
+        """One ``Ctl("stats")`` round over the survivors.  Every
+        reply's snapshot frame lands in :attr:`metrics` and its data
+        goes to :attr:`on_stats`; a node mid-kill or napping is left
+        out of the returned ``{node: data}``."""
+        replies: dict[str, dict[str, Any]] = {}
+        for p in self.alive():
             try:
-                self.metrics.add(MetricsSnapshot.from_dict(frame))
-            except (KeyError, TypeError, ValueError):
-                pass  # malformed frame: drop, never fail the run
+                reply = await self.clients[p].request(Ctl("stats"), timeout=5.0)
+            except (asyncio.TimeoutError, OSError, AssertionError):
+                continue
+            if not isinstance(reply.data, dict):
+                continue
+            replies[p] = reply.data
+            frame = reply.data.get("snapshot")
+            if isinstance(frame, dict):
+                try:
+                    self.metrics.add(MetricsSnapshot.from_dict(frame))
+                except (KeyError, TypeError, ValueError):
+                    pass  # malformed frame: drop, never fail the run
+            if self.on_stats is not None:
+                self.on_stats(reply.data)
+        return replies
 
     async def _poll_metrics_loop(self) -> None:
         while True:
-            for p in self.alive():
-                try:
-                    reply = await self.clients[p].request(
-                        Ctl("stats"), timeout=5.0
-                    )
-                    self._harvest(reply)
-                except (asyncio.TimeoutError, OSError, AssertionError):
-                    continue  # node mid-kill or napping; next round
+            await self.poll_stats()
             await asyncio.sleep(self.metrics_interval)
 
     def start_metrics_stream(self) -> None:
@@ -336,37 +353,6 @@ class LiveCluster:
             pass
 
     # ------------------------------------------------------------------
-    async def send_poisson(self, values: list[str], seed: int = 0) -> None:
-        """Open-loop Poisson client load.
-
-        Arrival times are drawn up front from a seeded exponential
-        process at mean rate ``1/send_interval`` and honoured against
-        the wall clock — a send that the cluster absorbs slowly does
-        NOT delay later arrivals, so measured latencies are free of
-        coordinated omission.  Origins rotate over the alive nodes.
-        """
-        if self.send_interval <= 0:
-            raise ValueError(
-                f"send_interval must be positive: {self.send_interval}"
-            )
-        rate = 1.0 / self.send_interval
-        rng = random.Random(seed)
-        arrivals: list[float] = []
-        t = 0.0
-        for _ in values:
-            t += rng.expovariate(rate)
-            arrivals.append(t)
-        targets = self.alive()
-        loop = asyncio.get_running_loop()
-        origin = loop.time()
-        self._mark("load", arrivals="poisson", rate=rate, sends=len(values))
-        for index, value in enumerate(values):
-            delay = origin + arrivals[index] - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            target = targets[index % len(targets)]
-            self.clients[target].send_nowait(Ctl("send", value))
-
     def alive(self) -> tuple[str, ...]:
         return tuple(p for p in self.processors if p not in self.killed)
 
@@ -396,23 +382,21 @@ class LiveCluster:
         self._mark("kill", node=p)
 
     # ------------------------------------------------------------------
-    async def await_delivery(
-        self, expected: int, timeout: float = 30.0
+    async def await_delivered(
+        self, expected: Mapping[str, int], timeout: float = 30.0
     ) -> bool:
-        """Poll node stats until every survivor delivered ``expected``
-        values (or the timeout passes)."""
-        deadline = asyncio.get_running_loop().time() + timeout
-        while asyncio.get_running_loop().time() < deadline:
-            counts: list[int] = []
-            for p in self.alive():
-                try:
-                    reply = await self.clients[p].request(Ctl("stats"), timeout=5.0)
-                    self._harvest(reply)
-                    counts.append(int(reply.data["delivered"]))
-                except (asyncio.TimeoutError, KeyError, TypeError):
-                    counts.append(-1)
-            if counts and all(c >= expected for c in counts):
-                self._mark("delivery_complete", counts=counts)
+        """Poll node stats until every survivor delivered each group's
+        ``expected`` count (or the timeout passes)."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + timeout
+        while loop.time() < deadline:
+            replies = await self.poll_stats()
+            if len(replies) == len(self.alive()) and all(
+                data.get("groups", {}).get(group, {}).get("delivered", 0) >= want
+                for data in replies.values()
+                for group, want in expected.items()
+            ):
+                self._mark("delivery_complete", per_group=dict(expected))
                 return True
             await asyncio.sleep(5 * self.delta)
         self._mark("delivery_timeout")
@@ -421,14 +405,10 @@ class LiveCluster:
     async def stop(self) -> None:
         """Graceful shutdown: flush logs, reap processes."""
         await self.stop_metrics_stream()
+        # Final counters: one last snapshot frame per survivor, so even
+        # a run with streaming off gets a complete timeline.
+        await self.poll_stats()
         for p in self.alive():
-            # Final counters: one last snapshot frame per survivor, so
-            # even a run with streaming off gets a complete timeline.
-            try:
-                reply = await self.clients[p].request(Ctl("stats"), timeout=5.0)
-                self._harvest(reply)
-            except asyncio.TimeoutError:
-                pass
             try:
                 await self.clients[p].request(Ctl("stop"), timeout=5.0)
             except asyncio.TimeoutError:
@@ -471,20 +451,14 @@ class LiveCluster:
             for key in bucket:
                 bucket[key] += float(stats.get(key, 0))
 
-        for p in self.alive():
-            try:
-                reply = await self.clients[p].request(Ctl("stats"), timeout=5.0)
-            except (asyncio.TimeoutError, OSError, AssertionError):
-                continue
-            if not isinstance(reply.data, dict):
-                continue
-            wire = reply.data.get("transport", {}).get("wire", {})
+        for data in (await self.poll_stats()).values():
+            wire = data.get("transport", {}).get("wire", {})
             for codec, stats in wire.get("tx", {}).items():
                 absorb("tx", codec, stats)
             for codec, stats in wire.get("rx", {}).items():
                 absorb("rx", codec, stats)
             for key in token:
-                token[key] += int(reply.data.get("token", {}).get(key, 0))
+                token[key] += int(data.get("token", {}).get(key, 0))
         driver = {"frames": 0.0, "entries": 0.0, "bytes_on_wire": 0.0}
         for client in self.clients.values():
             stats = client.wire_stats
@@ -496,17 +470,6 @@ class LiveCluster:
             "driver_tx": driver,
             "token": token,
         }
-
-    # ------------------------------------------------------------------
-    def verify(self) -> VerifyReport:
-        paths = sorted(self.log_dir.glob("*.events.jsonl"))
-        events = load_event_logs(paths)
-        return verify_events(
-            events,
-            self.processors,
-            initial_view_for(self.processors),
-            expect_at=self.alive(),
-        )
 
 
 async def replay_scenario_windows(
@@ -548,124 +511,9 @@ def scenario_windows_for(
     )
 
 
-async def run_cluster(
-    nodes: int,
-    sends: int,
-    partition: bool = False,
-    kill: bool = False,
-    log_dir: str | Path | None = None,
-    delta: float = 0.05,
-    send_interval: float = 0.02,
-    partition_hold: float | None = None,
-    settle: float | None = None,
-    scenario: str | Path | None = None,
-    time_scale: float = 0.05,
-    seed: int = 0,
-    metrics_interval: float = 0.25,
-    wire: str = "json",
-) -> dict[str, Any]:
-    """One full scripted episode; returns the verification report dict.
-
-    Client load is open-loop Poisson (seeded, mean rate
-    ``1/send_interval``; see :meth:`LiveCluster.send_poisson`).
-    Metrics snapshots are streamed every ``metrics_interval`` seconds
-    and the run's observability artifacts — ``metrics.jsonl``,
-    ``cluster.timeline.json``, ``cluster.spans.jsonl`` (stitched spans)
-    and ``cluster.trace.json`` (whole-cluster Perfetto) — are written
-    into the log directory.
-    """
-    owns_dir = log_dir is None
-    if owns_dir:
-        log_dir = tempfile.mkdtemp(prefix="repro-rt-")
-    cluster = LiveCluster(
-        nodes,
-        log_dir,
-        delta=delta,
-        send_interval=send_interval,
-        metrics_interval=metrics_interval,
-        wire=wire,
-    )
-    scenario_windows: tuple[FirewallWindow, ...] = ()
-    if scenario is not None:
-        scenario_windows = scenario_windows_for(
-            scenario, cluster.processors, time_scale
-        )
-    hold = partition_hold if partition_hold is not None else 50 * delta
-    settle_time = settle if settle is not None else 40 * delta
-
-    started = time.time()
-    await cluster.spawn()
-    try:
-        await cluster.go()
-        cluster.start_metrics_stream()
-        values = [f"m{i}" for i in range(sends)]
-        if scenario_windows:
-            # Replay the sim scenario's partition timeline: first half
-            # of the traffic before the episodes, the rest during them.
-            half = len(values) // 2
-            await cluster.send_poisson(values[:half], seed=seed)
-            replay = asyncio.get_running_loop().create_task(
-                replay_scenario_windows(cluster, scenario_windows)
-            )
-            await cluster.send_poisson(values[half:], seed=seed)
-            await replay
-            cluster._mark(
-                "scenario_replayed",
-                scenario=str(scenario),
-                windows=len(scenario_windows),
-            )
-        elif partition or kill:
-            half = len(values) // 2
-            await cluster.send_poisson(values[:half], seed=seed)
-            if kill:
-                await cluster.kill(max(cluster.processors))
-            window: FirewallWindow | None = None
-            if partition:
-                window = single_partition_window(cluster.alive(), 0.0, hold)
-                await cluster.apply_partition(window)
-            # Traffic continues into both sides of the split; minority
-            # sends are delivered only after the heal reconciles state.
-            await cluster.send_poisson(values[half:], seed=seed)
-            if partition:
-                await asyncio.sleep(hold)
-                await cluster.heal()
-        else:
-            await cluster.send_poisson(values, seed=seed)
-        await asyncio.sleep(settle_time)
-        # A SIGKILLed node may take accepted-but-unpropagated values with
-        # it, so completeness cannot be awaited to the full count there.
-        poll_timeout = max(10.0, 200 * delta) if kill else max(30.0, 600 * delta)
-        complete = await cluster.await_delivery(sends, timeout=poll_timeout)
-        wire_stats = await cluster.collect_wire_stats()
-    finally:
-        await cluster.stop()
-    report = cluster.verify()
-    wall = time.time() - started
-    obs_summary = write_obs_artifacts(cluster)
-    out: dict[str, Any] = report.to_dict()
-    out.update(
-        {
-            "experiment": "live-cluster",
-            "nodes": nodes,
-            "requested_sends": sends,
-            "partition": partition,
-            "kill": kill,
-            "scenario": None if scenario is None else str(scenario),
-            "delta": delta,
-            "wire": wire_stats,
-            "polled_complete": complete,
-            "wall_seconds": wall,
-            "log_dir": str(log_dir),
-            "timeline": cluster.timeline,
-            "obs": obs_summary,
-        }
-    )
-    return out
-
-
 class _LiveShardBackend:
     """Router backend for one group: fire a control-plane send at the
-    next alive node (round-robin shared across groups)."""
+    key's session node."""
 
     def __init__(self, group: str, load: LiveShardLoad) -> None:
         self._group = group
@@ -680,7 +528,7 @@ class _LiveShardBackend:
 
 
 class LiveShardLoad:
-    """Driver-side sharded client load.
+    """Driver-side keyed client load.
 
     The same :class:`~repro.shard.router.ShardRouter` that fronts the
     simulated service fronts the live cluster here: keys route through
@@ -688,6 +536,7 @@ class LiveShardLoad:
     window, and completions are inferred from polled per-group
     delivered counts (the most-advanced node's count for a group is the
     number of operations that group has totally ordered and delivered).
+    Of its cluster it uses ``processors``, ``alive()`` and ``clients``.
     """
 
     def __init__(
@@ -697,25 +546,32 @@ class LiveShardLoad:
         self.ring = ring
         self.router = ShardRouter(ring, window=window)
         self.submitted: dict[str, list[ShardOp]] = {}
-        self.routed: dict[str, int] = {g: 0 for g in ring.groups}
         self._completed: dict[str, int] = {g: 0 for g in ring.groups}
-        self._poll_task: asyncio.Task[None] | None = None
         for group in ring.groups:
             self.router.add_backend(group, _LiveShardBackend(group, self))
 
     # -- router-facing --------------------------------------------------
-    def dispatch(self, key: str, group: str, value: Any) -> None:
-        """Send one routed operation to the key's session node.  Every
-        operation on a key enters the cluster at one fixed node, so
-        TO's per-sender FIFO makes the key's delivered order equal its
-        submission order even across partitions (the cross-shard
+    def session_node(self, key: str) -> str:
+        """The node every operation on ``key`` enters the cluster at,
+        fixed for the whole episode whoever dies: one sender per key,
+        so TO's per-sender FIFO makes the key's delivered order equal
+        its submission order even across partitions (the cross-shard
         checker's premise)."""
-        targets = self.cluster.alive()
-        target = targets[point_for_key(key) % len(targets)]
-        self.cluster.clients[target].send_nowait(
+        processors = self.cluster.processors
+        return processors[point_for_key(key) % len(processors)]
+
+    def live_keys(self, keys: Sequence[str]) -> list[str]:
+        """Those of ``keys`` a client can still submit on: the ones
+        whose session node is alive."""
+        alive = self.cluster.alive()
+        return [key for key in keys if self.session_node(key) in alive]
+
+    def dispatch(self, key: str, group: str, value: Any) -> None:
+        """Send one routed operation to the key's session node (a dead
+        node's closed connection drops it, as a crashed server would)."""
+        self.cluster.clients[self.session_node(key)].send_nowait(
             Ctl("send", {"g": group, "v": value})
         )
-        self.routed[group] += 1
 
     # -- client-facing --------------------------------------------------
     def submit(self, key: str, op_seq: int, payload: str) -> str:
@@ -731,9 +587,6 @@ class LiveShardLoad:
         for key, ops in self.submitted.items():
             counts[self.ring.owner_of(key)] += len(ops)
         return counts
-
-    def pending_total(self) -> int:
-        return sum(self.router.pending(g) for g in self.ring.groups)
 
     # -- completion feedback --------------------------------------------
     def absorb_stats(self, data: Any) -> None:
@@ -754,78 +607,6 @@ class LiveShardLoad:
                     self.router.complete(group, free)
                 self._completed[group] = delivered
 
-    async def _poll_loop(self, interval: float) -> None:
-        while True:
-            for p in self.cluster.alive():
-                try:
-                    reply = await self.cluster.clients[p].request(
-                        Ctl("stats"), timeout=5.0
-                    )
-                    self.cluster._harvest(reply)
-                    self.absorb_stats(reply.data)
-                except (asyncio.TimeoutError, OSError, AssertionError):
-                    continue
-            await asyncio.sleep(interval)
-
-    def start_completion_poller(self, interval: float) -> None:
-        if self._poll_task is None:
-            self._poll_task = asyncio.get_running_loop().create_task(
-                self._poll_loop(interval)
-            )
-
-    async def stop_completion_poller(self) -> None:
-        task = self._poll_task
-        if task is None:
-            return
-        self._poll_task = None
-        task.cancel()
-        try:
-            await task
-        except asyncio.CancelledError:
-            pass
-
-    async def drain(self, timeout: float, interval: float) -> bool:
-        """Wait until no request is in flight or queued anywhere."""
-        deadline = asyncio.get_running_loop().time() + timeout
-        while asyncio.get_running_loop().time() < deadline:
-            if self.pending_total() == 0:
-                return True
-            await asyncio.sleep(interval)
-        return self.pending_total() == 0
-
-
-async def await_sharded_delivery(
-    cluster: LiveCluster, load: LiveShardLoad, timeout: float
-) -> bool:
-    """Poll until every alive node delivered every group's expected
-    operation count (per-group completeness)."""
-    expected = load.expected_per_group()
-    deadline = asyncio.get_running_loop().time() + timeout
-    while asyncio.get_running_loop().time() < deadline:
-        complete = True
-        for p in cluster.alive():
-            try:
-                reply = await cluster.clients[p].request(Ctl("stats"), timeout=5.0)
-                cluster._harvest(reply)
-                load.absorb_stats(reply.data)
-                groups = (
-                    reply.data.get("groups", {})
-                    if isinstance(reply.data, dict)
-                    else {}
-                )
-                for g, want in expected.items():
-                    got = int(groups.get(g, {}).get("delivered", 0))
-                    if got < want:
-                        complete = False
-            except (asyncio.TimeoutError, KeyError, TypeError, OSError):
-                complete = False
-        if complete:
-            cluster._mark("delivery_complete", per_group=expected)
-            return True
-        await asyncio.sleep(5 * cluster.delta)
-    cluster._mark("delivery_timeout")
-    return False
-
 
 def verify_sharded(
     log_dir: str | Path,
@@ -840,7 +621,11 @@ def verify_sharded(
     Each group's event logs are a complete single-group capture, so the
     standard live checkers run once per group; the delivered orders
     recovered from the same decoded events then feed
-    :func:`~repro.shard.verify.check_cross_shard_order`.
+    :func:`~repro.shard.verify.check_cross_shard_order`.  The top level
+    of the result is one :class:`~repro.rt.trace.VerifyReport` over all
+    groups (counts add, verdicts must all hold; for one group it is
+    that group's report) with ``ok`` also requiring the cross-shard
+    check; each group's own report is under ``"groups"``.
     """
     initial_view = initial_view_for(tuple(processors))
     per_group: dict[str, VerifyReport] = {}
@@ -852,94 +637,153 @@ def verify_sharded(
         )
         orders[group] = delivered_order(events)
     cross = check_cross_shard_order(submitted, orders, ring)
-    ok = all(r.ok for r in per_group.values()) and cross.ok
-    return {
-        "ok": ok,
-        "groups": {g: per_group[g].to_dict() for g in groups},
-        "cross_shard": cross.to_dict(),
-        "deliveries": sum(r.deliveries for r in per_group.values()),
-        "sends": sum(r.sends for r in per_group.values()),
-        "violations": [
+    reports = per_group.values()
+    total = VerifyReport(
+        processors=tuple(sorted(processors)),
+        events=sum(r.events for r in reports),
+        violations=[
             f"{g}: {v}" for g in groups for v in per_group[g].violations
         ],
-        "delivered_complete": all(
-            r.delivered_complete for r in per_group.values()
+        to_ok=all(r.to_ok for r in reports),
+        to_reason="; ".join(
+            f"{g}: {per_group[g].to_reason}"
+            for g in groups
+            if not per_group[g].to_ok
         ),
+        sends=sum(r.sends for r in reports),
+        deliveries=sum(r.deliveries for r in reports),
+        views_installed=sum(r.views_installed for r in reports),
+        delivered_complete=all(r.delivered_complete for r in reports),
+    )
+    return {
+        **total.to_dict(),
+        "ok": total.ok and cross.ok,
+        "groups": {g: per_group[g].to_dict() for g in groups},
+        "cross_shard": cross.to_dict(),
     }
 
 
-async def run_sharded_cluster(
+async def run_cluster(
     nodes: int,
-    shards: int,
     sends: int,
     partition: bool = False,
+    kill: bool = False,
     log_dir: str | Path | None = None,
     delta: float = 0.05,
     send_interval: float = 0.02,
-    window: int | None = 64,
-    seed: int = 0,
     partition_hold: float | None = None,
     settle: float | None = None,
+    scenario: str | Path | None = None,
+    time_scale: float = 0.05,
+    seed: int = 0,
     metrics_interval: float = 0.25,
     wire: str = "json",
+    shards: int = 1,
+    window: int | None = 64,
 ) -> dict[str, Any]:
-    """One sharded live episode: ``nodes`` processes each hosting
-    ``shards`` group runtimes, driver-side consistent-hash routing with
-    per-group windows, optional mid-run partition, then per-group
-    verification and the cross-shard order check."""
-    owns_dir = log_dir is None
-    if owns_dir:
-        log_dir = tempfile.mkdtemp(prefix="repro-rt-shard-")
+    """One full scripted episode; returns the verification report dict.
+
+    ``nodes`` processes each host ``shards`` group runtimes.  Client
+    load is open-loop Poisson (seeded, mean rate ``1/send_interval``:
+    arrival times are honoured against the wall clock, so a send the
+    cluster absorbs slowly does not delay later arrivals) over a fixed
+    key set, routed by :class:`LiveShardLoad` with a per-group
+    ``window``; each key enters at its session node, and keys whose
+    session node was killed are no longer drawn.  One stats poller,
+    every ``metrics_interval`` seconds, streams the metrics snapshots
+    and feeds the router its completions.  The run's observability
+    artifacts — ``metrics.jsonl``, ``cluster.timeline.json`` and, per
+    group, ``cluster.spans.jsonl`` (stitched spans) and
+    ``cluster.trace.json`` (whole-cluster Perfetto) — are written into
+    the log directory (see :func:`write_obs_artifacts`).
+    """
+    if send_interval <= 0:
+        raise ValueError(f"send_interval must be positive: {send_interval}")
+    if log_dir is None:
+        log_dir = tempfile.mkdtemp(prefix="repro-rt-")
     cluster = LiveCluster(
         nodes,
         log_dir,
         delta=delta,
-        send_interval=send_interval,
         metrics_interval=metrics_interval,
         wire=wire,
         shards=shards,
     )
-    names = group_names(shards)
+    names = group_names(cluster.shards)
     ring = HashRing(names, seed=seed)
     load = LiveShardLoad(cluster, ring, window=window)
+    cluster.on_stats = load.absorb_stats
+    scenario_windows: tuple[FirewallWindow, ...] = ()
+    if scenario is not None:
+        scenario_windows = scenario_windows_for(
+            scenario, cluster.processors, time_scale
+        )
     hold = partition_hold if partition_hold is not None else 50 * delta
     settle_time = settle if settle is not None else 40 * delta
-    keys = [f"k{i}" for i in range(max(4, 4 * shards))]
+    keys = [f"k{i}" for i in range(4 * nodes * len(names))]
+    arrivals = random.Random(seed)
+    loop = asyncio.get_running_loop()
 
     async def send_ops(indices: Sequence[int]) -> None:
+        live = load.live_keys(keys)
+        due = loop.time()
         for i in indices:
-            load.submit(keys[i % len(keys)], i, f"v{i}")
-            await asyncio.sleep(send_interval)
+            due += arrivals.expovariate(1.0 / send_interval)
+            if due > loop.time():
+                await asyncio.sleep(due - loop.time())
+            load.submit(live[i % len(live)], i, f"v{i}")
 
     started = time.time()
     await cluster.spawn()
     try:
         await cluster.go()
-        load.start_completion_poller(max(0.05, 5 * delta))
-        indices = list(range(sends))
-        if partition:
-            half = len(indices) // 2
+        cluster.start_metrics_stream()
+        cluster._mark(
+            "load", arrivals="poisson", rate=1.0 / send_interval, sends=sends
+        )
+        indices = range(sends)
+        half = sends // 2
+        if scenario_windows:
+            # Replay the sim scenario's partition timeline: first half
+            # of the traffic before the episodes, the rest during them.
             await send_ops(indices[:half])
-            window_spec = single_partition_window(cluster.alive(), 0.0, hold)
-            await cluster.apply_partition(window_spec)
+            replay = loop.create_task(
+                replay_scenario_windows(cluster, scenario_windows)
+            )
             await send_ops(indices[half:])
-            await asyncio.sleep(hold)
-            await cluster.heal()
+            await replay
+            cluster._mark(
+                "scenario_replayed",
+                scenario=str(scenario),
+                windows=len(scenario_windows),
+            )
+        elif partition or kill:
+            await send_ops(indices[:half])
+            if kill:
+                await cluster.kill(max(cluster.processors))
+            if partition:
+                await cluster.apply_partition(
+                    single_partition_window(cluster.alive(), 0.0, hold)
+                )
+            # Traffic continues into both sides of the split; minority
+            # sends are delivered only after the heal reconciles state.
+            await send_ops(indices[half:])
+            if partition:
+                await asyncio.sleep(hold)
+                await cluster.heal()
         else:
             await send_ops(indices)
-        drained = await load.drain(
-            timeout=max(30.0, 600 * delta), interval=5 * delta
-        )
         await asyncio.sleep(settle_time)
-        complete = await await_sharded_delivery(
-            cluster, load, timeout=max(30.0, 600 * delta)
+        # A SIGKILLed node may take accepted-but-unpropagated values with
+        # it, so completeness cannot be awaited to the full count there.
+        poll_timeout = max(10.0, 200 * delta) if kill else max(30.0, 600 * delta)
+        complete = await cluster.await_delivered(
+            load.expected_per_group(), timeout=poll_timeout
         )
         wire_stats = await cluster.collect_wire_stats()
     finally:
-        await load.stop_completion_poller()
         await cluster.stop()
-    wall = time.time() - started
-    report = verify_sharded(
+    out = verify_sharded(
         cluster.log_dir,
         cluster.processors,
         names,
@@ -947,33 +791,45 @@ async def run_sharded_cluster(
         ring,
         expect_at=cluster.alive(),
     )
-    # Sharded nodes run without lifecycle tracing (spans would alias
-    # across groups), so only the timeline and metrics stream persist.
-    (cluster.log_dir / "cluster.timeline.json").write_text(
-        json.dumps(cluster.timeline, indent=2), encoding="utf-8"
-    )
-    snapshots = cluster.metrics.write_jsonl(cluster.log_dir / "metrics.jsonl")
-    report.update(
+    wall = time.time() - started
+    out.update(
         {
-            "experiment": "live-shard",
+            "experiment": "live-cluster",
             "nodes": nodes,
-            "shards": shards,
+            "shards": cluster.shards,
             "requested_sends": sends,
             "partition": partition,
+            "kill": kill,
+            "scenario": None if scenario is None else str(scenario),
             "delta": delta,
             "window": window,
             "seed": seed,
             "wire": wire_stats,
             "router": load.router.stats(),
-            "drained": drained,
             "polled_complete": complete,
             "wall_seconds": wall,
             "log_dir": str(log_dir),
             "timeline": cluster.timeline,
-            "obs": {"metrics_snapshots": snapshots},
+            "obs": write_obs_artifacts(cluster),
         }
     )
-    return report
+    return out
+
+
+#: How each per-group figure of the obs summary folds into the total.
+#: Every group's tracer is annotated from the one driver timeline, so
+#: fault windows are the cluster's, not a sum.
+_OBS_TOTALS: dict[str, Callable[[Any], Any]] = {
+    "message_spans": sum,
+    "cross_node_spans": sum,
+    "view_spans": sum,
+    "fault_windows": max,
+    "unmatched_events": sum,
+    "safe_p99": max,
+    "delta_measured": max,
+    "slo_ok": all,
+    "bounds_ok": all,
+}
 
 
 def write_obs_artifacts(cluster: LiveCluster) -> dict[str, Any]:
@@ -981,12 +837,16 @@ def write_obs_artifacts(cluster: LiveCluster) -> dict[str, Any]:
     and return the summary dict embedded in the episode report.
 
     Written: ``cluster.timeline.json`` (driver marks, the stitcher's
-    fault/config source), ``metrics.jsonl`` (every streamed snapshot),
+    fault/config source), ``metrics.jsonl`` (every streamed snapshot)
+    and, for each group (named like its event logs: a lone group adds
+    nothing, several add ``@<group>`` after ``cluster``),
     ``cluster.spans.jsonl`` (stitched distributed spans, canonical
     bytes) and ``cluster.trace.json`` (whole-cluster Perfetto/Chrome
-    trace).  Failures here never mask a protocol verdict: the episode
-    already verified; an unstitchable capture reports itself in the
-    summary instead of raising.
+    trace).  The summary holds each group's figures under ``"groups"``
+    and their totals beside it (counts add, latencies take the worst,
+    verdicts must all hold).  Failures here never mask a protocol
+    verdict: the episode already verified; an unstitchable capture
+    reports itself in the summary instead of raising.
     """
     log_dir = cluster.log_dir
     (log_dir / "cluster.timeline.json").write_text(
@@ -997,21 +857,23 @@ def write_obs_artifacts(cluster: LiveCluster) -> dict[str, Any]:
         "metrics_snapshots": snapshots,
         "metrics_nodes": list(cluster.metrics.nodes()),
         "metrics_path": str(log_dir / "metrics.jsonl"),
+        "groups": {},
     }
-    try:
-        run = stitch_log_dir(log_dir, processors=cluster.processors)
-    except (OSError, ValueError, KeyError) as exc:
-        summary["stitch_error"] = repr(exc)
-        return summary
-    (log_dir / "cluster.spans.jsonl").write_text(
-        stitched_jsonl(run), encoding="utf-8"
-    )
-    write_chrome_trace(run.tracer, str(log_dir / "cluster.trace.json"))
-    obs_report = build_report(log_dir)
-    summary.update(
-        {
-            "spans_path": str(log_dir / "cluster.spans.jsonl"),
-            "trace_path": str(log_dir / "cluster.trace.json"),
+    for group in group_event_logs(log_dir):
+        try:
+            obs_report = build_report(log_dir, group=group)
+        except (OSError, ValueError, KeyError) as exc:
+            summary["groups"][group] = {"stitch_error": repr(exc)}
+            summary["stitch_error"] = f"{group}: {exc!r}"
+            continue
+        run = obs_report.run
+        spans_path = log_dir / f"cluster{obs_report.tag}.spans.jsonl"
+        trace_path = log_dir / f"cluster{obs_report.tag}.trace.json"
+        spans_path.write_text(stitched_jsonl(run), encoding="utf-8")
+        write_chrome_trace(run.tracer, str(trace_path))
+        summary["groups"][group] = {
+            "spans_path": str(spans_path),
+            "trace_path": str(trace_path),
             "message_spans": len(run.tracer.message_spans),
             "cross_node_spans": run.cross_node_spans(),
             "view_spans": len(run.tracer.view_spans),
@@ -1022,7 +884,10 @@ def write_obs_artifacts(cluster: LiveCluster) -> dict[str, Any]:
             "slo_ok": all(v.ok for v in obs_report.slos),
             "bounds_ok": obs_report.bounds_verdict.ok,
         }
-    )
+    stitched = [g for g in summary["groups"].values() if "stitch_error" not in g]
+    if stitched:
+        for key, fold in _OBS_TOTALS.items():
+            summary[key] = fold(g[key] for g in stitched)
     return summary
 
 
@@ -1040,14 +905,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=1,
-        help="VS group runtimes per node; >1 switches to the sharded "
-        "episode (driver-side key routing, per-group verification)",
+        help="VS group runtimes per node (default 1); keys are routed "
+        "to groups by the driver, each group is verified on its own",
     )
     parser.add_argument(
         "--window",
         type=int,
         default=64,
-        help="per-group in-flight window for the sharded episode "
+        help="per-group in-flight window of the driver's router "
         "(0 disables backpressure)",
     )
     parser.add_argument(
@@ -1073,7 +938,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=0,
-        help="seed for the Poisson arrival process",
+        help="seed for the Poisson arrival process and the hash ring",
     )
     parser.add_argument(
         "--metrics-interval",
@@ -1101,70 +966,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def sharded_main(args: argparse.Namespace) -> int:
-    """Run and summarise a ``--shards N`` episode."""
-    report = asyncio.run(
-        run_sharded_cluster(
-            nodes=args.nodes,
-            shards=args.shards,
-            sends=args.sends,
-            partition=args.partition,
-            log_dir=args.log_dir,
-            delta=args.delta,
-            send_interval=args.send_interval,
-            window=args.window if args.window > 0 else None,
-            seed=args.seed,
-            metrics_interval=args.metrics_interval,
-            wire=args.wire,
-        )
-    )
-    if args.json:
-        Path(args.json).write_text(
-            json.dumps(report, indent=2), encoding="utf-8"
-        )
-    ok = report["ok"] and report["delivered_complete"]
-    print(
-        "live-shard: nodes={nodes} shards={shards} sends={sends} "
-        "deliveries={deliveries} complete={complete} "
-        "wall={wall:.1f}s".format(
-            nodes=report["nodes"],
-            shards=report["shards"],
-            sends=report["sends"],
-            deliveries=report["deliveries"],
-            complete=report["delivered_complete"],
-            wall=report["wall_seconds"],
-        )
-    )
-    for group, gr in report["groups"].items():
-        print(
-            "  {g}: sends={sends} deliveries={deliveries} "
-            "views={views} ok={ok}".format(
-                g=group,
-                sends=gr["sends"],
-                deliveries=gr["deliveries"],
-                views=gr["views_installed"],
-                ok=gr["ok"],
-            )
-        )
-    cross = report["cross_shard"]
-    print(
-        "  cross-shard: ok={ok} keys={keys} ops={ops}".format(
-            ok=cross["ok"], keys=cross["keys_checked"], ops=cross["ops_checked"]
-        )
-    )
-    for violation in report["violations"]:
-        print(f"  VS violation: {violation}")
-    if not ok:
-        print("  VERDICT: FAIL")
-        return 1
-    print("  VERDICT: OK (every shard conforms; cross-shard order holds)")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    if args.shards > 1:
-        return sharded_main(args)
     nodes = args.nodes
     if args.scenario is not None:
         from repro.scenarios import ScenarioSpec
@@ -1184,6 +987,8 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed,
             metrics_interval=args.metrics_interval,
             wire=args.wire,
+            shards=args.shards,
+            window=args.window if args.window > 0 else None,
         )
     )
     if args.json:
@@ -1192,10 +997,11 @@ def main(argv: list[str] | None = None) -> int:
         )
     ok = report["ok"] and (report["delivered_complete"] or args.kill)
     print(
-        "live-cluster: nodes={nodes} sends={sends} deliveries={deliveries} "
-        "views={views} violations={violations} to_ok={to_ok} "
-        "complete={complete} wall={wall:.1f}s".format(
+        "live-cluster: nodes={nodes} shards={shards} sends={sends} "
+        "deliveries={deliveries} views={views} violations={violations} "
+        "to_ok={to_ok} complete={complete} wall={wall:.1f}s".format(
             nodes=report["nodes"],
+            shards=report["shards"],
             sends=report["sends"],
             deliveries=report["deliveries"],
             views=report["views_installed"],
@@ -1203,6 +1009,23 @@ def main(argv: list[str] | None = None) -> int:
             to_ok=report["to_ok"],
             complete=report["delivered_complete"],
             wall=report["wall_seconds"],
+        )
+    )
+    for group, gr in report["groups"].items():
+        print(
+            "  {g}: sends={sends} deliveries={deliveries} "
+            "views={views} ok={ok}".format(
+                g=group,
+                sends=gr["sends"],
+                deliveries=gr["deliveries"],
+                views=gr["views_installed"],
+                ok=gr["ok"],
+            )
+        )
+    cross = report["cross_shard"]
+    print(
+        "  cross-shard: ok={ok} keys={keys} ops={ops}".format(
+            ok=cross["ok"], keys=cross["keys_checked"], ops=cross["ops_checked"]
         )
     )
     wire_stats = report.get("wire", {})
@@ -1240,10 +1063,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  VS violation: {violation}")
     if not report["to_ok"]:
         print(f"  TO violation: {report['to_reason']}")
+    if not cross["ok"]:
+        print(f"  cross-shard violation: {cross['reason']}")
     if not ok:
         print("  VERDICT: FAIL")
         return 1
-    print("  VERDICT: OK (captured trace conforms to VS and TO specs)")
+    print(
+        "  VERDICT: OK (every group's captured trace conforms to the VS "
+        "and TO specs; cross-shard order holds)"
+    )
     return 0
 
 

@@ -1,23 +1,33 @@
-"""One live ring member as a daemon process: ``python -m repro.rt.node``.
+"""One live processor as a daemon process: ``python -m repro.rt.node``.
 
 The node hosts the *unmodified* protocol stack — a
-:class:`~repro.membership.ring.RingMember` over a
-:class:`~repro.rt.transport.LiveNetwork`, with a
+:class:`~repro.membership.ring.RingMember` with a
 :class:`~repro.core.vstoto.runtime.VStoTORuntime` on top for TO
-semantics — and exposes a small control plane to the cluster driver:
+semantics — once per VS group (the paper's ``g``; ``--shards N``,
+default one), all over one :class:`~repro.rt.transport.LiveNetwork`:
+each stack sends through its own :class:`~repro.shard.live.GroupNet`
+and the transport's one endpoint, a
+:class:`~repro.shard.live.GroupDemux`, hands inbound frames to their
+group.  One group is the N = 1 case of that path, not a different one.
+The node exposes a small control plane to the cluster driver:
 
 - ``go`` — start the ring (replied once every outbound peer stream is
   up, giving the driver a clean synchronized launch);
-- ``send`` — submit one client value (the TO ``bcast`` input);
+- ``send`` — submit one client value (the TO ``bcast`` input) to a
+  group: ``{"g": group, "v": value}``, or a bare value for the first;
 - ``block`` / ``unblock`` — firewall peers (partition injection);
-- ``stats`` — reply with live protocol/transport counters;
-- ``stop`` — flush the event log, write the final report, exit.
+- ``stats`` — reply with live protocol/transport counters (totals,
+  and each group's own under ``groups``);
+- ``stop`` — flush the event logs, write the final report, exit.
 
-Every VS and TO external event is appended to
-``<log-dir>/<id>.events.jsonl`` (see :mod:`repro.rt.trace`); on stop a
-``<id>.report.json`` records transport counters, ring statistics and
-the rendered ``repro.obs`` metrics so live runs are observable with
-the same vocabulary as simulated ones.
+Every VS and TO external event is appended to the group's event log
+under ``<log-dir>`` (``<id>.events.jsonl`` for one group; see
+:func:`repro.rt.trace.event_log_path`); on stop a ``<id>.report.json``
+records transport counters, ring statistics and the rendered
+``repro.obs`` metrics so live runs are observable with the same
+vocabulary as simulated ones.  The node keeps metrics only: spans are
+rebuilt after the run, per group, from the event logs
+(:mod:`repro.obs.live.stitch`).
 
 Usage::
 
@@ -48,7 +58,7 @@ from repro.membership.ring import RingConfig, RingMember
 from repro.obs import Observability
 from repro.obs.live.snapshot import MetricsSnapshot
 from repro.rt.clock import LiveScheduler
-from repro.rt.trace import EventLog
+from repro.rt.trace import EventLog, event_log_path
 from repro.rt.transport import Ctl, LiveNetwork
 from repro.shard.live import GroupDemux, GroupNet
 from repro.shard.routing import group_names
@@ -95,9 +105,6 @@ class LiveNodeService:
         self.on_gprcv: DeliveryCallback | None = None
         self.on_safe: DeliveryCallback | None = None
         self.on_newview: ViewCallback | None = None
-        self._tracer = obs.tracer if obs is not None else None
-        if self._tracer is not None:
-            self._tracer.set_initial_view(self.initial_view)
 
     # -- TokenRingVS-compatible client surface -------------------------
     def start(self) -> None:
@@ -134,8 +141,6 @@ class LiveNodeService:
     def _record(self, name: str, *args: Any) -> None:
         if self.log is not None:
             self.log.record(name, *args)
-        if self._tracer is not None:
-            self._tracer.on_vs_event(self.simulator.now, name, args)
 
 
 @dataclass
@@ -152,11 +157,10 @@ class _GroupStack:
 class LiveNode:
     """The assembled node: transport + ring + VStoTO + control plane.
 
-    With ``shards > 1`` the node hosts that many complete group stacks
-    (ring member + VStoTO runtime + event log per group) over the one
-    transport, multiplexed by :class:`~repro.shard.live.ShardEnvelope`
-    frames; ``shards == 1`` keeps the pre-sharding wire byte-identical
-    (no envelope, member registered directly).
+    The node hosts ``shards`` complete group stacks (ring member +
+    VStoTO runtime + event log per group) over the one transport,
+    multiplexed by :class:`~repro.shard.live.ShardEnvelope` frames; the
+    default is one.
     """
 
     def __init__(
@@ -189,49 +193,37 @@ class LiveNode:
         )
         self.log_dir = Path(log_dir)
         self.log_dir.mkdir(parents=True, exist_ok=True)
-        # Span stitching reads one lifecycle tracer per node; with many
-        # groups interleaving on one node the spans would alias, so
-        # sharded nodes keep metrics (aggregating across groups) and
-        # drop tracing.
-        self.obs = Observability(metrics=True, tracing=self.shards == 1)
+        # Metrics only: nothing reads spans off a running node.  They
+        # are rebuilt offline, per group, from the event logs.
+        self.obs = Observability(metrics=True, tracing=False)
         self.network.attach_obs(self.obs)
-        self._stacks: dict[str, _GroupStack] = {}
-        if self.shards == 1:
-            stack = self._build_stack(None)
-            self.network.register(stack.member)
-        else:
-            names = group_names(self.shards)
-            for name in names:
-                self._build_stack(name)
-            self.network.register(
-                GroupDemux(
-                    proc_id,
-                    {g: s.member for g, s in self._stacks.items()},
-                    default=names[0],
-                )
+        names = group_names(self.shards)
+        self._stacks = {name: self._build_stack(name) for name in names}
+        self.network.register(
+            GroupDemux(
+                proc_id,
+                {g: s.member for g, s in self._stacks.items()},
+                default=names[0],
             )
-        first = self._stacks[min(self._stacks)]
-        self.log = first.log
-        self.service = first.service
-        self.member = first.member
-        self.runtime = first.runtime
+        )
+        self.first_group = names[0]
         self.started = False
         self.sends_accepted = 0
         self.sends_rejected = 0
         self._snapshot_seq = 0
         self._stopping: asyncio.Future[None] = loop.create_future()
 
-    def _build_stack(self, group: str | None) -> _GroupStack:
-        """Assemble one group's log/service/member/runtime.  ``None``
-        is the unsharded stack: legacy log name, bare transport."""
-        name = group if group is not None else "g0"
-        suffix = "" if group is None else f"@{group}"
+    def _build_stack(self, group: str) -> _GroupStack:
+        """Assemble one group's log/service/member/runtime."""
         log = EventLog(
-            self.log_dir / f"{self.proc_id}{suffix}.events.jsonl", self.proc_id
+            event_log_path(self.log_dir, self.proc_id, group, self.shards),
+            self.proc_id,
         )
-        net = self.network if group is None else GroupNet(group, self.network)
         service = LiveNodeService(
-            self.proc_id, cast(LiveNetwork, net), log, self.obs
+            self.proc_id,
+            cast(LiveNetwork, GroupNet(group, self.network)),
+            log,
+            self.obs,
         )
         member = RingMember(
             self.proc_id, service, self.config, service.initial_view
@@ -243,9 +235,7 @@ class LiveNode:
             MajorityQuorumSystem(self.network.processors),
             on_deliver=functools.partial(self._on_deliver, log),
         )
-        stack = _GroupStack(name, log, service, member, runtime)
-        self._stacks[name] = stack
-        return stack
+        return _GroupStack(group, log, service, member, runtime)
 
     # ------------------------------------------------------------------
     async def start(self) -> None:
@@ -269,8 +259,8 @@ class LiveNode:
             await self.network.wait_connected(timeout=10.0)
             if not self.started:
                 self.started = True
-                for name in sorted(self._stacks):
-                    self._stacks[name].member.start()
+                for stack in self._stacks.values():
+                    stack.member.start()
             reply(Ctl("ok", {"op": "go", "node": self.proc_id}))
         elif ctl.op == "send":
             group, value = self._parse_send(ctl.data)
@@ -303,20 +293,16 @@ class LiveNode:
             self._stopping.set_result(None)
 
     def _parse_send(self, data: Any) -> tuple[str, Any]:
-        """Resolve a client send to ``(group, value)``.  Sharded nodes
-        accept the dict form ``{"g": group, "v": value}``; a bare value
-        (or any send on an unsharded node) goes to the first group."""
-        if (
-            self.shards > 1
-            and isinstance(data, dict)
-            and "g" in data
-        ):
+        """Resolve a client send to ``(group, value)``: the dict form
+        ``{"g": group, "v": value}``, or a bare value for the first
+        group."""
+        if isinstance(data, dict) and "g" in data:
             return str(data["g"]), data.get("v")
-        return min(self._stacks), data
+        return self.first_group, data
 
     # ------------------------------------------------------------------
     def _stack_stats(self, stack: _GroupStack) -> dict[str, Any]:
-        """One group stack's counters (the legacy per-node shape)."""
+        """One group stack's counters."""
         member = stack.member
         view = member.view
         return {
@@ -335,60 +321,43 @@ class LiveNode:
                 "entries_appended": member.token_entries_appended,
                 "append_batches": member.token_append_batches,
                 "append_max": member.token_append_max,
-                "entries_per_batch": (
-                    member.token_entries_appended / member.token_append_batches
-                    if member.token_append_batches
-                    else 0.0
-                ),
             },
         }
 
     def stats(self) -> dict[str, Any]:
         """Live counters: ring, TO deliveries, transport, event log.
-        Sharded nodes aggregate across groups and add a per-group
-        breakdown under ``"groups"``."""
+        Counts are totals over the hosted groups (``view`` is the first
+        group's), with each group's own under ``"groups"``; for one
+        group the totals are that group's numbers."""
+        per = {name: self._stack_stats(s) for name, s in self._stacks.items()}
+        first = per[self.first_group]
+        token = {
+            key: sum(g["token"][key] for g in per.values())
+            for key in first["token"]
+        }
+        for counters in (token, *(g["token"] for g in per.values())):
+            batches = counters["append_batches"]
+            counters["entries_per_batch"] = (
+                counters["entries_appended"] / batches if batches else 0.0
+            )
         out: dict[str, Any] = {
             "node": self.proc_id,
             "sends_accepted": self.sends_accepted,
+            "shards": self.shards,
+            "view": first["view"],
+            "view_size": first["view_size"],
+            "token": token,
+            "groups": per,
+            "transport": self.network.stats(),
         }
-        if self.shards == 1:
-            out.update(self._stack_stats(next(iter(self._stacks.values()))))
-        else:
-            per = {
-                name: self._stack_stats(self._stacks[name])
-                for name in sorted(self._stacks)
-            }
-            first = per[min(per)]
-            token_totals = {
-                key: sum(g["token"][key] for g in per.values())
-                for key in first["token"]
-                if key != "entries_per_batch"
-            }
-            batches = token_totals["append_batches"]
-            token_totals["entries_per_batch"] = (
-                token_totals["entries_appended"] / batches if batches else 0.0
-            )
-            out.update(
-                {
-                    "shards": self.shards,
-                    "view": first["view"],
-                    "view_size": first["view_size"],
-                    "delivered": sum(g["delivered"] for g in per.values()),
-                    "events_recorded": sum(
-                        g["events_recorded"] for g in per.values()
-                    ),
-                    "formations": sum(g["formations"] for g in per.values()),
-                    "tokens_processed": sum(
-                        g["tokens_processed"] for g in per.values()
-                    ),
-                    "duplicates_suppressed": sum(
-                        g["duplicates_suppressed"] for g in per.values()
-                    ),
-                    "token": token_totals,
-                    "groups": per,
-                }
-            )
-        out["transport"] = self.network.stats()
+        for key in (
+            "delivered",
+            "events_recorded",
+            "formations",
+            "tokens_processed",
+            "duplicates_suppressed",
+        ):
+            out[key] = sum(g[key] for g in per.values())
         return out
 
     def snapshot(self) -> dict[str, Any]:
@@ -419,8 +388,8 @@ class LiveNode:
         path.write_text(json.dumps(report, indent=2), encoding="utf-8")
 
     async def close(self) -> None:
-        for name in sorted(self._stacks):
-            self._stacks[name].log.close()
+        for stack in self._stacks.values():
+            stack.log.close()
         await self.network.close()
 
 
@@ -494,7 +463,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="number of VS group runtimes to host on this node "
-        "(default 1: the unsharded byte-identical wire)",
+        "(default 1)",
     )
     parser.add_argument(
         "--flush-interval",

@@ -1,6 +1,8 @@
 """Per-node event capture and offline verification of live runs.
 
-Each node appends one JSON line per external event to its own log:
+Each node appends one JSON line per external event to one log per
+group it hosts (:func:`event_log_path` names the file,
+:func:`group_event_logs` lists a directory's groups and their files):
 
 ``{"ts": <epoch seconds>, "seq": <per-node counter>, "node": <id>,
 "ev": <name>, "args": <codec-encoded argument list>}``
@@ -53,6 +55,38 @@ from repro.rt.framing import decode_value, encode_value
 VS_EVENTS = ("gpsnd", "gprcv", "safe", "newview")
 #: Event names captured at the TO layer (fed to check_to_trace).
 TO_EVENTS = ("bcast", "brcv")
+
+
+#: The group of a one-group capture, whose file names carry no group
+#: (``repro.shard.routing.group_names(1)[0]``).
+ONE_GROUP = "g0"
+
+_LOG_SUFFIX = ".events.jsonl"
+
+
+def group_tag(group: str, groups: int) -> str:
+    """What ``group`` adds to a file name in a capture of ``groups``
+    groups: nothing when it is the only one, ``@<group>`` otherwise.
+    The one place the group count shapes anything."""
+    return "" if groups == 1 else f"@{group}"
+
+
+def event_log_path(
+    log_dir: str | Path, node: str, group: str, groups: int
+) -> Path:
+    """Where ``node`` logs ``group``'s events when it hosts ``groups``
+    groups: ``p1.events.jsonl``, or ``p1@g0.events.jsonl``."""
+    return Path(log_dir) / f"{node}{group_tag(group, groups)}{_LOG_SUFFIX}"
+
+
+def group_event_logs(log_dir: str | Path) -> dict[str, dict[str, Path]]:
+    """The inverse of :func:`event_log_path`: every event log under
+    ``log_dir`` as ``{group: {node: path}}``, both levels sorted."""
+    found: dict[str, dict[str, Path]] = {}
+    for path in sorted(Path(log_dir).glob("*" + _LOG_SUFFIX)):
+        node, _, group = path.name[: -len(_LOG_SUFFIX)].partition("@")
+        found.setdefault(group or ONE_GROUP, {})[node] = path
+    return {group: found[group] for group in sorted(found)}
 
 
 #: ``json.dumps(x, separators=(",", ":"))`` without building an encoder
@@ -257,9 +291,9 @@ def verify_log_dir(
     initial_view: View,
     expect_at: Iterable[str] | None = None,
 ) -> VerifyReport:
-    """Convenience: merge every ``*.events.jsonl`` under ``log_dir``
-    and verify the result."""
-    paths = sorted(Path(log_dir).glob("*.events.jsonl"))
+    """Convenience: merge the event logs of a one-group capture under
+    ``log_dir`` and verify the result."""
+    paths = group_event_logs(log_dir).get(ONE_GROUP, {}).values()
     events = load_event_logs(paths)
     return verify_events(events, processors, initial_view, expect_at)
 
@@ -301,5 +335,7 @@ def content_digest(events: Sequence[dict[str, Any]]) -> str:
 
 def content_digest_for_dir(log_dir: str | Path) -> str:
     """The content digest of every event log under ``log_dir``."""
-    paths = sorted(Path(log_dir).glob("*.events.jsonl"))
-    return content_digest(load_event_logs(paths))
+    logs = group_event_logs(log_dir).values()
+    return content_digest(
+        load_event_logs(path for nodes in logs for path in nodes.values())
+    )

@@ -22,12 +22,11 @@ The pieces:
 - :mod:`repro.shard.sim` — the DES substrate adapter: one
   :class:`~repro.apps.totalorder.TotalOrderBroadcast` per group, with
   continuous per-group :class:`~repro.core.monitor.OnlineVSMonitor`
-  verification and a parallel open-loop mode for 100s-of-groups scale
-  sweeps (E27);
+  verification;
 - :mod:`repro.shard.live` — the live substrate adapter: the
   :class:`ShardEnvelope` wire type and group demultiplexer that let one
-  ``repro.rt`` node process host many group runtimes over one
-  transport (``python -m repro.rt.cluster --shards N``);
+  ``repro.rt`` node process host its group runtimes — one by default,
+  ``--shards N`` of them — over one transport;
 - :mod:`repro.shard.verify` — per-shard verdicts (VS monitor +
   TO-machine trace membership per group) plus the cross-shard
   invariant: every key's operation order is consistent with the owning

@@ -6,32 +6,20 @@ simulator, token ring and VStoTO processes — continuously checked by a
 permissive :class:`~repro.core.monitor.OnlineVSMonitor`.  Group seeds
 derive deterministically from the master seed and the group *name*
 (SHA-256, never ``hash()``), so group ``g7`` sees the same channel
-randomness whether the service runs 8 or 64 shards, and whether the
-groups run sequentially or fanned out over worker processes.
+randomness whether the service runs 8 or 64 shards.
 
-Two execution modes:
-
-- :class:`ShardedSimService` — the closed-loop service: a
-  :class:`~repro.shard.router.ShardRouter` in front, per-group windows
-  exerting real backpressure (a delivery back at the submitting
-  location frees a slot), all groups advanced in lockstep over one
-  virtual clock.  This is the mode the isolation tests drive — partition
-  one shard and watch the others' windows keep cycling.
-- :func:`run_group_workloads` — the open-loop mode for scale sweeps
-  (E27): each group's workload is a picklable value, a module-level
-  worker runs one group start-to-finish (including verification) and
-  returns a :class:`~repro.parallel.RunEnvelope`, and
-  :func:`~repro.parallel.parallel_map` fans the groups out across
-  processes with results merged in deterministic order.  Because group
-  seeds ignore topology, a group's trace here is identical to its trace
-  inside the closed-loop service given the same submission schedule.
+:class:`ShardedSimService` is the closed-loop service: a
+:class:`~repro.shard.router.ShardRouter` in front, per-group windows
+exerting real backpressure (a delivery back at the submitting location
+frees a slot), all groups advanced in lockstep over one virtual clock.
+This is what the isolation tests drive — partition one shard and watch
+the others' windows keep cycling.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Sequence
 from typing import Any
 
 from repro.apps.totalorder import TotalOrderBroadcast
@@ -41,7 +29,6 @@ from repro.ioa.actions import Action
 from repro.membership.ring import RingConfig
 from repro.net.scenarios import PartitionScenario
 from repro.obs import Observability
-from repro.parallel import RunEnvelope, make_envelope, parallel_map
 from repro.shard.router import ShardRouter
 from repro.shard.routing import HashRing, group_names, point_for_key
 from repro.shard.verify import (
@@ -316,175 +303,3 @@ class ShardedSimService:
             "router": self.router.stats(),
             "ring_load": self.ring.load(self.submitted),
         }
-
-
-# ----------------------------------------------------------------------
-# Open-loop mode: one picklable workload per group, fanned out with
-# repro.parallel and merged in deterministic (input) order.
-
-
-@dataclass(frozen=True)
-class GroupWorkload:
-    """Everything one worker needs to run one shard start-to-finish."""
-
-    group: str
-    seed: int
-    processors: tuple[str, ...]
-    ops: tuple[tuple[float, ShardOp], ...]
-    horizon: float
-    delta: float = 1.0
-    pi: float = 10.0
-    mu: float = 30.0
-    work_conserving: bool = True
-
-
-@dataclass(frozen=True)
-class GroupRunResult:
-    """One shard's open-loop outcome (picklable; rides a RunEnvelope)."""
-
-    group: str
-    deliveries: int
-    delivered: tuple[ShardOp, ...]
-    verdict: dict[str, Any] = field(default_factory=dict)
-    last_delivery: float = 0.0
-
-
-def run_one_workload(spec: GroupWorkload) -> RunEnvelope:
-    """Run one group's workload to its horizon and verify it.  Module
-    level (picklable) so :func:`~repro.parallel.parallel_map` can fan
-    workloads out across processes."""
-    config = RingConfig(
-        delta=spec.delta,
-        pi=spec.pi,
-        mu=spec.mu,
-        work_conserving=spec.work_conserving,
-    )
-    shard = SimShardGroup(
-        spec.group, spec.processors, seed=spec.seed, config=config
-    )
-    for at, op in spec.ops:
-        shard.service.schedule_broadcast(at, shard.origin_for(op[0]), op)
-    shard.run_until(spec.horizon)
-    verdict = shard.verdict()
-    result = GroupRunResult(
-        group=spec.group,
-        deliveries=len(shard.service.deliveries),
-        delivered=tuple(shard.delivered_order()),
-        verdict=verdict.to_dict(),
-        last_delivery=max(
-            (d.time for d in shard.service.deliveries), default=0.0
-        ),
-    )
-    return make_envelope(
-        seed=spec.seed,
-        result=result.delivered,
-        ok=verdict.ok,
-        stats={
-            "group": spec.group,
-            "deliveries": result.deliveries,
-            "last_delivery": result.last_delivery,
-            "verdict": result.verdict,
-        },
-        violations=list(verdict.vs_violations),
-    )
-
-
-def build_workloads(
-    n_groups: int,
-    *,
-    seed: int = 0,
-    procs_per_group: int = 3,
-    rate_per_group: float = 0.2,
-    horizon: float = 400.0,
-    settle: float = 100.0,
-    vnodes: int = 64,
-    config: RingConfig | None = None,
-) -> tuple[HashRing, dict[str, list[ShardOp]], list[GroupWorkload]]:
-    """Generate the open-loop E27 workload: a fixed per-group offered
-    rate, keys spread over the ring, uniform arrivals.
-
-    Each group receives ``rate_per_group * (horizon - settle)``
-    operations at evenly spaced virtual times — the offered load *per
-    group* is constant, so aggregate offered load grows linearly with
-    ``n_groups`` and ideal scaling is linear by construction.  Returns
-    the ring, the per-key submission map (for the cross-shard check)
-    and one workload per group.
-    """
-    names = group_names(n_groups)
-    ring = HashRing(names, seed=seed, vnodes=vnodes)
-    cfg = config if config is not None else RingConfig(
-        delta=1.0, pi=10.0, mu=30.0, work_conserving=True
-    )
-    per_group = max(1, int(rate_per_group * (horizon - settle)))
-    submitted: dict[str, list[ShardOp]] = {}
-    ops_for: dict[str, list[tuple[float, ShardOp]]] = {n: [] for n in names}
-    op_seq = 0
-    for name in names:
-        # Deterministically find keys owned by this group: probe the
-        # key space in sequence and keep the first hits.
-        keys: list[str] = []
-        probe = 0
-        while len(keys) < min(4, per_group):
-            key = f"{name}-k{probe}"
-            probe += 1
-            if ring.owner_of(key) == name:
-                keys.append(key)
-        spacing = (horizon - settle) / per_group
-        for i in range(per_group):
-            key = keys[i % len(keys)]
-            op = make_op(key, op_seq, f"v{op_seq}")
-            op_seq += 1
-            submitted.setdefault(key, []).append(op)
-            ops_for[name].append((settle + i * spacing, op))
-    workloads = [
-        GroupWorkload(
-            group=name,
-            seed=derive_group_seed(seed, name),
-            processors=default_processors(procs_per_group),
-            ops=tuple(ops_for[name]),
-            horizon=horizon,
-            delta=cfg.delta,
-            pi=cfg.pi,
-            mu=cfg.mu,
-            work_conserving=cfg.work_conserving,
-        )
-        for name in names
-    ]
-    return ring, submitted, workloads
-
-
-def run_group_workloads(
-    workloads: Sequence[GroupWorkload],
-    *,
-    workers: int = 1,
-) -> list[RunEnvelope]:
-    """Fan the workloads out (deterministic merge: input order)."""
-    return parallel_map(run_one_workload, workloads, workers=workers)
-
-
-def sweep_summary(
-    ring: HashRing,
-    submitted: Mapping[str, Sequence[ShardOp]],
-    envelopes: Iterable[RunEnvelope],
-) -> dict[str, Any]:
-    """Aggregate an open-loop sweep: totals, per-group verdicts, and
-    the cross-shard invariant over the merged delivered orders."""
-    group_orders: dict[str, list[ShardOp]] = {}
-    deliveries = 0
-    all_ok = True
-    last_delivery = 0.0
-    for env in envelopes:
-        stats = env.stats
-        group = str(stats["group"])
-        group_orders[group] = [tuple(op) for op in env.result]
-        deliveries += int(stats["deliveries"])
-        last_delivery = max(last_delivery, float(stats["last_delivery"]))
-        all_ok = all_ok and env.ok
-    cross = check_cross_shard_order(submitted, group_orders, ring)
-    return {
-        "ok": all_ok and cross.ok,
-        "n_groups": len(group_orders),
-        "deliveries": deliveries,
-        "last_delivery": last_delivery,
-        "cross_shard": cross.to_dict(),
-    }

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.obs import capture
 from repro.core.quorums import MajorityQuorumSystem
@@ -13,6 +16,14 @@ from repro.core.vstoto import (
 )
 from repro.ioa.actions import ActionKind
 from repro.ioa.automaton import TransitionError
+
+# Tier-1 is a gate: the same examples on every run, and no saved
+# failure from an unrelated run deciding this one.  The nightly soak
+# sets HYPOTHESIS_PROFILE=explore for fresh draws with the example
+# database on.
+settings.register_profile("gate", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "gate"))
 
 PROCS3 = ("p1", "p2", "p3")
 PROCS4 = ("p1", "p2", "p3", "p4")

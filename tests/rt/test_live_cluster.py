@@ -10,8 +10,15 @@ import pytest
 
 from repro.rt.cluster import LiveCluster, free_port, run_cluster
 from repro.rt.clock import LiveScheduler
-from repro.rt.node import default_ring_config, initial_view_for, parse_peers
-from repro.rt.transport import LiveNetwork
+from repro.rt.node import (
+    LiveNode,
+    default_ring_config,
+    initial_view_for,
+    parse_peers,
+)
+from repro.rt.trace import group_event_logs, load_event_logs
+from repro.rt.transport import Ctl, LiveNetwork
+from repro.shard.live import GroupDemux
 
 
 def loopback_peers(n):
@@ -145,6 +152,74 @@ class TestClusterHelpers:
         view = initial_view_for(("p2", "p1", "p3"))
         assert view.id == (0, "p1")
         assert view.set == frozenset({"p1", "p2", "p3"})
+
+
+class TestOneNodeShape:
+    """A one-group node is the N = 1 case of the N-group node (built in
+    this process; nothing is started, no socket is bound)."""
+
+    @staticmethod
+    def on_node(tmp_path, shards, body):
+        async def scenario():
+            node = LiveNode("p1", loopback_peers(3), tmp_path, shards=shards)
+            try:
+                return await body(node)
+            finally:
+                await node.close()
+
+        return asyncio.run(scenario())
+
+    def test_one_group_sits_behind_the_demux_and_keeps_no_tracer(self, tmp_path):
+        async def body(node):
+            demux = node.network._node
+            assert isinstance(demux, GroupDemux)
+            assert list(demux.handlers) == ["g0"] and demux.default == "g0"
+            assert node.obs.tracer is None and node.obs.metrics is not None
+
+        self.on_node(tmp_path, 1, body)
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_send_in_either_form_reaches_the_first_group(self, tmp_path, shards):
+        async def body(node):
+            await node._on_ctl("driver", Ctl("send", "bare"), lambda reply: None)
+            await node._on_ctl(
+                "driver", Ctl("send", {"g": "g0", "v": "named"}), lambda reply: None
+            )
+            await node._on_ctl(
+                "driver", Ctl("send", {"g": "g7", "v": "lost"}), lambda reply: None
+            )
+            assert (node.sends_accepted, node.sends_rejected) == (2, 1)
+
+        self.on_node(tmp_path, shards, body)
+        logs = group_event_logs(tmp_path)
+        assert list(logs) == [f"g{i}" for i in range(shards)]
+        assert list(logs["g0"]) == ["p1"]
+        assert [
+            e["args"][0]
+            for e in load_event_logs(logs["g0"].values())
+            if e["ev"] == "bcast"
+        ] == ["bare", "named"]
+
+    def test_stats_answer_in_one_shape(self, tmp_path):
+        def shape(value):
+            if isinstance(value, dict):
+                return {k: shape(v) for k, v in value.items() if k != "groups"}
+            return type(value).__name__
+
+        async def body(node):
+            return node.stats()
+
+        one = self.on_node(tmp_path / "one", 1, body)
+        two = self.on_node(tmp_path / "two", 2, body)
+        assert shape(one) == shape(two)
+        for stats, shards in ((one, 1), (two, 2)):
+            assert stats["shards"] == shards
+            assert list(stats["groups"]) == [f"g{i}" for i in range(shards)]
+            for group in stats["groups"].values():
+                assert shape(group) == shape(one["groups"]["g0"])
+        # For one group the totals are that group's numbers.
+        group = one["groups"]["g0"]
+        assert {k: one[k] for k in group} == group
 
 
 class TestLiveClusterSmoke:

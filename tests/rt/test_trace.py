@@ -9,12 +9,17 @@ import pytest
 from repro.core.types import View
 from repro.rt.node import initial_view_for
 from repro.rt.trace import (
+    ONE_GROUP,
     EventLog,
     EventLogError,
+    event_log_path,
+    group_event_logs,
     load_event_logs,
     verify_events,
     verify_log_dir,
 )
+from repro.shard.live import shard_log_paths
+from repro.shard.routing import group_names
 
 PROCS = ("p1", "p2", "p3")
 V0 = initial_view_for(PROCS)
@@ -45,6 +50,39 @@ def healthy_run(tmp_path, values=("m0", "m1")):
             logs[p].record("brcv", value, "p1", p)
     for log in logs.values():
         log.close()
+
+
+class TestLogNames:
+    """``event_log_path`` names a group's log; ``group_event_logs``
+    reads the names back."""
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_round_trip(self, tmp_path, count):
+        groups = group_names(count)
+        written = {
+            g: {p: event_log_path(tmp_path, p, g, count) for p in PROCS}
+            for g in groups
+        }
+        for paths in written.values():
+            for path in paths.values():
+                path.touch()
+        (tmp_path / "p1.report.json").touch()  # not an event log
+        assert group_event_logs(tmp_path) == written
+        for g in groups:
+            assert shard_log_paths(tmp_path, g) == list(written[g].values())
+
+    def test_one_group_names_carry_no_group(self, tmp_path):
+        assert ONE_GROUP == group_names(1)[0]
+        path = event_log_path(tmp_path, "p1", ONE_GROUP, 1)
+        assert path == tmp_path / "p1.events.jsonl"
+        assert (
+            event_log_path(tmp_path, "p1", "g1", 2)
+            == tmp_path / "p1@g1.events.jsonl"
+        )
+
+    def test_empty_directory_has_no_groups(self, tmp_path):
+        assert group_event_logs(tmp_path) == {}
+        assert shard_log_paths(tmp_path, ONE_GROUP) == []
 
 
 class TestEventLog:

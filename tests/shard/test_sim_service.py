@@ -1,18 +1,12 @@
 """The DES shard service: closed-loop delivery with verification,
-partition isolation between shards, the cross-shard order checker's
-teeth, and open-loop worker-count determinism."""
+partition isolation between shards, and the cross-shard order
+checker's teeth."""
 
 from __future__ import annotations
 
 from repro.net.scenarios import PartitionScenario
 from repro.shard.routing import HashRing, group_names
-from repro.shard.sim import (
-    ShardedSimService,
-    build_workloads,
-    derive_group_seed,
-    run_group_workloads,
-    sweep_summary,
-)
+from repro.shard.sim import ShardedSimService, derive_group_seed
 from repro.shard.verify import check_cross_shard_order, make_op
 
 
@@ -157,18 +151,3 @@ class TestCrossShardChecker:
         )
         assert not report.ok
         assert "non-operation" in report.reason
-
-
-class TestOpenLoop:
-    def test_worker_count_does_not_change_results(self):
-        ring, submitted, workloads = build_workloads(
-            4, seed=0, rate_per_group=0.1, horizon=300.0, settle=100.0
-        )
-        serial = run_group_workloads(workloads, workers=1)
-        fanned = run_group_workloads(workloads, workers=2)
-        assert [e.digest for e in serial] == [e.digest for e in fanned]
-        a = sweep_summary(ring, submitted, serial)
-        b = sweep_summary(ring, submitted, fanned)
-        assert a == b
-        assert a["ok"]
-        assert a["deliveries"] > 0

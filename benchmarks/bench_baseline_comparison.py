@@ -10,11 +10,11 @@ path).
 
 import pytest
 
-from repro.analysis.measure import all_members_delivery_latencies
 from repro.analysis.stats import format_table, summarize
 from repro.apps.baselines import StableStorageBroadcast
 from repro.apps.totalorder import TotalOrderBroadcast
 from repro.membership.ring import RingConfig
+from repro.obs.live.stitch import stitch_sim
 
 PROCS = (1, 2, 3, 4, 5)
 
@@ -28,9 +28,9 @@ def plain_latency(seed, sends=12):
     for i in range(sends):
         tob.schedule_broadcast(10.0 + 15 * i, PROCS[i % 5], f"v{i}")
     tob.run_until(600.0)
-    samples = all_members_delivery_latencies(tob.to_trace(), PROCS)
+    samples = stitch_sim(tob.vs).tracer.delivery_latencies(PROCS)
     assert len(samples) == sends
-    return summarize(s.latency for s in samples)
+    return summarize(done - sent for sent, done in samples)
 
 
 def logged_latency(sigma, seed, sends=12):

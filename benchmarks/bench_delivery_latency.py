@@ -14,11 +14,11 @@ on the token discipline.
 
 import pytest
 
-from repro.analysis.measure import safe_latencies_in_final_view
 from repro.analysis.stats import format_table, summarize
 from repro.membership.bounds import VSBounds
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
+from repro.obs.live.stitch import stitch_sim
 
 SLACK = 1.0
 
@@ -37,11 +37,11 @@ def measure_safe_latency(
     for i in range(sends):
         vs.schedule_send(5.0 + spacing * i, processors[i % n], f"m{i}")
     vs.run_until(5.0 + spacing * sends + 20 * pi)
-    samples = safe_latencies_in_final_view(
-        vs.merged_trace(), processors, vs.initial_view, vs.initial_view
+    samples = stitch_sim(vs).tracer.safe_latencies(
+        vs.initial_view.id, processors
     )
     assert len(samples) == sends, f"only {len(samples)}/{sends} became safe"
-    return summarize(s.latency for s in samples)
+    return summarize(safe - sent for sent, safe in samples)
 
 
 def test_e6_latency_vs_bounds():

@@ -10,11 +10,11 @@ latencies are tabulated against the d bound.
 import pytest
 
 from benchmarks.conftest import build_stack
-from repro.analysis.measure import all_members_delivery_latencies
 from repro.analysis.stats import format_table, summarize
 from repro.core.to_spec import TOPropertyChecker
 from repro.membership.bounds import VSBounds
 from repro.net.scenarios import PartitionScenario
+from repro.obs.live.stitch import stitch_sim
 
 DELTA, PI, MU = 1.0, 10.0, 30.0
 SLACK = 6.0
@@ -97,12 +97,12 @@ def test_e7_steady_state_latency_within_d():
         processors, service, runtime = run_heal_scenario(n, seed=1)
         _b, d = to_bounds(n)
         settle = 340.0  # after heal + stabilisation
-        samples = all_members_delivery_latencies(
-            runtime.merged_trace(), processors, after=settle
+        samples = stitch_sim(service).tracer.delivery_latencies(
+            processors, after=settle
         )
         if not samples:
             continue
-        summary = summarize(s.latency for s in samples)
+        summary = summarize(done - sent for sent, done in samples)
         assert summary.max <= d + 1e-6
         rows.append([n, d, summary.mean, summary.max])
     assert rows, "no steady-state samples collected"

@@ -12,9 +12,12 @@ The unified observability layer (:mod:`repro.obs`) promises:
 3. **Valid export** — the Chrome trace-event output is structurally
    sound: balanced async begin/end arcs, unique arc ids, virtual time
    scaled by :data:`repro.obs.export.TS_SCALE`.
-4. **Agreement** — span-derived decompositions (stabilisation l',
-   end-to-end delivery latency) equal the after-the-fact derivations of
-   :mod:`repro.analysis.measure` exactly, on the same execution.
+4. **Agreement** — the spans an in-run tracer builds equal the spans
+   stitched offline from the run's recorded events
+   (:func:`repro.obs.live.stitch.stitch_sim`), so l' and delivery
+   latency read the same either way — and read what the retired
+   ``analysis.measure`` scrape read (pinned).  The tier-1 form of this
+   claim is ``tests/obs/test_sim_parity.py``.
 """
 
 from __future__ import annotations
@@ -24,10 +27,6 @@ import json
 from time import perf_counter
 
 from repro.analysis.experiments import observability_table
-from repro.analysis.measure import (
-    all_members_delivery_latencies,
-    stabilization_interval,
-)
 from repro.analysis.stats import format_table, summarize
 from repro.core.quorums import MajorityQuorumSystem
 from repro.core.vstoto.runtime import VStoTORuntime
@@ -37,6 +36,7 @@ from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
 from repro.net.scenarios import PartitionScenario
 from repro.obs import Observability
+from repro.obs.live.stitch import stitch_sim
 from repro.obs.digest import (
     rng_digest,
     trace_full_digest,
@@ -177,7 +177,9 @@ def test_e19_chrome_trace_is_structurally_valid():
 
 
 def test_e19_spans_agree_with_measurement():
-    """Live span decompositions == repro.analysis.measure, exactly."""
+    """In-run spans == spans stitched from the recorded events, and
+    both read what ``analysis.measure`` read before it was retired."""
+    pinned = {0: (2.781, 164.6), 1: (3.064, 164.1), 2: (2.886, 165.9)}
     for seed in (0, 1, 2):
         obs = Observability()
         service = TokenRingVS(
@@ -197,24 +199,16 @@ def test_e19_spans_agree_with_measurement():
         runtime.start()
         runtime.run_until(800.0)
 
-        tracer = obs.tracer
-        assert tracer.unmatched_events == 0
-        span_l = tracer.stabilization_point(PROCS, 300.0)
-        measured_l = stabilization_interval(
-            service.merged_trace(), PROCS, 300.0, service.initial_view
-        ).l_prime
-        assert span_l == measured_l, f"seed={seed}: l' disagrees"
-
+        tracer, offline = obs.tracer, stitch_sim(service).tracer
+        assert tracer.unmatched_events == offline.unmatched_events == 0
+        assert tracer.message_spans == offline.message_spans
+        span_l = tracer.timeline(PROCS, 300.0).alpha1_length
+        assert span_l == offline.timeline(PROCS, 300.0).alpha1_length
         span_mean = summarize(
             c - b for b, c in tracer.delivery_latencies(PROCS)
         ).mean
-        measured_mean = summarize(
-            s.latency
-            for s in all_members_delivery_latencies(
-                runtime.merged_trace(), PROCS
-            )
-        ).mean
-        assert span_mean == measured_mean, f"seed={seed}: delivery disagrees"
+        assert tracer.delivery_latencies(PROCS) == offline.delivery_latencies(PROCS)
+        assert (float(f"{span_l:.4g}"), float(f"{span_mean:.4g}")) == pinned[seed]
 
     headers, rows = observability_table()
     print("\n" + format_table(headers, rows))

@@ -8,14 +8,16 @@ unreachable processors until the staleness window drains — measured
 here as split-stabilisation time for both variants.
 """
 
+import math
+
 import pytest
 
-from repro.analysis.measure import stabilization_interval
 from repro.analysis.stats import format_table
 from repro.core.vs_spec import VS_EXTERNAL, check_vs_trace
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
 from repro.net.scenarios import PartitionScenario
+from repro.obs.live.stitch import stitch_sim
 
 PROCS = (1, 2, 3, 4, 5)
 DELTA, PI, MU = 1.0, 10.0, 30.0
@@ -38,11 +40,9 @@ def measure_split(one_round, seed, split_at=200.0):
         if e.action.name in VS_EXTERNAL
     ]
     assert check_vs_trace(actions, PROCS, vs.initial_view).ok
-    result = stabilization_interval(
-        vs.merged_trace(), (1, 2, 3), split_at, vs.initial_view
-    )
-    assert result.stabilized, f"one_round={one_round} never stabilised"
-    return result.l_prime
+    l_prime = stitch_sim(vs).tracer.timeline((1, 2, 3), split_at).alpha1_length
+    assert math.isfinite(l_prime), f"one_round={one_round} never stabilised"
+    return l_prime
 
 
 def test_e16_one_round_stabilizes_slower():

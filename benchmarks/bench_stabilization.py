@@ -8,14 +8,16 @@ dominant term switches from the token term to μ exactly as the formula
 says.
 """
 
+import math
+
 import pytest
 
-from repro.analysis.measure import stabilization_interval
 from repro.analysis.stats import format_table
 from repro.membership.bounds import VSBounds
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
 from repro.net.scenarios import PartitionScenario
+from repro.obs.live.stitch import stitch_sim
 
 SLACK = 5.0
 
@@ -33,11 +35,9 @@ def measure_split(n, delta, pi, mu, seed, split_at=60.0):
         PartitionScenario().add(split_at, [list(group), list(rest)])
     )
     vs.run_until(split_at + 30 * max(pi, mu))
-    result = stabilization_interval(
-        vs.merged_trace(), group, split_at, vs.initial_view
-    )
-    assert result.stabilized, f"group {group} never stabilised"
-    return result.l_prime
+    l_prime = stitch_sim(vs).tracer.timeline(group, split_at).alpha1_length
+    assert math.isfinite(l_prime), f"group {group} never stabilised"
+    return l_prime
 
 
 def measure_merge(n, delta, pi, mu, seed, heal_at=311.0):
@@ -55,11 +55,9 @@ def measure_merge(n, delta, pi, mu, seed, heal_at=311.0):
         .add(heal_at, [list(processors)])
     )
     vs.run_until(heal_at + 30 * max(pi, mu))
-    result = stabilization_interval(
-        vs.merged_trace(), processors, heal_at, vs.initial_view
-    )
-    assert result.stabilized
-    return result.l_prime
+    l_prime = stitch_sim(vs).tracer.timeline(processors, heal_at).alpha1_length
+    assert math.isfinite(l_prime)
+    return l_prime
 
 
 def test_e5_split_stabilization_vs_bound():

@@ -10,10 +10,10 @@ token protocols like Totem.
 
 import pytest
 
-from repro.analysis.measure import safe_latencies_in_final_view
 from repro.analysis.stats import format_table, summarize
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
+from repro.obs.live.stitch import stitch_sim
 
 PROCS = (1, 2, 3, 4, 5)
 PI = 10.0
@@ -34,11 +34,10 @@ def run_load(rate, seed=0, horizon=800.0, work_conserving=False):
     for i in range(count):
         vs.schedule_send(5.0 + interval * i, PROCS[i % 5], f"m{i}")
     vs.run_until(horizon)
-    samples = safe_latencies_in_final_view(
-        vs.merged_trace(), PROCS, vs.initial_view, vs.initial_view
-    )
+    samples = stitch_sim(vs).tracer.safe_latencies(vs.initial_view.id, PROCS)
     goodput = len(samples) / (horizon - 100.0)
-    return goodput, summarize(s.latency for s in samples), count
+    latency = summarize(safe - sent for sent, safe in samples)
+    return goodput, latency, count
 
 
 def test_e17_goodput_tracks_offered_load():

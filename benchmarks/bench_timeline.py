@@ -12,10 +12,10 @@ import pytest
 
 from benchmarks.conftest import build_stack
 from repro.analysis.stats import format_table
-from repro.analysis.timeline import decompose_timeline
 from repro.core.vstoto.process import is_summary
 from repro.membership.bounds import VSBounds
 from repro.net.scenarios import PartitionScenario
+from repro.obs.live.stitch import stitch_sim
 
 PROCS = (1, 2, 3, 4, 5)
 DELTA, PI, MU = 1.0, 10.0, 30.0
@@ -40,11 +40,7 @@ def run_and_decompose(seed, heal_at=300.0, work_conserving=True):
         runtime.schedule_broadcast(10.0 + 23.0 * i, PROCS[i % 5], f"t{i}")
     runtime.start()
     runtime.run_until(heal_at + 500.0)
-    timeline = decompose_timeline(
-        service.merged_trace(), PROCS, heal_at, is_summary,
-        service.initial_view,
-    )
-    return timeline
+    return stitch_sim(service).tracer.timeline(PROCS, heal_at, is_summary)
 
 
 def test_e12_decomposition_within_bounds():

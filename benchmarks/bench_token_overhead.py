@@ -11,10 +11,10 @@ flattens towards the per-message floor).
 
 import pytest
 
-from repro.analysis.measure import safe_latencies_in_final_view
 from repro.analysis.stats import format_table, summarize
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
+from repro.obs.live.stitch import stitch_sim
 
 PROCS = (1, 2, 3, 4, 5)
 
@@ -32,11 +32,9 @@ def run_traffic(pi, work_conserving, seed=0, sends=20, horizon=600.0):
             5.0 + (horizon - 50.0) / sends * i, PROCS[i % 5], f"m{i}"
         )
     vs.run_until(horizon)
-    samples = safe_latencies_in_final_view(
-        vs.merged_trace(), PROCS, vs.initial_view, vs.initial_view
-    )
+    samples = stitch_sim(vs).tracer.safe_latencies(vs.initial_view.id, PROCS)
     packets = vs.network.messages_sent
-    latency = summarize(s.latency for s in samples)
+    latency = summarize(safe - sent for sent, safe in samples)
     return packets / max(len(samples), 1), latency.mean, len(samples)
 
 

@@ -6,8 +6,10 @@ Here the specification is *executed against* the implementation: an
 :class:`OnlineVSMonitor` sits in front of the token-ring service and
 validates every event — view discipline, per-view total order,
 per-sender FIFO, safe-notification causality — while a partition and a
-heal play out.  At the end, the trace timeline around the
-reconfiguration is printed.
+heal play out.  At the end, the stabilisation interval l′ after the
+heal is read off the run's spans (the reader a live log directory goes
+through too) and the trace timeline around the reconfiguration is
+printed.
 
 Run with::
 
@@ -19,7 +21,9 @@ from repro.core.monitor import OnlineVSMonitor
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
 from repro.membership.shadow import WeakVSShadow
+from repro.membership.bounds import VSBounds
 from repro.net.scenarios import PartitionScenario
+from repro.obs.live.stitch import stitch_sim
 
 PROCS = [1, 2, 3, 4]
 
@@ -36,11 +40,12 @@ def main() -> None:
     monitor = OnlineVSMonitor(PROCS, vs.initial_view)
     monitor.attach(vs)
 
-    vs.install_scenario(
+    scenario = (
         PartitionScenario()
         .add(40.0, [[1, 2], [3, 4]])
         .add(160.0, [[1, 2, 3, 4]])
     )
+    vs.install_scenario(scenario)
     for i in range(10):
         vs.schedule_send(5.0 + 20.0 * i, PROCS[i % 4], f"msg-{i}")
 
@@ -55,6 +60,11 @@ def main() -> None:
     )
     print(f"Views observed: {sorted(monitor.views)}")
     print(f"Event counts: {summarize_trace(vs.trace)}")
+    settled = stitch_sim(vs, scenario).tracer.timeline(PROCS, 160.0)
+    print(
+        f"Stabilised {settled.alpha1_length:.2f} after the heal "
+        f"(bound b = {VSBounds(1.0, 8.0, 25.0).b(len(PROCS)):.0f})"
+    )
 
     print("\nTimeline around the reconfigurations (views + sends):")
     window = vs.merged_trace().project({"newview", "gpsnd", "bad", "good"})

@@ -1,21 +1,18 @@
-"""Measurement and analysis helpers for the benchmark harness.
+"""Analysis helpers for the benchmark harness.
 
-- :mod:`repro.analysis.measure` — extract stabilisation intervals,
-  safe-delivery latencies, and end-to-end TO latencies from timed
-  traces;
 - :mod:`repro.analysis.stats` — summary statistics and plain-text table
   rendering (the benches print paper-style rows);
-- :mod:`repro.analysis.timeline` — the Figure 12 performance-argument
-  decomposition of a stabilising execution.
+- :mod:`repro.analysis.experiments` — the E-table sweeps behind
+  ``python -m repro.report``;
+- :mod:`repro.analysis.tracefmt` — human rendering of timed traces.
+
+The paper's timed quantities themselves (l′, safe and delivery latency,
+the Fig. 12 boundaries) are read off spans by
+:class:`repro.obs.tracing.LifecycleTracer`, for simulated runs through
+:func:`repro.obs.live.stitch.stitch_sim`.
 """
 
-from repro.analysis.measure import (
-    all_members_delivery_latencies,
-    safe_latencies_in_final_view,
-    stabilization_interval,
-)
 from repro.analysis.stats import Summary, format_table, summarize
-from repro.analysis.timeline import Timeline, decompose_timeline
 from repro.analysis.tracefmt import (
     describe_event,
     format_timeline,
@@ -23,14 +20,9 @@ from repro.analysis.tracefmt import (
 )
 
 __all__ = [
-    "stabilization_interval",
-    "safe_latencies_in_final_view",
-    "all_members_delivery_latencies",
     "Summary",
     "summarize",
     "format_table",
-    "Timeline",
-    "decompose_timeline",
     "describe_event",
     "format_timeline",
     "summarize_trace",

@@ -17,13 +17,7 @@ from collections.abc import Sequence
 
 from repro.parallel import parallel_map
 
-from repro.analysis.measure import (
-    all_members_delivery_latencies,
-    safe_latencies_in_final_view,
-    stabilization_interval,
-)
 from repro.analysis.stats import summarize
-from repro.analysis.timeline import decompose_timeline
 from repro.apps.baselines import StableStorageBroadcast
 from repro.apps.totalorder import TotalOrderBroadcast
 from repro.core.quorums import MajorityQuorumSystem
@@ -33,6 +27,8 @@ from repro.membership.bounds import VSBounds
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
 from repro.net.scenarios import PartitionScenario
+from repro.obs import Observability
+from repro.obs.live.stitch import stitch_sim
 
 Row = Sequence[object]
 Table = tuple[Sequence[str], list[Row]]
@@ -47,8 +43,9 @@ _STABILIZATION_CONFIGS = (
 
 
 def _stabilization_cell(item: tuple) -> float:
-    """One (config, seed) split-stabilisation measurement (module-level
-    so it pickles into worker processes)."""
+    """One (config, seed) split-stabilisation measurement: l′, ``inf``
+    for a run that never stabilised (module-level so it pickles into
+    worker processes)."""
     n, delta, pi, mu, seed = item
     processors = tuple(range(1, n + 3))
     group = processors[:n]
@@ -59,10 +56,7 @@ def _stabilization_cell(item: tuple) -> float:
         PartitionScenario().add(60.0, [list(group), list(processors[n:])])
     )
     vs.run_until(60.0 + 30 * max(pi, mu))
-    result = stabilization_interval(
-        vs.merged_trace(), group, 60.0, vs.initial_view
-    )
-    return result.l_prime if result.stabilized else 0.0
+    return stitch_sim(vs).tracer.timeline(group, 60.0).alpha1_length
 
 
 def stabilization_table(
@@ -110,10 +104,10 @@ def latency_table(work_conserving: bool = False) -> Table:
         for i in range(sends):
             vs.schedule_send(5.0 + spacing * i, processors[i % n], f"m{i}")
         vs.run_until(5.0 + spacing * sends + 20 * pi)
-        samples = safe_latencies_in_final_view(
-            vs.merged_trace(), processors, vs.initial_view, vs.initial_view
+        samples = stitch_sim(vs).tracer.safe_latencies(
+            vs.initial_view.id, processors
         )
-        summary = summarize(s.latency for s in samples)
+        summary = summarize(safe - sent for sent, safe in samples)
         bounds = VSBounds(delta, pi, 1000.0)
         rows.append(
             [
@@ -130,16 +124,34 @@ def latency_table(work_conserving: bool = False) -> Table:
 
 
 def _full_stack(
-    n: int, seed: int
+    n: int, seed: int, obs: Observability | None = None
 ) -> tuple[tuple[int, ...], TokenRingVS, VStoTORuntime]:
     processors = tuple(range(1, n + 1))
     service = TokenRingVS(
         processors,
         RingConfig(delta=1.0, pi=10.0, mu=30.0, work_conserving=True),
         seed=seed,
+        obs=obs,
     )
     runtime = VStoTORuntime(service, MajorityQuorumSystem(processors))
     return processors, service, runtime
+
+
+def _split_heal_run(
+    seed: int, obs: Observability | None = None
+) -> tuple[tuple[int, ...], TokenRingVS]:
+    """n = 5 under load, split {1,2,3}|{4,5} at 40 and healed at 300."""
+    processors, service, runtime = _full_stack(5, seed, obs)
+    service.install_scenario(
+        PartitionScenario()
+        .add(40.0, [[1, 2, 3], [4, 5]])
+        .add(300.0, [[1, 2, 3, 4, 5]])
+    )
+    for i in range(10):
+        runtime.schedule_broadcast(10.0 + 23.0 * i, processors[i % 5], i)
+    runtime.start()
+    runtime.run_until(800.0)
+    return processors, service
 
 
 def _end_to_end_row(item: tuple) -> Row:
@@ -149,8 +161,8 @@ def _end_to_end_row(item: tuple) -> Row:
         runtime.schedule_broadcast(20.0 + 18.0 * i, processors[i % n], f"e{i}")
     runtime.start()
     runtime.run_until(600.0)
-    samples = all_members_delivery_latencies(runtime.merged_trace(), processors)
-    summary = summarize(s.latency for s in samples)
+    samples = stitch_sim(service).tracer.delivery_latencies(processors)
+    summary = summarize(done - sent for sent, done in samples)
     return [n, seed, summary.mean, summary.p95, summary.max]
 
 
@@ -173,8 +185,8 @@ def baseline_table(sigmas: Sequence[float] = (2.0, 5.0, 10.0)) -> Table:
         tob.schedule_broadcast(10.0 + 15 * i, processors[i % 5], f"v{i}")
     tob.run_until(600.0)
     plain = summarize(
-        s.latency
-        for s in all_members_delivery_latencies(tob.to_trace(), processors)
+        done - sent
+        for sent, done in stitch_sim(tob.vs).tracer.delivery_latencies(processors)
     )
 
     rows: list[Row] = []
@@ -200,23 +212,8 @@ def baseline_table(sigmas: Sequence[float] = (2.0, 5.0, 10.0)) -> Table:
 
 def _timeline_row(seed: int) -> Row:
     bounds = VSBounds(1.0, 10.0, 30.0)
-    processors, service, runtime = _full_stack(5, seed)
-    service.install_scenario(
-        PartitionScenario()
-        .add(40.0, [[1, 2, 3], [4, 5]])
-        .add(300.0, [[1, 2, 3, 4, 5]])
-    )
-    for i in range(10):
-        runtime.schedule_broadcast(10.0 + 23.0 * i, processors[i % 5], i)
-    runtime.start()
-    runtime.run_until(800.0)
-    timeline = decompose_timeline(
-        service.merged_trace(),
-        processors,
-        300.0,
-        is_summary,
-        service.initial_view,
-    )
+    processors, service = _split_heal_run(seed)
+    timeline = stitch_sim(service).tracer.timeline(processors, 300.0, is_summary)
     return [
         seed,
         timeline.alpha1_length,
@@ -235,63 +232,25 @@ def timeline_table(seeds: Sequence[int] = (0, 1, 2), workers: int = 1) -> Table:
 
 
 def observability_table(seeds: Sequence[int] = (0, 1, 2)) -> Table:
-    """E19: live span-derived decompositions vs after-the-fact trace
-    measurement on the same execution (they must agree exactly)."""
-    from repro.obs import Observability
-
-    headers = [
-        "seed",
-        "msg spans",
-        "views",
-        "unmatched",
-        "l'(span)",
-        "l'(measure)",
-        "deliv mean(span)",
-        "deliv mean(measure)",
-    ]
+    """E19: what an in-run tracer sees of the E12 execution (that the
+    same spans come back from the recorded events offline is held by
+    ``tests/obs/test_sim_parity.py``)."""
+    headers = ["seed", "msg spans", "views", "unmatched", "l'", "deliv mean"]
     rows: list[Row] = []
     for seed in seeds:
         obs = Observability()
-        processors = (1, 2, 3, 4, 5)
-        service = TokenRingVS(
-            processors,
-            RingConfig(delta=1.0, pi=10.0, mu=30.0, work_conserving=True),
-            seed=seed,
-            obs=obs,
-        )
-        runtime = VStoTORuntime(service, MajorityQuorumSystem(processors))
-        service.install_scenario(
-            PartitionScenario()
-            .add(40.0, [[1, 2, 3], [4, 5]])
-            .add(300.0, [[1, 2, 3, 4, 5]])
-        )
-        for i in range(10):
-            runtime.schedule_broadcast(10.0 + 23.0 * i, processors[i % 5], i)
-        runtime.start()
-        runtime.run_until(800.0)
+        processors, _service = _split_heal_run(seed, obs)
         tracer = obs.tracer
-        span_l = tracer.stabilization_point(processors, 300.0)
-        measured = stabilization_interval(
-            service.merged_trace(), processors, 300.0, service.initial_view
-        )
-        span_samples = tracer.delivery_latencies(processors)
-        span_mean = summarize(c - b for b, c in span_samples).mean
-        meas_mean = summarize(
-            s.latency
-            for s in all_members_delivery_latencies(
-                runtime.merged_trace(), processors
-            )
-        ).mean
+        assert tracer is not None
+        deliveries = tracer.delivery_latencies(processors)
         rows.append(
             [
                 seed,
                 len(tracer.message_spans),
                 len(tracer.view_spans),
                 tracer.unmatched_events,
-                round(span_l, 4),
-                round(measured.l_prime, 4),
-                round(span_mean, 4),
-                round(meas_mean, 4),
+                round(tracer.timeline(processors, 300.0).alpha1_length, 4),
+                round(summarize(done - sent for sent, done in deliveries).mean, 4),
             ]
         )
     return headers, rows

@@ -28,7 +28,7 @@ from repro.core.quorums import QuorumSystem
 from repro.core.types import BOTTOM, View
 from repro.core.vstoto.process import Status, VStoTOProcess
 from repro.ioa.actions import Action, act
-from repro.ioa.timed import IncrementalStatusMerger, TimedTrace
+from repro.ioa.timed import IncrementalStatusMerger, TimedEvent, TimedTrace
 from repro.membership.service import TokenRingVS
 
 ProcId = Hashable
@@ -86,6 +86,11 @@ class VStoTORuntime:
         service.on_safe = self._on_safe
         service.on_newview = self._on_newview
         self.trace = TimedTrace()
+        #: The simulated service's one in-order record of VS and TO
+        #: events (a live node's service keeps none: its log is on disk).
+        self._events: list[TimedEvent] | None = getattr(
+            service, "events", None
+        )
         self._merger = IncrementalStatusMerger(
             self.trace, lambda: service.network.oracle.history
         )
@@ -313,7 +318,9 @@ class VStoTORuntime:
         """Log a TO external action — the very (immutable) ``Action``
         the automaton performs, not a rebuilt equal one."""
         now = self.service.simulator.now
-        self.trace.append(now, action)
+        event = self.trace.append(now, action)
+        if self._events is not None:
+            self._events.append(event)
         if self._tracer is not None:
             self._tracer.on_to_event(now, action.name, action.args)
 

@@ -71,12 +71,14 @@ class TimedTrace:
     events: list[TimedEvent] = field(default_factory=list)
     ltime: float = inf
 
-    def append(self, time: float, action: Action) -> None:
+    def append(self, time: float, action: Action) -> TimedEvent:
         if self.events and time < self.events[-1].time - 1e-12:
             raise ValueError(
                 f"non-monotonic timed trace: {time} after {self.events[-1].time}"
             )
-        self.events.append(TimedEvent(time, action))
+        event = TimedEvent(time, action)
+        self.events.append(event)
+        return event
 
     def project(self, names: Iterable[str]) -> TimedTrace:
         """Restrict to events whose action name is in ``names``."""

@@ -91,7 +91,6 @@ class RingConfig:
         one_round: bool = False,
         retransmit_attempts: int = 1,
         retransmit_backoff: float | None = None,
-        delta_token: bool = True,
     ) -> None:
         if delta <= 0 or pi <= 0 or mu <= 0:
             raise ValueError("delta, pi and mu must be positive")
@@ -131,15 +130,6 @@ class RingConfig:
         #: (the formation was superseded or the view replaced).
         self.retransmit_attempts = retransmit_attempts
         self._retransmit_backoff = retransmit_backoff
-        #: Delta-encode the circulating token: each forwarder trims the
-        #: order window to what its successor has not yet acknowledged
-        #: (``token.seen``), so a steady-state hop carries O(appends)
-        #: entries instead of the view's whole history.  False restores
-        #: the legacy full-order-every-hop encoding (the literal
-        #: ``queue[g]``-on-the-token reading of Section 8), kept as the
-        #: reference ``tests/membership/test_delta_token.py`` holds the
-        #: delta encoding to: both modes deliver identical sequences.
-        self.delta_token = delta_token
 
     @property
     def alive_window(self) -> float:
@@ -848,14 +838,16 @@ class RingMember(NetworkNode):
 
     def _encode_for(self, successor: ProcId, token: Token) -> Token:
         """The successor's copy of the token (its own lists and dicts,
-        so an in-flight token never aliases member state).  With delta
-        encoding a caught-up forwarder re-expands the window from its
-        own log, starting at the successor's acknowledged position —
-        O(appends) per hop in the steady state instead of O(order).  A
-        forwarder that is itself behind (so its log cannot produce
-        arbitrary suffixes) passes the window through unchanged, as does
-        legacy mode."""
-        if self.config.delta_token and len(self.log) == token.total:
+        so an in-flight token never aliases member state).  The window
+        is delta-encoded: a caught-up forwarder re-expands it from its
+        own log, starting at the successor's acknowledged position
+        (``token.seen``) — O(appends) per hop in the steady state
+        instead of O(order).  A forwarder that is itself behind (so its
+        log cannot produce arbitrary suffixes) passes the window through
+        unchanged.  The full-order-every-hop encoding this is held to
+        (the literal ``queue[g]``-on-the-token reading of Section 8)
+        lives in ``tests/reference.py``."""
+        if len(self.log) == token.total:
             base = min(max(token.seen.get(successor, 0), 0), len(self.log))
             order = self.log[base:]
         else:

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.types import View
 from repro.ioa.actions import act
-from repro.ioa.timed import IncrementalStatusMerger, TimedTrace
+from repro.ioa.timed import IncrementalStatusMerger, TimedEvent, TimedTrace
 from repro.membership.ring import RingConfig, RingMember
 from repro.net.channel import ChannelConfig
 from repro.obs import capture
@@ -100,6 +100,12 @@ class TokenRingVS:
             self.members[p] = member
             self.network.register(member)
         self.trace = TimedTrace()
+        #: Every external event of the stack — this service's VS events
+        #: and the TO events of a ``VStoTORuntime`` on top — in the
+        #: order they happened (two traces merged by time lose it: a
+        #: ``bcast`` and the ``gpsnd`` it causes share a timestamp).
+        #: What :func:`repro.rt.trace.sim_entries` reads.
+        self.events: list[TimedEvent] = []
         self._merger = IncrementalStatusMerger(
             self.trace, lambda: self.network.oracle.history
         )
@@ -195,7 +201,9 @@ class TokenRingVS:
         self._vs_listeners.append(fn)
 
     def _record(self, name: str, *args: Any) -> None:
-        self.trace.append(self.simulator.now, act(name, *args))
+        self.events.append(
+            self.trace.append(self.simulator.now, act(name, *args))
+        )
         if self._tracer is not None:
             self._tracer.on_vs_event(self.simulator.now, name, args)
         for fn in self._vs_listeners:

@@ -50,6 +50,7 @@ from repro.obs.live.stitch import (
     StitchedRun,
     stitch_events,
     stitch_log_dir,
+    stitch_sim,
     stitched_jsonl,
 )
 
@@ -69,5 +70,6 @@ __all__ = [
     "render_text",
     "stitch_events",
     "stitch_log_dir",
+    "stitch_sim",
     "stitched_jsonl",
 ]

@@ -257,6 +257,17 @@ def render_text(report: RunReport) -> str:
             f"    fault: {fault.kind} {fault.name} "
             f"[{fault.start:.3f}s, {fault.stop:.3f}s]"
         )
+        if fault.kind == "partition":
+            # Shown, not judged: holding the ring to b after a heal is
+            # ROADMAP direction 2.
+            settled = run.tracer.timeline(run.processors, fault.stop)
+            lines.append(
+                "      l' after the heal = {l:.3f}s   (b = {b:.3f}s; inf: "
+                "the group did not reconverge)".format(
+                    l=settled.alpha1_length,
+                    b=report.bounds.b(len(run.processors)),
+                )
+            )
     if report.metrics is not None:
         lines.append(
             "  metrics: {count} snapshots from {nodes} node(s)".format(

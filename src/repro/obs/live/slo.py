@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import inf
 from typing import Any
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.membership.bounds import VSBounds
 from repro.obs.live.stitch import StitchedRun
@@ -202,34 +202,25 @@ def default_slos(bounds: VSBounds, n: int) -> tuple[SLOSpec, ...]:
 # ----------------------------------------------------------------------
 # Sample extraction from stitched spans
 # ----------------------------------------------------------------------
-def fault_windows(run: StitchedRun) -> list[tuple[float, float]]:
-    return [(f.start, f.stop) for f in run.tracer.faults]
-
-
-def _overlaps(
-    start: float, end: float, windows: Sequence[tuple[float, float]]
-) -> bool:
-    return any(start <= stop and end >= begin for begin, stop in windows)
+def _latencies(
+    run: StitchedRun,
+    intervals: Iterable[tuple[float, float]],
+    clean_only: bool,
+) -> list[float]:
+    """Lengths of the (start, end) ``intervals``, minus — when
+    ``clean_only`` — those that overlap an annotated fault window."""
+    faults = run.tracer.faults if clean_only else ()
+    return [
+        end - start
+        for start, end in intervals
+        if not any(start <= f.stop and end >= f.start for f in faults)
+    ]
 
 
 def safe_samples(run: StitchedRun, clean_only: bool = True) -> list[float]:
     """Per-message gpsnd → safe-at-every-member latency (the *d*
     measurement), for messages whose view completed the safe round."""
-    windows = fault_windows(run) if clean_only else ()
-    samples = []
-    for span in run.tracer.message_spans:
-        if span.gpsnd_at is None:
-            continue
-        members = run.tracer.members_of(span.viewid)
-        if members is None:
-            continue
-        completed = span.safe_complete_at(members)
-        if completed is None:
-            continue
-        if clean_only and _overlaps(span.gpsnd_at, completed, windows):
-            continue
-        samples.append(completed - span.gpsnd_at)
-    return samples
+    return _latencies(run, run.tracer.safe_latencies(), clean_only)
 
 
 def delivery_samples(
@@ -237,21 +228,7 @@ def delivery_samples(
 ) -> list[float]:
     """Per-message bcast → brcv-at-every-member latency (Theorem 7.2),
     against the membership of the sending view."""
-    windows = fault_windows(run) if clean_only else ()
-    samples = []
-    for span in run.tracer.message_spans:
-        if span.bcast_at is None:
-            continue
-        members = run.tracer.members_of(span.viewid)
-        if members is None:
-            continue
-        completed = span.delivered_complete_at(members)
-        if completed is None:
-            continue
-        if clean_only and _overlaps(span.bcast_at, completed, windows):
-            continue
-        samples.append(completed - span.bcast_at)
-    return samples
+    return _latencies(run, run.tracer.delivery_latencies(), clean_only)
 
 
 def first_hop_samples(
@@ -260,34 +237,25 @@ def first_hop_samples(
     """Per-message gpsnd → earliest gprcv latency: the measurable
     stand-in for the link bound δ (an overestimate — it includes token
     wait, so bounds built from its p99 are conservative)."""
-    windows = fault_windows(run) if clean_only else ()
-    samples = []
-    for span in run.tracer.message_spans:
-        if span.gpsnd_at is None or not span.gprcv_at:
-            continue
-        first = min(span.gprcv_at.values())
-        if clean_only and _overlaps(span.gpsnd_at, first, windows):
-            continue
-        samples.append(first - span.gpsnd_at)
-    return samples
+    hops = [
+        (span.gpsnd_at, min(span.gprcv_at.values()))
+        for span in run.tracer.message_spans
+        if span.gprcv_at
+    ]
+    return _latencies(run, hops, clean_only)
 
 
 def view_install_samples(
     run: StitchedRun, clean_only: bool = True
 ) -> list[float]:
-    """Per-view proposal → installed-at-every-member latency (the *b*
-    measurement), for views that did install everywhere."""
-    windows = fault_windows(run) if clean_only else ()
-    samples = []
-    for span in run.tracer.view_spans.values():
-        start = span.start_time()
-        installed = span.installed_everywhere_at()
-        if installed is None or start == inf:
-            continue
-        if clean_only and _overlaps(start, installed, windows):
-            continue
-        samples.append(installed - start)
-    return samples
+    """Per-view proposal → installed-at-every-member latency, for views
+    that did install everywhere."""
+    installs = [
+        (span.start_time(), installed)
+        for span in run.tracer.view_spans.values()
+        if (installed := span.installed_everywhere_at()) is not None
+    ]
+    return _latencies(run, installs, clean_only)
 
 
 def latency_summaries(

@@ -49,6 +49,8 @@ from repro.rt.trace import (
     VS_EVENTS,
     group_event_logs,
     load_event_logs,
+    sim_entries,
+    sim_timeline,
 )
 
 #: Driver-timeline mark names that become trace annotations.
@@ -98,16 +100,6 @@ class StitchedRun:
             if len(nodes) > 1:
                 count += 1
         return count
-
-    def viewids(self) -> tuple[Any, ...]:
-        """Every view id with members known: v0 plus formed views."""
-        ids: list[Any] = [self.initial_view.id]
-        ids.extend(
-            viewid
-            for viewid in self.tracer.view_spans
-            if viewid != self.initial_view.id
-        )
-        return tuple(ids)
 
 
 def default_initial_view(processors: Sequence[str]) -> View:
@@ -172,6 +164,22 @@ def stitch_events(
         events=fed,
         tracer=tracer,
         timeline=tuple(marks),
+    )
+
+
+def stitch_sim(service: Any, scenario: Any = None) -> StitchedRun:
+    """A simulated run read the way a live capture is: the events of a
+    :class:`~repro.membership.service.TokenRingVS` (with or without a
+    VStoTO runtime on top) through :func:`~repro.rt.trace.sim_entries`,
+    the layout changes of ``scenario`` (a ``PartitionScenario``) as
+    ``partition``/``heal`` marks.  Times stay virtual."""
+    marks = () if scenario is None else sim_timeline(scenario, service.processors)
+    return stitch_events(
+        sim_entries(service.events),
+        service.processors,
+        service.initial_view,
+        timeline=marks,
+        t0=0.0,
     )
 
 

@@ -1,10 +1,15 @@
 """Lifecycle tracing: spans for messages, views and fault windows.
 
 The paper's measured quantities are latency decompositions over message
-and view lifecycles; this module records those lifecycles *as they
-happen* instead of scraping them out of timed traces afterwards
-(:mod:`repro.analysis.measure` remains the after-the-fact cross-check —
-the E19 bench asserts both derivations agree on the same execution).
+and view lifecycles.  This module builds those lifecycles from the
+stack's external events and is the one place the four timed quantities
+are derived, for simulated and live runs alike: l′ and the Fig. 12
+boundaries (:meth:`LifecycleTracer.timeline`), send→safe-everywhere
+(:meth:`~LifecycleTracer.safe_latencies`) and bcast→delivered-everywhere
+(:meth:`~LifecycleTracer.delivery_latencies`).  A tracer is fed either
+in-run (an ``Observability`` hub on a simulated service) or offline from
+event entries (:func:`repro.obs.live.stitch.stitch_events`); the two
+feeds build the same spans.
 
 Two span kinds:
 
@@ -12,8 +17,7 @@ Two span kinds:
   ``gprcv`` per member, ``safe`` per member, plus (when the VStoTO
   runtime is on top) the TO-level ``bcast`` and per-member ``brcv``
   bracketing it.  Matching uses per-sender sequence positions within a
-  view, exact because VS guarantees per-sender FIFO within a view (the
-  same matching rule :func:`repro.analysis.measure` uses).
+  view, exact because VS guarantees per-sender FIFO within a view.
 - :class:`ViewSpan` — one view id: formation proposal (the first
   ``NewGroup``/one-round announcement for the id), membership
   announcement, per-member ``newview`` installation, and per-member
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import inf
-from collections.abc import Hashable, Iterable
+from collections.abc import Callable, Hashable, Iterable
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
@@ -71,19 +75,20 @@ class MessageSpan:
 
     def safe_complete_at(self, members: Iterable[ProcId]) -> float | None:
         """When the message became safe at every member (None if not)."""
-        times = [self.safe_at.get(m) for m in members]
-        if any(t is None for t in times):
-            return None
-        return max(times)  # type: ignore[type-var]
+        return _latest_over(self.safe_at, members)
 
     def delivered_complete_at(
         self, members: Iterable[ProcId]
     ) -> float | None:
         """When the TO-level delivery completed at every member."""
-        times = [self.brcv_at.get(m) for m in members]
-        if any(t is None for t in times):
-            return None
-        return max(times)  # type: ignore[type-var]
+        return _latest_over(self.brcv_at, members)
+
+
+def _latest_over(times: dict, members: Iterable[ProcId] | None) -> float | None:
+    """The latest of ``times`` over ``members``; None unless every
+    member (of at least one) has a time."""
+    found = [times.get(m) for m in members or ()]
+    return None if None in found else max(found, default=None)
 
 
 @dataclass
@@ -113,12 +118,7 @@ class ViewSpan:
     def installed_everywhere_at(self) -> float | None:
         """When every member had installed the view (None if some never
         did — e.g. the view was superseded mid-formation)."""
-        if self.members is None or not self.members:
-            return None
-        times = [self.newview_at.get(m) for m in self.members]
-        if any(t is None for t in times):
-            return None
-        return max(times)  # type: ignore[type-var]
+        return _latest_over(self.newview_at, self.members)
 
 
 @dataclass(frozen=True)
@@ -140,6 +140,37 @@ class StatusEdge:
     proc: ProcId
     old: str
     new: str
+
+
+@dataclass(frozen=True)
+class Timeline:
+    """Boundaries of the Figure 12 decomposition α₀ α₁ α₃ α₄ of a
+    stabilising execution (absolute times; ``inf`` when the phase never
+    completed, and a run that never stabilised has ``inf`` lengths,
+    never 0)."""
+
+    #: end of α₀: the failure pattern stabilises (premise point l)
+    l: float
+    #: end of α₁: last ``newview`` at the group (VS settled)
+    vs_settled_at: float
+    #: end of α₃: every state-exchange summary of the final view safe
+    exchange_safe_at: float
+    final_view: View | None
+
+    @property
+    def alpha1_length(self) -> float:
+        """Measured l′ — compare against b."""
+        return self.vs_settled_at - self.l
+
+    @property
+    def alpha3_length(self) -> float:
+        """Measured exchange-completion interval — compare against d."""
+        return self.exchange_safe_at - self.vs_settled_at
+
+    @property
+    def total_stabilization(self) -> float:
+        """Measured l′ + exchange interval — compare against b + d."""
+        return self.exchange_safe_at - self.l
 
 
 class LifecycleTracer:
@@ -317,13 +348,6 @@ class LifecycleTracer:
         :class:`~repro.core.vstoto.runtime.VStoTORuntime`)."""
         self.status_edges.append(StatusEdge(time, proc, old, new))
 
-    def members_of(self, viewid: Any) -> frozenset | None:
-        """Membership of ``viewid`` as observed so far (None if the
-        view was never seen) — the lookup the latency derivations use,
-        public so post-hoc consumers (the live stitcher's SLO layer)
-        need not reach into tracer internals."""
-        return self._view_members.get(viewid)
-
     def _view_span(self, viewid: Any) -> ViewSpan:
         span = self.view_spans.get(viewid)
         if span is None:
@@ -332,62 +356,85 @@ class LifecycleTracer:
         return span
 
     # ------------------------------------------------------------------
-    # Span-derived decompositions (the paper's b and d quantities)
+    # The paper's timed quantities (b, d and Fig. 12), one reader each
     # ------------------------------------------------------------------
-    def safe_latencies(self, viewid: Any) -> list[tuple[float, float]]:
-        """(sent_at, all-members-safe_at) per message of ``viewid`` —
-        the span-side derivation of the d = 2π + nδ measurement."""
-        members = self._view_members.get(viewid)
-        if members is None:
-            return []
-        samples = []
-        for span in self.message_spans:
-            if span.viewid != viewid or span.gpsnd_at is None:
-                continue
-            completed = span.safe_complete_at(members)
-            if completed is not None:
-                samples.append((span.gpsnd_at, completed))
-        return samples
+    def safe_latencies(
+        self, viewid: Any = None, members: Iterable[ProcId] | None = None
+    ) -> list[tuple[float, float]]:
+        """(gpsnd_at, safe-at-every-member_at) per message that got
+        there — the d = 2π + nδ measurement.  ``viewid`` keeps one
+        view's sends; ``members`` defaults to the sending view's."""
+        group = None if members is None else tuple(members)
+        return [
+            (span.gpsnd_at, done)
+            for span in self.message_spans
+            if (viewid is None or span.viewid == viewid)
+            and (done := span.safe_complete_at(self._members(span, group)))
+            is not None
+        ]
 
     def delivery_latencies(
-        self, group: Iterable[ProcId], after: float = 0.0
+        self, group: Iterable[ProcId] | None = None, after: float = 0.0
     ) -> list[tuple[float, float]]:
-        """(bcast_at, delivered-at-all_at) per TO message — the span-side
-        derivation of the Theorem 7.2 end-to-end measurement."""
-        group = tuple(group)
-        samples = []
-        for span in self.message_spans:
-            if span.bcast_at is None or span.bcast_at < after:
-                continue
-            completed = span.delivered_complete_at(group)
-            if completed is not None:
-                samples.append((span.bcast_at, completed))
-        return samples
+        """(bcast_at, delivered-at-every-member_at) per TO message
+        broadcast at or after ``after`` — the Theorem 7.2 end-to-end
+        measurement.  ``group`` defaults to the sending view's members."""
+        group = None if group is None else tuple(group)
+        return [
+            (span.bcast_at, done)
+            for span in self.message_spans
+            if span.bcast_at is not None
+            and span.bcast_at >= after
+            and (done := span.delivered_complete_at(self._members(span, group)))
+            is not None
+        ]
 
-    def stabilization_point(
-        self, group: Iterable[ProcId], stable_at: float
-    ) -> float:
-        """Last ``newview`` at any member of ``group`` after
-        ``stable_at`` — the span-side l' derivation (relative to
-        ``stable_at``; 0.0 when no reconfiguration followed)."""
+    def _members(self, span: MessageSpan, group: tuple | None) -> Iterable:
+        return self._view_members[span.viewid] if group is None else group
+
+    def timeline(
+        self,
+        group: Iterable[ProcId],
+        stable_at: float,
+        is_summary: Callable[[Any], bool] | None = None,
+    ) -> Timeline:
+        """The Fig. 12 boundaries for ``group``, given that the failure
+        pattern is stable from ``stable_at`` on.  ``alpha1_length`` is
+        l′ (compare b = 9δ + max{π+(n+3)δ, μ}): the last ``newview`` at
+        the group after ``stable_at``, and ``inf`` unless the group has
+        converged on one view whose membership is exactly ``group``.
+        With ``is_summary`` (the full stack passes
+        :func:`repro.core.vstoto.process.is_summary`) the α₃ boundary is
+        filled in as well."""
         group = frozenset(group)
-        last = stable_at
+        views = {self._current_view.get(p) for p in group}
+        final = views.pop() if len(views) == 1 else None
+        if final is None or final.set != group:
+            return Timeline(stable_at, inf, inf, final)
+        settled = stable_at
         for span in self.view_spans.values():
             for p, t in span.newview_at.items():
                 if p in group and t > stable_at:
-                    last = max(last, t)
-        return last - stable_at
+                    settled = max(settled, t)
+        exchange = inf
+        if is_summary is not None:
+            exchange = max(settled, self.exchange_safe_at(final, is_summary))
+        return Timeline(stable_at, settled, exchange, final)
 
-    def final_view_of(self, group: Iterable[ProcId]) -> Any:
-        """The common latest view id of ``group`` (None if divergent)."""
-        group = tuple(group)
-        ids: set[Any] = set()
-        for p in group:
-            view = self._current_view.get(p)
-            ids.add(None if view is None else view.id)
-        if len(ids) == 1:
-            return ids.pop()
-        return None
+    def exchange_safe_at(
+        self, view: View, is_summary: Callable[[Any], bool]
+    ) -> float:
+        """When every member's state-exchange summary sent in ``view``
+        was safe at every member (the end of α₃); ``inf`` if never."""
+        latest = -inf
+        for p in view.set:
+            sends = self._sends.get((view.id, p), ())
+            first = next((s for s in sends if is_summary(s.payload)), None)
+            done = None if first is None else first.safe_complete_at(view.set)
+            if done is None:
+                return inf
+            latest = max(latest, done)
+        return latest
 
 
 _NO_VALUE = object()

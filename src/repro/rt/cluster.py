@@ -325,7 +325,11 @@ class LiveCluster:
         return replies
 
     async def _poll_metrics_loop(self) -> None:
-        while True:
+        # Not `while True`: on Python 3.11 `asyncio.wait_for` (inside
+        # `request`) swallows a cancellation that lands together with
+        # the reply, and `stop_metrics_stream` would await this task
+        # forever.  It clears the slot before cancelling.
+        while self._metrics_task is not None:
             await self.poll_stats()
             await asyncio.sleep(self.metrics_interval)
 

@@ -49,6 +49,7 @@ from repro.core.monitor import OnlineVSMonitor
 from repro.core.to_spec import check_to_trace
 from repro.core.types import View
 from repro.ioa.actions import Action, act
+from repro.ioa.timed import TimedEvent
 from repro.rt.framing import decode_value, encode_value
 
 #: Event names captured at the VS layer (fed to OnlineVSMonitor).
@@ -191,6 +192,48 @@ def load_event_logs(paths: Iterable[str | Path]) -> list[dict[str, Any]]:
                 events.append(entry)
     events.sort(key=lambda e: (e["ts"], str(e["node"]), e["seq"]))
     return events
+
+
+def sim_entries(events: Iterable[TimedEvent]) -> list[dict[str, Any]]:
+    """A simulated run's events as the entries :func:`load_event_logs`
+    returns, so the readers of live logs read simulated runs too.
+
+    ``events`` is ``TokenRingVS.events``: VS and TO events in the order
+    they happened, which is the order the entries keep (they are not
+    re-sorted — virtual time ties across processors are causal).  ``ts``
+    is virtual time, ``node`` the processor the event occurs at (the
+    last argument of all six event kinds), ``seq`` counts per node.
+    """
+    seqs: dict[Any, int] = {}
+    entries = []
+    for event in events:
+        name, args = event.action.name, event.action.args
+        node = args[-1]
+        seqs[node] = seq = seqs.get(node, 0) + 1
+        entries.append(
+            {"ts": event.time, "seq": seq, "node": node, "ev": name,
+             "args": list(args)}
+        )
+    return entries
+
+
+def sim_timeline(
+    scenario: Any, processors: Iterable[Any]
+) -> list[dict[str, Any]]:
+    """A :class:`~repro.net.scenarios.PartitionScenario`'s layout
+    changes as the cluster driver's timeline marks: ``heal`` when one
+    group holds every processor, ``partition`` otherwise."""
+    whole = frozenset(processors)
+    marks: list[dict[str, Any]] = []
+    for event in scenario.events:
+        if [frozenset(g) for g in event.groups] == [whole]:
+            marks.append({"t": event.time, "event": "heal"})
+        else:
+            groups = [list(g) for g in event.groups]
+            marks.append(
+                {"t": event.time, "event": "partition", "groups": groups}
+            )
+    return marks
 
 
 @dataclass

@@ -17,8 +17,6 @@ The pieces:
   requests out to per-group backends with a bounded in-flight window
   per shard (backpressure: saturated shards queue, never drop) and
   queue-depth metrics via :mod:`repro.obs`;
-- :mod:`repro.shard.lifecycle` — spawn/drain/retire shards with
-  deterministic key-range handoff;
 - :mod:`repro.shard.sim` — the DES substrate adapter: one
   :class:`~repro.apps.totalorder.TotalOrderBroadcast` per group, with
   continuous per-group :class:`~repro.core.monitor.OnlineVSMonitor`
@@ -35,12 +33,6 @@ The pieces:
 See ``docs/SHARDING.md`` for the architecture guide.
 """
 
-from repro.shard.lifecycle import (
-    Handoff,
-    ShardDirectory,
-    ShardState,
-    plan_handoff,
-)
 from repro.shard.router import ShardBackend, ShardRouter
 from repro.shard.routing import HashRing
 from repro.shard.sim import ShardedSimService, SimShardGroup
@@ -54,10 +46,6 @@ __all__ = [
     "HashRing",
     "ShardBackend",
     "ShardRouter",
-    "ShardDirectory",
-    "ShardState",
-    "Handoff",
-    "plan_handoff",
     "ShardedSimService",
     "SimShardGroup",
     "ShardVerdict",

@@ -62,8 +62,7 @@ class ShardRouter:
     Parameters
     ----------
     ring:
-        The routing table (replaceable at runtime via :meth:`set_ring`
-        — the lifecycle layer's handoff path).
+        The routing table.
     backends:
         ``group -> backend`` for every ring group.  Backends may be
         registered later (:meth:`add_backend`) but a request routed to
@@ -201,35 +200,6 @@ class ShardRouter:
         ):
             key, value = channel.queue.popleft()
             self._dispatch(group, channel, key, value)
-
-    # ------------------------------------------------------------------
-    def set_ring(self, ring: HashRing) -> int:
-        """Swap the routing table; queued (not-yet-dispatched) requests
-        whose owner changed are rerouted through the new table.  Returns
-        how many requests moved.  In-flight requests stay where they
-        are — they complete in the group that accepted them (the
-        lifecycle drain contract)."""
-        self.ring = ring
-        moved = 0
-        for group in sorted(self._channels):
-            channel = self._channels[group]
-            if not channel.queue:
-                continue
-            keep: deque[tuple[str, Any]] = deque()
-            movers: list[tuple[str, Any]] = []
-            for key, value in channel.queue:
-                if ring.owner_of(key) != group:
-                    movers.append((key, value))
-                else:
-                    keep.append((key, value))
-            if not movers:
-                continue
-            channel.queue = keep
-            self._publish(group, channel)
-            for key, value in movers:
-                moved += 1
-                self.submit(key, value)
-        return moved
 
     # ------------------------------------------------------------------
     def inflight(self, group: str) -> int:

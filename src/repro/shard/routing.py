@@ -9,8 +9,7 @@ function of ``(groups, seed, vnodes)``: two rings built from the same
 parameters agree point for point no matter the construction order.
 
 Adding or removing one group moves only the keys on the arcs that
-group's points cover (expected fraction ``1/n``) — the property that
-makes shard spawn/retire (:mod:`repro.shard.lifecycle`) cheap.
+group's points cover (expected fraction ``1/n``).
 
 Serialization is stable: :meth:`HashRing.to_dict` emits sorted groups
 plus the placement parameters, and :meth:`HashRing.from_dict` rebuilds

@@ -1,7 +1,11 @@
 """Tests for the reusable experiment sweeps and the report CLI."""
 
+import hashlib
+import io
+import math
 import pathlib
 
+from repro.analysis import experiments
 from repro.analysis.experiments import (
     baseline_table,
     end_to_end_table,
@@ -9,7 +13,9 @@ from repro.analysis.experiments import (
     stabilization_table,
     timeline_table,
 )
+from repro.membership.service import TokenRingVS
 from repro.report import main as report_main
+from repro.report import write_report
 
 
 class TestSweeps:
@@ -21,6 +27,23 @@ class TestSweeps:
             *_, bound, measured, ratio = row
             assert 0.0 < measured <= bound
             assert ratio <= 1.0
+
+    def test_unstabilized_seed_is_not_the_best_seed(self, monkeypatch):
+        """A run that never stabilised reads inf in its cell, so the
+        max over seeds cannot mistake it for the fastest one (it used
+        to read 0.0)."""
+        n, delta, pi, mu = 3, 1.0, 10.0, 30.0
+        monkeypatch.setattr(TokenRingVS, "install_scenario", lambda *_: None)
+        # Never split: the 3-member side never gets a view of its own.
+        assert math.isinf(experiments._stabilization_cell((n, delta, pi, mu, 0)))
+        monkeypatch.undo()
+        monkeypatch.setattr(
+            experiments, "parallel_map", lambda fn, cells, workers: [
+                math.inf if cell[-1] == 1 else fn(cell) for cell in cells
+            ],
+        )
+        _headers, rows = stabilization_table(seeds=(0, 1))
+        assert all(math.isinf(row[5]) for row in rows)
 
     def test_latency_table_periodic(self):
         headers, rows = latency_table(work_conserving=False)
@@ -53,7 +76,21 @@ class TestSweeps:
         assert total <= budget
 
 
+#: sha256 of everything ``python -m repro.report`` writes.  The tables
+#: are deterministic per seed, so any change to an E5–E19 number or
+#: verdict shows up here; re-pin only with the before/after tables in
+#: EXPERIMENTS.md.
+REPORT_SHA256 = "a55129810c2aabf72bae6c4ee9a4dd639a6b5e2f40ed25f9cd05181a008809ff"
+
+
 class TestReportCLI:
+    def test_report_is_pinned(self):
+        out = io.StringIO()
+        write_report(out)
+        text = out.getvalue()
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == REPORT_SHA256, f"the E-tables moved:\n{text}"
+
     def test_writes_markdown_file(self, tmp_path: pathlib.Path):
         out = tmp_path / "report.md"
         assert report_main(["-o", str(out)]) == 0

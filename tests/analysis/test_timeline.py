@@ -1,8 +1,11 @@
-"""Tests for the Figure 12 timeline decomposition."""
+"""The Figure 12 decomposition, read off spans, held to what the
+retired ``repro.analysis.timeline`` scrape produced: same events, same
+boundaries.  One input changed shape: a span opens at ``gpsnd``, so the
+synthetic trace records each member's summary ``gpsnd`` ahead of the
+``safe`` events for it (the old scrape read ``safe`` events alone)."""
 
 import math
 
-from repro.analysis.timeline import decompose_timeline
 from repro.core.quorums import MajorityQuorumSystem
 from repro.core.types import View
 from repro.core.vstoto.process import is_summary
@@ -12,6 +15,8 @@ from repro.ioa.timed import TimedTrace
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
 from repro.net.scenarios import PartitionScenario
+from repro.obs.live.stitch import stitch_events, stitch_sim
+from repro.rt.trace import sim_entries
 
 PROCS = ("p", "q")
 V0 = View(0, set(PROCS))
@@ -22,11 +27,24 @@ def is_marker(payload):
     return payload == "summary"
 
 
+def decompose_timeline(trace, group, stable_at, summary_predicate, initial_view):
+    run = stitch_events(sim_entries(trace.events), PROCS, initial_view, t0=0.0)
+    return run.tracer.timeline(group, stable_at, summary_predicate)
+
+
+def installed():
+    """V1 installed at both members, each then sending its summary."""
+    trace = TimedTrace()
+    trace.append(12.0, act("newview", V1, "p"))
+    trace.append(13.0, act("newview", V1, "q"))
+    for src in PROCS:
+        trace.append(13.0, act("gpsnd", "summary", src))
+    return trace
+
+
 class TestSyntheticDecomposition:
     def build(self):
-        trace = TimedTrace()
-        trace.append(12.0, act("newview", V1, "p"))
-        trace.append(13.0, act("newview", V1, "q"))
+        trace = installed()
         events = sorted(
             (20.0 + (src == "q") + 2 * (dst == "q"), src, dst)
             for src in PROCS
@@ -48,9 +66,7 @@ class TestSyntheticDecomposition:
         assert timeline.total_stabilization == 13.0
 
     def test_incomplete_exchange_reported_infinite(self):
-        trace = TimedTrace()
-        trace.append(12.0, act("newview", V1, "p"))
-        trace.append(13.0, act("newview", V1, "q"))
+        trace = installed()
         trace.append(20.0, act("safe", "summary", "p", "p"))
         timeline = decompose_timeline(trace, PROCS, 10.0, is_marker, V0)
         assert math.isinf(timeline.exchange_safe_at)
@@ -77,9 +93,8 @@ class TestFullStackTimeline:
         service.install_scenario(scenario)
         runtime.start()
         runtime.run_until(700.0)
-        timeline = decompose_timeline(
-            service.merged_trace(), procs, 300.0, is_summary,
-            service.initial_view,
+        timeline = stitch_sim(service, scenario).tracer.timeline(
+            procs, 300.0, is_summary
         )
         assert timeline.final_view is not None
         assert timeline.final_view.set == set(procs)

@@ -3,18 +3,24 @@ semantically indistinguishable.
 
 Two stacks are compared end to end — the optimised one (indexed
 process, delta tokens) against the reconstructed pre-overhaul one
-(:class:`repro.core.vstoto.legacy.LegacyVStoTOProcess`, full-copy
-tokens) — on the E15 full-stack workload and on the seed-7 golden chaos
+(``tests/reference.py``: ``LegacyVStoTOProcess`` and full-order
+tokens, both patched in) — on the E15 full-stack workload and on the seed-7 golden chaos
 run.  Externally visible behaviour (merged VS/TO traces, deliveries,
 simulation event counts, chaos verdicts) must match exactly.
 """
 
+import contextlib
+
 from repro.core.quorums import MajorityQuorumSystem
-from repro.core.vstoto.legacy import LegacyVStoTOProcess, legacy_process_installed
 from repro.core.vstoto.runtime import VStoTORuntime
 from repro.faults.chaos import run_chaos
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
+from tests.reference import (
+    LegacyVStoTOProcess,
+    full_order_tokens,
+    legacy_process_installed,
+)
 
 PROCS = (1, 2, 3, 4, 5)
 
@@ -22,24 +28,16 @@ PROCS = (1, 2, 3, 4, 5)
 def _e15_stack(*, legacy: bool, sends: int = 20, horizon: float = 260.0):
     service = TokenRingVS(
         PROCS,
-        RingConfig(
-            delta=1.0,
-            pi=10.0,
-            mu=50.0,
-            work_conserving=True,
-            delta_token=not legacy,
-        ),
+        RingConfig(delta=1.0, pi=10.0, mu=50.0, work_conserving=True),
         seed=0,
     )
-    if legacy:
-        with legacy_process_installed():
-            runtime = VStoTORuntime(service, MajorityQuorumSystem(PROCS))
-    else:
+    with legacy_process_installed() if legacy else contextlib.nullcontext():
         runtime = VStoTORuntime(service, MajorityQuorumSystem(PROCS))
     for i in range(sends):
         runtime.schedule_broadcast(10.0 + 10.0 * i, PROCS[i % len(PROCS)], f"v{i}")
     runtime.start()
-    runtime.run_until(horizon)
+    with full_order_tokens() if legacy else contextlib.nullcontext():
+        runtime.run_until(horizon)
     return service, runtime
 
 
@@ -86,7 +84,7 @@ def test_seed7_golden_chaos_identical_verdicts_old_vs_new():
     recovery time, same delivered values."""
     kwargs = dict(seed=7, horizon=200.0, intensity=0.6, sends=8, settle=400.0)
     new = run_chaos(PROCS, **kwargs)
-    with legacy_process_installed():
+    with legacy_process_installed(), full_order_tokens():
         old = run_chaos(
             PROCS,
             config=RingConfig(
@@ -95,7 +93,6 @@ def test_seed7_golden_chaos_identical_verdicts_old_vs_new():
                 mu=30.0,
                 work_conserving=True,
                 retransmit_attempts=3,
-                delta_token=False,
             ),
             **kwargs,
         )

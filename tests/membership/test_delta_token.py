@@ -1,5 +1,6 @@
-"""Delta-encoded token windows: steady-state payload, legacy-mode
-equivalence, and the behind-the-window resync path.
+"""Delta-encoded token windows: steady-state payload, equivalence with
+the full-order-every-hop reference (``tests/reference.py``, patched
+in), and the behind-the-window resync path.
 
 The resync branch is *structurally unreachable* through honest
 circulations — a forwarder only trims the window to the successor's own
@@ -10,20 +11,18 @@ a member a forged token whose window starts beyond the member's log.
 from repro.membership.messages import Token
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
+from tests.reference import full_order_tokens
 
 PROCS = (1, 2, 3)
 
 
 def _stable_service(delta_token=True, sends=6, horizon=120.0):
+    if not delta_token:
+        with full_order_tokens():
+            return _stable_service(True, sends, horizon)
     vs = TokenRingVS(
         PROCS,
-        RingConfig(
-            delta=1.0,
-            pi=10.0,
-            mu=50.0,
-            work_conserving=True,
-            delta_token=delta_token,
-        ),
+        RingConfig(delta=1.0, pi=10.0, mu=50.0, work_conserving=True),
         seed=0,
     )
     for i in range(sends):

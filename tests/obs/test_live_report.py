@@ -27,6 +27,15 @@ def write_log(tmp_path, node, entries):
             )
 
 
+def write_log_append(tmp_path, node, entry):
+    ts, ev, args = entry
+    with open(tmp_path / f"{node}.events.jsonl", "a", encoding="utf-8") as handle:
+        handle.write(
+            json.dumps({"ts": ts, "seq": 99, "node": node, "ev": ev, "args": args})
+            + "\n"
+        )
+
+
 def synth_run(tmp_path, safe_after=0.01, config_mark=True):
     """A one-message capture with controlled latencies: gpsnd at p1,
     1 ms first hops, safe everywhere after ``safe_after`` seconds."""
@@ -71,6 +80,20 @@ class TestBuildReport:
         text = render_text(report)
         assert "VERDICT: FAIL" in text
         assert "BOUND VIOLATION" in text
+
+    def test_heal_shows_l_prime_against_b(self, tmp_path):
+        """The report reads l′ off the same tracer query the E-tables
+        use: last newview after the heal, against b at the run's δ."""
+        synth_run(tmp_path)
+        view = {"!": "view", "id": {"!": "t", "v": [1, "p1"]}, "set": list(PROCS)}
+        for i, p in enumerate(PROCS):
+            write_log_append(tmp_path, p, (503.1 + 0.1 * i, "newview", [view, p]))
+        marks = json.loads((tmp_path / "cluster.timeline.json").read_text())
+        marks.append({"t": 501.0, "event": "partition", "groups": [["p1", "p2"], ["p3"]]})
+        marks.append({"t": 503.0, "event": "heal"})
+        (tmp_path / "cluster.timeline.json").write_text(json.dumps(marks))
+        text = render_text(build_report(tmp_path))
+        assert "l' after the heal = 0.300s   (b = 1.450s" in text
 
     def test_delta_override_beats_config(self, tmp_path):
         synth_run(tmp_path)

@@ -6,6 +6,7 @@ E19 bench."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 from repro.core.types import View
 from repro.obs.tracing import LifecycleTracer
@@ -142,18 +143,22 @@ class TestViewSpans:
         members = frozenset({A, B})
         tracer.on_vs_event(100.0, "newview", (View(2, members), A))
         tracer.on_vs_event(130.0, "newview", (View(2, members), B))
-        assert tracer.stabilization_point((A, B), 90.0) == 40.0
-        assert tracer.stabilization_point((A,), 90.0) == 10.0
-        # no reconfiguration after the stable point -> 0
-        assert tracer.stabilization_point((A, B), 200.0) == 0.0
+        assert tracer.timeline((A, B), 90.0).alpha1_length == 40.0
+        # no reconfiguration after the stable point -> settled at once
+        assert tracer.timeline((A, B), 200.0).alpha1_length == 0.0
+        # the view's membership is not the group: never stabilised, and
+        # that reads inf, not 0
+        assert tracer.timeline((A,), 90.0).alpha1_length == inf
 
     def test_final_view_of(self):
         tracer = make_tracer()
-        assert tracer.final_view_of((A, B)) == 1
+        assert tracer.timeline((A, B), 0.0).final_view.id == 1
         tracer.on_vs_event(5.0, "newview", (View(2, frozenset({A, B})), A))
-        assert tracer.final_view_of((A, B)) is None  # divergent
+        divergent = tracer.timeline((A, B), 0.0)
+        assert divergent.final_view is None
+        assert divergent.alpha1_length == inf
         tracer.on_vs_event(6.0, "newview", (View(2, frozenset({A, B})), B))
-        assert tracer.final_view_of((A, B)) == 2
+        assert tracer.timeline((A, B), 0.0).final_view.id == 2
 
 
 class TestFaultAnnotations:

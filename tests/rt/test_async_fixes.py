@@ -107,6 +107,30 @@ class TestMetricsStreamStop:
         run(scenario())
 
 
+    def test_stop_survives_a_swallowed_cancellation(self, tmp_path):
+        """Python 3.11's ``asyncio.wait_for`` returns the reply instead
+        of raising when a cancellation lands together with it, so the
+        poll loop can miss its cancel; it must still end (seen once as
+        a tier-1 run hung after a complete episode, nodes still up)."""
+
+        async def scenario():
+            cluster = LiveCluster(2, tmp_path)
+
+            async def poll_stats():
+                try:
+                    await asyncio.sleep(3600)
+                except asyncio.CancelledError:
+                    return {}  # what wait_for does with a ready reply
+
+            cluster.poll_stats = poll_stats
+            cluster.metrics_interval = 0.0
+            cluster.start_metrics_stream()
+            await asyncio.sleep(0)
+            await asyncio.wait_for(cluster.stop_metrics_stream(), 2.0)
+
+        run(scenario())
+
+
 class TestSpawnAndReap:
     def test_spawn_closes_log_fds_and_kill_reaps_off_loop(self, tmp_path):
         """ASYNC005/ASYNC003 fixes: after spawn, the parent holds no

@@ -343,6 +343,7 @@ class LiveNode:
         out: dict[str, Any] = {
             "node": self.proc_id,
             "sends_accepted": self.sends_accepted,
+            "sends_rejected": self.sends_rejected,
             "shards": self.shards,
             "view": first["view"],
             "view_size": first["view_size"],

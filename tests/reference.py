@@ -18,21 +18,31 @@ way it replaced lives here and is patched in by the equivalence tests
   encoding to it: both deliver identical sequences.
 
 Installed together they reproduce the full pre-overhaul stack.
+
+The tagged-JSON decoder ``src/`` replaced — ``json.loads`` followed by
+a recursive second pass over the document — is kept as
+:func:`decode_value`, :func:`decode_message` and
+:func:`load_event_logs`; ``tests/rt/test_decode_once.py`` holds
+:class:`~repro.rt.framing.TaggedDecoder` and the loader to them.
 """
 
 from __future__ import annotations
 
 import contextlib
-from collections.abc import Iterator
+import json
+from collections.abc import Iterable, Iterator
+from pathlib import Path
 from typing import Any
 from unittest import mock
 
-from repro.core.types import BOTTOM, Label
+from repro.core.types import BOTTOM, Label, View
 from repro.core.vstoto import runtime as _runtime_mod
 from repro.core.vstoto.process import VStoTOProcess
 from repro.core.vstoto.summary import Summary
 from repro.membership.messages import Token
 from repro.membership.ring import RingMember
+from repro.rt.framing import FrameError, lookup_wire_type
+from repro.rt.trace import EventLogError
 
 
 class LegacyVStoTOProcess(VStoTOProcess):
@@ -104,3 +114,68 @@ def _encode_full_order(self: RingMember, successor: Any, token: Token) -> Token:
 def full_order_tokens() -> Any:
     """Patch the full-order-every-hop encoding in for a ``with`` block."""
     return mock.patch.object(RingMember, "_encode_for", _encode_full_order)
+
+
+def decode_value(value: Any) -> Any:
+    """``repro.rt.framing._dec``: the tagged grammar decoded by a
+    recursive walk over a document ``json.loads`` already built."""
+    if isinstance(value, list):
+        return [decode_value(v) for v in value]
+    if not isinstance(value, dict):
+        return value
+    tag = value.get("!")
+    if tag == "bot":
+        return BOTTOM
+    if tag == "t":
+        return tuple(decode_value(v) for v in value["v"])
+    if tag == "fs":
+        return frozenset(decode_value(v) for v in value["v"])
+    if tag == "d":
+        return {decode_value(k): decode_value(v) for k, v in value["v"]}
+    if tag == "view":
+        return View(
+            decode_value(value["id"]),
+            frozenset(decode_value(p) for p in value["set"]),
+        )
+    if tag == "m":
+        cls = lookup_wire_type(value["m"])
+        if cls is None:
+            raise FrameError(f"unknown wire type {value['m']!r}")
+        return cls(**{k: decode_value(v) for k, v in value["f"].items()})
+    raise FrameError(f"unknown codec tag {tag!r}")
+
+
+def decode_message(payload: bytes) -> Any:
+    """``repro.rt.framing.decode_message`` over :func:`decode_value`."""
+    try:
+        doc = json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FrameError(f"undecodable frame payload: {exc}") from exc
+    return decode_value(doc)
+
+
+def load_event_logs(paths: Iterable[str | Path]) -> list[dict[str, Any]]:
+    """``repro.rt.trace.load_event_logs`` over :func:`decode_value`: one
+    ``json.loads`` per line, then the argument list decoded."""
+    events: list[dict[str, Any]] = []
+    for path in paths:
+        torn: int | None = None
+        with open(path, encoding="utf-8") as handle:
+            for number, line in enumerate(handle, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                if torn is not None:
+                    raise EventLogError(
+                        f"{path}: line {torn} is not valid JSON and is "
+                        f"not the last line of the log"
+                    )
+                try:
+                    entry = json.loads(line)
+                except json.JSONDecodeError:
+                    torn = number
+                    continue
+                entry["args"] = [decode_value(a) for a in entry["args"]]
+                events.append(entry)
+    events.sort(key=lambda e: (e["ts"], str(e["node"]), e["seq"]))
+    return events

@@ -4,6 +4,7 @@ full subprocess cluster smoke (tier-1 acceptance surface)."""
 from __future__ import annotations
 
 import asyncio
+import json
 import socket
 
 import pytest
@@ -189,6 +190,11 @@ class TestOneNodeShape:
                 "driver", Ctl("send", {"g": "g7", "v": "lost"}), lambda reply: None
             )
             assert (node.sends_accepted, node.sends_rejected) == (2, 1)
+            stats = node.stats()
+            assert (stats["sends_accepted"], stats["sends_rejected"]) == (2, 1)
+            node._write_report()
+            report = json.loads((tmp_path / "p1.report.json").read_text())
+            assert report["stats"]["sends_rejected"] == 1
 
         self.on_node(tmp_path, shards, body)
         logs = group_event_logs(tmp_path)

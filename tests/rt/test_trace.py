@@ -194,3 +194,29 @@ class TestVerifyEvents:
         report = verify_events([], PROCS, V0)
         assert report.ok  # vacuously conformant
         assert not report.delivered_complete
+
+    def test_a_stray_node_log_is_a_violation_not_a_crash(self, tmp_path):
+        # A p4.events.jsonl left beside a 3-node capture.
+        healthy_run(tmp_path)
+        write_events(
+            tmp_path,
+            "p4",
+            [("newview", V0, "p4"), ("gpsnd", "x", "p4"), ("brcv", "m0", "p1", "p4")],
+        )
+        write_events(tmp_path, "p5", [("brcv", "m9", "p5", "p1")])
+        events = load_event_logs(sorted(tmp_path.glob("*.events.jsonl")))
+        report = verify_events(events, PROCS, V0)
+        assert not report.ok
+        assert report.to_ok  # the strays were not fed to the checkers
+        assert len(report.violations) == 4
+        assert report.violations[0].startswith("newview(")
+        assert "logged by 'p4'" in report.violations[0]
+        assert "gpsnd('x', 'p4') logged by 'p4'" in report.violations[1]
+        assert "brcv('m9', 'p5', 'p1') logged by 'p5'" in report.violations[3]
+        assert report.deliveries == 6 and report.delivered_complete
+
+    def test_expect_at_outside_the_processors_is_refused(self, tmp_path):
+        healthy_run(tmp_path)
+        events = load_event_logs(sorted(tmp_path.glob("*.events.jsonl")))
+        with pytest.raises(ValueError, match=r"expect_at names \['p9'\]"):
+            verify_events(events, PROCS, V0, expect_at=("p1", "p9"))

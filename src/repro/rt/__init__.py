@@ -6,9 +6,11 @@ deterministic clock; this package runs the *same protocol objects*
 :class:`~repro.core.vstoto.runtime.VStoTORuntime`) across real OS
 processes over TCP:
 
-- :mod:`repro.rt.framing` — length-prefixed frames and a JSON wire
-  codec for every protocol message (tokens, membership rounds, client
-  payloads, control ops);
+- :mod:`repro.rt.wire` — the wire: binary frames, an interning codec
+  for every protocol message (tokens, membership rounds, client
+  payloads, control ops) and batching;
+- :mod:`repro.rt.framing` — the message registry and the tagged-JSON
+  grammar the event logs are written in;
 - :mod:`repro.rt.clock` — :class:`LiveScheduler`, a Simulator-shaped
   timer facade over the asyncio event loop (the one place protocol
   code touches the host clock; see the ``repro.rt`` carve-out in the
@@ -37,13 +39,7 @@ of the VS and TO specifications.
 from __future__ import annotations
 
 from repro.rt.clock import LiveScheduler
-from repro.rt.framing import (
-    FrameError,
-    MAX_FRAME,
-    decode_message,
-    encode_frame,
-    encode_message,
-)
+from repro.rt.framing import FrameError, MAX_FRAME
 from repro.rt.transport import Ctl, Hello, LiveNetwork
 from repro.rt.trace import EventLog, VerifyReport, load_event_logs, verify_events
 
@@ -56,9 +52,6 @@ __all__ = [
     "LiveScheduler",
     "MAX_FRAME",
     "VerifyReport",
-    "decode_message",
-    "encode_frame",
-    "encode_message",
     "load_event_logs",
     "verify_events",
 ]

@@ -55,8 +55,7 @@ from repro.rt.faults import (
     single_partition_window,
     windows_from_scenario,
 )
-from repro.rt.framing import encode_frame, encode_message
-from repro.rt.node import initial_view_for, resolve_flush_after
+from repro.rt.node import initial_view_for
 from repro.rt.trace import (
     VerifyReport,
     group_event_logs,
@@ -64,7 +63,7 @@ from repro.rt.trace import (
     verify_events,
 )
 from repro.rt.transport import DRIVER_ID, Ctl, Hello
-from repro.rt.wire import WireReader, WireWriter, make_wire
+from repro.rt.wire import WireReader, WireWriter, check_wire
 from repro.shard.live import delivered_order, encode_live_op, shard_log_paths
 from repro.shard.router import ShardRouter
 from repro.shard.routing import HashRing, group_names, point_for_key
@@ -81,11 +80,10 @@ def free_port() -> int:
 class NodeClient:
     """One control-plane connection from the driver to a node.
 
-    ``wire`` picks the codec the driver speaks (replies are decoded by
-    header auto-detection regardless); ``flush_after`` batches
-    fire-and-forget sends — with a 0-second window, back-to-back client
-    sends in one event-loop turn (an overloaded open-loop generator)
-    coalesce into one frame.
+    ``wire`` accepts only ``"binary"``, the one wire; ``flush_after``
+    batches fire-and-forget sends — with a 0-second window, back-to-back
+    client sends in one event-loop turn (an overloaded open-loop
+    generator) coalesce into one frame.
     """
 
     def __init__(
@@ -93,14 +91,14 @@ class NodeClient:
         proc_id: str,
         host: str,
         port: int,
-        wire: str = "json",
+        wire: str = "binary",
         flush_after: float | None = None,
     ) -> None:
+        check_wire(wire)
         self.proc_id = proc_id
         self.host = host
         self.port = port
-        self.wire_name = wire
-        self._sender = WireWriter(make_wire(wire), flush_after=flush_after)
+        self._sender = WireWriter(flush_after=flush_after)
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._replies: asyncio.Queue[Ctl] = asyncio.Queue()
@@ -132,12 +130,8 @@ class NodeClient:
         self._sender.set_schedule(
             lambda delay, callback: loop.call_later(delay, callback)
         )
-        self._writer.write(
-            encode_frame(
-                encode_message(Hello(src=DRIVER_ID, wire=self.wire_name))
-            )
-        )
         self._sender.attach(self._writer.write)
+        self._sender.send_now(Hello(src=DRIVER_ID))
         self._read_task = loop.create_task(self._read_loop())
 
     async def _read_loop(self) -> None:
@@ -183,7 +177,8 @@ class NodeClient:
 
 
 class LiveCluster:
-    """Spawn, drive and perturb a localhost ring."""
+    """Spawn, drive and perturb a localhost ring.  ``wire`` accepts
+    only ``"binary"``, the one wire."""
 
     def __init__(
         self,
@@ -191,9 +186,10 @@ class LiveCluster:
         log_dir: str | Path,
         delta: float = 0.05,
         metrics_interval: float = 0.25,
-        wire: str = "json",
+        wire: str = "binary",
         shards: int = 1,
     ) -> None:
+        check_wire(wire)
         if nodes < 2:
             raise ValueError("need at least 2 nodes")
         self.shards = max(1, shards)
@@ -204,7 +200,6 @@ class LiveCluster:
         self.log_dir.mkdir(parents=True, exist_ok=True)
         self.delta = delta
         self.metrics_interval = metrics_interval
-        self.wire = wire
         self.ports: dict[str, int] = {p: free_port() for p in self.processors}
         self.procs: dict[str, subprocess.Popen[bytes]] = {}
         self.clients: dict[str, NodeClient] = {}
@@ -250,8 +245,6 @@ class LiveCluster:
                     str(self.log_dir),
                     "--delta",
                     str(self.delta),
-                    "--wire",
-                    self.wire,
                     "--shards",
                     str(self.shards),
                 ],
@@ -273,16 +266,9 @@ class LiveCluster:
             pi=4 * self.delta,
             mu=20 * self.delta,
             nodes=len(self.processors),
-            wire=self.wire,
         )
         for p in self.processors:
-            client = NodeClient(
-                p,
-                "127.0.0.1",
-                self.ports[p],
-                wire=self.wire,
-                flush_after=resolve_flush_after(self.wire, -1.0),
-            )
+            client = NodeClient(p, "127.0.0.1", self.ports[p], flush_after=0.0)
             await client.connect()
             self.clients[p] = client
 
@@ -469,7 +455,6 @@ class LiveCluster:
             for key in driver:
                 driver[key] += float(stats.get(key, 0))
         return {
-            "codec": self.wire,
             "nodes": {k: totals[k] for k in sorted(totals)},
             "driver_tx": driver,
             "token": token,
@@ -681,7 +666,6 @@ async def run_cluster(
     time_scale: float = 0.05,
     seed: int = 0,
     metrics_interval: float = 0.25,
-    wire: str = "json",
     shards: int = 1,
     window: int | None = 64,
 ) -> dict[str, Any]:
@@ -710,7 +694,6 @@ async def run_cluster(
         log_dir,
         delta=delta,
         metrics_interval=metrics_interval,
-        wire=wire,
         shards=shards,
     )
     names = group_names(cluster.shards)
@@ -932,13 +915,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--delta", type=float, default=0.05)
     parser.add_argument("--send-interval", type=float, default=0.02)
     parser.add_argument(
-        "--wire",
-        choices=("json", "binary"),
-        default="json",
-        help="wire codec for nodes and driver (default json; binary "
-        "adds interning + frame batching)",
-    )
-    parser.add_argument(
         "--seed",
         type=int,
         default=0,
@@ -990,7 +966,6 @@ def main(argv: list[str] | None = None) -> int:
             time_scale=args.time_scale,
             seed=args.seed,
             metrics_interval=args.metrics_interval,
-            wire=args.wire,
             shards=args.shards,
             window=args.window if args.window > 0 else None,
         )
@@ -1044,9 +1019,8 @@ def main(argv: list[str] | None = None) -> int:
         batches = token.get("append_batches", 0)
         appended = token.get("entries_appended", 0)
         print(
-            "  wire: codec={codec} node_tx_bytes={total:.0f} "
+            "  wire: node_tx_bytes={total:.0f} "
             "token_entries/batch={epb:.2f}".format(
-                codec=wire_stats.get("codec"),
                 total=total_bytes,
                 epb=(appended / batches) if batches else 0.0,
             )

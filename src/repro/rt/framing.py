@@ -1,16 +1,14 @@
-"""Wire format of the live transport: frames and the message codec.
+"""The message registry and the tagged-JSON grammar of event logs.
 
-A *frame* is a 4-byte big-endian length prefix followed by that many
-payload bytes.  :class:`~repro.rt.wire.WireDecoder` reassembles frames
-(these and the binary-era ones) from an arbitrary sequence of reads
-(TCP gives no message boundaries) and rejects frames above a
-configurable ceiling before buffering them, so a corrupt or hostile
-peer cannot make a node allocate unbounded memory.
+The live wire itself is binary (:mod:`repro.rt.wire`); this module
+holds what it shares with the event logs: :class:`FrameError` (every
+refusal of either), :data:`MAX_FRAME`, and the registry of protocol
+dataclasses both encode (:func:`register_wire_type`).
 
-The *payload* is a JSON document produced by :func:`encode_message`.
-JSON alone cannot round-trip the protocol's value shapes (tuples vs
-lists, frozensets, view records, the bottom element), so composite
-values are tagged:
+An event log (:mod:`repro.rt.trace`) writes each argument as
+:func:`encode_value` makes it JSON-able.  JSON alone cannot round-trip
+the protocol's value shapes (tuples vs lists, frozensets, view
+records, the bottom element), so composite values are tagged:
 
 - ``{"!": "t", "v": [...]}`` — tuple;
 - ``{"!": "fs", "v": [...]}`` — frozenset (elements sorted by their
@@ -31,10 +29,11 @@ control plane put on the wire; nesting works (a
 token's order entries are tuples of payload and origin).
 
 :class:`TaggedDecoder`, an ``object_hook`` on ``json``'s C scanner,
-decodes in one pass (frames and event logs alike).  It refuses unknown
-tags and wire types, and an untagged object anywhere but an ``m``
+decodes a line in one pass.  It refuses, with :class:`FrameError`,
+unknown tags and wire types, a tagged record whose parts are missing or
+of the wrong shape, and an untagged object anywhere but an ``m``
 record's field map — which closes just before its record — or a log
-entry, so a frame cannot hand the protocol a ``dict``.  A capture's
+entry, so a line cannot hand the protocol a ``dict``.  A capture's
 decoder interns :class:`~repro.core.types.Label`, the record repeated
 on each of a payload's lines, when it is *plain* — int seqno, str
 origin, a view id of ints and strs — so that equal means identical
@@ -47,7 +46,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import struct
 from typing import Any
 
 from repro.core.types import BOTTOM, Bottom, Label, View
@@ -66,25 +64,14 @@ from repro.membership.messages import (
 #: small messages fits comfortably below 1 MiB.
 MAX_FRAME = 1 << 20
 
-_HEADER = struct.Struct(">I")
-
 
 class FrameError(ValueError):
-    """A frame violated the wire format (oversized or malformed)."""
-
-
-def encode_frame(payload: bytes, max_frame: int = MAX_FRAME) -> bytes:
-    """Prefix ``payload`` with its length; reject oversized payloads."""
-    if len(payload) > max_frame:
-        raise FrameError(
-            f"frame payload of {len(payload)} bytes exceeds the "
-            f"{max_frame}-byte ceiling"
-        )
-    return _HEADER.pack(len(payload)) + payload
+    """A frame or a log line violated its format (oversized or
+    malformed)."""
 
 
 # ----------------------------------------------------------------------
-# Message codec
+# The message registry and the log grammar
 # ----------------------------------------------------------------------
 #: Registered wire dataclasses, by class name.  Control records from
 #: :mod:`repro.rt.transport` register themselves at import time via
@@ -100,7 +87,7 @@ def _wire_spec(cls: type) -> tuple[str, tuple[str, ...]]:
 
 
 #: Registry name and field names per registered class, computed once at
-#: registration: both codecs read it per message instead of asking
+#: registration: the wire and the log read it per message instead of asking
 #: ``dataclasses.fields`` each time.
 _WIRE_SPECS: dict[type, tuple[str, tuple[str, ...]]] = {
     cls: _wire_spec(cls) for cls in _REGISTRY.values()
@@ -115,9 +102,9 @@ def register_wire_type(cls: type) -> type:
 
 
 def registered_wire_types() -> dict[str, type]:
-    """Snapshot of the wire registry (name -> class).  The equivalence
-    tests sweep this so a newly registered dataclass cannot silently
-    miss codec coverage."""
+    """Snapshot of the wire registry (name -> class).  The codec tests
+    sweep this so a newly registered dataclass cannot silently miss
+    coverage."""
     return dict(_REGISTRY)
 
 
@@ -195,32 +182,42 @@ class TaggedDecoder:
             return self._record(obj)
         if self._fields is not None:  # only this record could take it
             raise FrameError("unknown codec tag None")
-        if tag == "t":
-            return tuple(obj["v"])
-        if tag is None:
-            self._fields = obj
-            return obj
-        if tag == "fs":
-            return frozenset(obj["v"])
-        if tag == "d":
-            return dict(obj["v"])
-        if tag == "view":
-            return View(obj["id"], frozenset(obj["set"]))
+        try:
+            if tag == "t":
+                return tuple(obj["v"])
+            if tag is None:
+                self._fields = obj
+                return obj
+            if tag == "fs":
+                return frozenset(obj["v"])
+            if tag == "d":
+                return dict(obj["v"])
+            if tag == "view":
+                return View(obj["id"], frozenset(obj["set"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            # A missing part, an unhashable member, a malformed pair.
+            raise FrameError(f"malformed {tag!r} record: {exc!r}") from exc
         if tag == "bot":
             return BOTTOM
         raise FrameError(f"unknown codec tag {tag!r}")
 
     def _record(self, obj: dict[str, Any]) -> Any:
-        cls = _REGISTRY.get(obj["m"])
+        name = obj.get("m")
+        cls = _REGISTRY.get(name) if type(name) is str else None
         if cls is None:
-            raise FrameError(f"unknown wire type {obj['m']!r}")
-        fields = obj["f"]
+            raise FrameError(f"unknown wire type {name!r}")
+        fields = obj.get("f")
         if fields is None or fields is not self._fields:
-            raise FrameError(f"wire type {obj['m']!r} without its field map")
+            raise FrameError(f"wire type {name!r} without its field map")
         self._fields = None
-        if cls is Label and self._labels is not None:
-            return _interned(self._labels, fields)
-        return cls(**fields)
+        try:
+            if cls is Label and self._labels is not None:
+                return _interned(self._labels, fields)
+            return cls(**fields)
+        except (TypeError, ValueError) as exc:
+            raise FrameError(
+                f"wire type {name!r} rejected {len(fields)} fields: {exc}"
+            ) from exc
 
 
 _PLAIN = frozenset({int, str})
@@ -236,29 +233,3 @@ def _interned(labels: dict[Any, Label], fields: dict[str, Any]) -> Label:
     if label is None:
         label = labels[key] = Label(ident, seqno, origin)
     return label
-
-
-def encode_message(message: Any, max_frame: int = MAX_FRAME) -> bytes:
-    """Serialise one protocol message to a framed-ready payload."""
-    payload = json.dumps(_enc(message), separators=(",", ":")).encode("utf-8")
-    if len(payload) > max_frame:
-        raise FrameError(
-            f"encoded message of {len(payload)} bytes exceeds the "
-            f"{max_frame}-byte frame ceiling"
-        )
-    return payload
-
-
-#: The one frame decoder: :meth:`TaggedDecoder.decode` starts afresh.
-_FRAMES = TaggedDecoder()
-
-
-def decode_message(payload: bytes) -> Any:
-    """Inverse of :func:`encode_message`."""
-    try:
-        value, untagged = _FRAMES.decode(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FrameError(f"undecodable frame payload: {exc}") from exc
-    if untagged is not None:
-        raise FrameError("unknown codec tag None")
-    return value

@@ -60,6 +60,7 @@ from repro.obs.live.snapshot import MetricsSnapshot
 from repro.rt.clock import LiveScheduler
 from repro.rt.trace import EventLog, event_log_path
 from repro.rt.transport import Ctl, LiveNetwork
+from repro.rt.wire import check_wire
 from repro.shard.live import GroupDemux, GroupNet
 from repro.shard.routing import group_names
 
@@ -160,7 +161,7 @@ class LiveNode:
     The node hosts ``shards`` complete group stacks (ring member +
     VStoTO runtime + event log per group) over the one transport,
     multiplexed by :class:`~repro.shard.live.ShardEnvelope` frames; the
-    default is one.
+    default is one.  ``wire`` accepts only ``"binary"``, the one wire.
     """
 
     def __init__(
@@ -170,10 +171,11 @@ class LiveNode:
         log_dir: str | Path,
         config: RingConfig | None = None,
         max_frame: int | None = None,
-        wire: str = "json",
+        wire: str = "binary",
         flush_after: float | None = None,
         shards: int = 1,
     ) -> None:
+        check_wire(wire)
         self.proc_id = proc_id
         self.config = config if config is not None else default_ring_config()
         self.shards = max(1, shards)
@@ -187,7 +189,6 @@ class LiveNode:
             peers,
             self.scheduler,
             on_ctl=self._on_ctl,
-            wire=wire,
             flush_after=flush_after,
             **kwargs,
         )
@@ -453,13 +454,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="frame size ceiling in bytes (default 1 MiB)",
     )
     parser.add_argument(
-        "--wire",
-        choices=("json", "binary"),
-        default="json",
-        help="outbound wire codec (default json; inbound is auto-"
-        "detected per frame, so mixed clusters interoperate)",
-    )
-    parser.add_argument(
         "--shards",
         type=int,
         default=1,
@@ -469,21 +463,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--flush-interval",
         type=float,
-        default=-1.0,
-        help="batching window in seconds for outbound frames; 0 "
-        "coalesces same-loop-turn sends without added latency, "
-        "negative means auto (binary: 0, json: off)",
+        default=0.0,
+        help="batching window in seconds for outbound frames (default "
+        "0, as is any negative value: coalesce same-loop-turn sends "
+        "without added latency)",
     )
     return parser
 
 
-def resolve_flush_after(wire: str, flush_interval: float) -> float | None:
-    """The CLI's auto rule: a negative interval picks the codec's
-    default (binary batches within the loop turn; json stays on the
-    byte-identical legacy one-frame-per-message wire)."""
-    if flush_interval >= 0:
-        return flush_interval
-    return 0.0 if wire == "binary" else None
+def resolve_flush_after(wire: str, flush_interval: float) -> float:
+    """The CLI's rule: a negative interval means 0.0, batching within
+    the loop turn.  ``wire`` accepts only ``"binary"``."""
+    check_wire(wire)
+    return max(flush_interval, 0.0)
 
 
 async def amain(argv: list[str] | None = None) -> int:
@@ -497,8 +489,7 @@ async def amain(argv: list[str] | None = None) -> int:
         args.log_dir,
         config=default_ring_config(args.delta),
         max_frame=args.max_frame,
-        wire=args.wire,
-        flush_after=resolve_flush_after(args.wire, args.flush_interval),
+        flush_after=resolve_flush_after("binary", args.flush_interval),
         shards=args.shards,
     )
     await node.start()

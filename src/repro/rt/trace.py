@@ -373,14 +373,12 @@ def content_digest(events: Sequence[dict[str, Any]]) -> str:
     agree on the TO client contract: which values were broadcast, and
     the exact multiset each node delivered (``brcv``, value + origin).
     The digest hashes exactly that, canonically ordered and stripped of
-    timestamps/sequence numbers, so a json-wire run and a binary-wire
-    run of one scenario must collide iff the codecs are equivalent end
-    to end (encode → wire → decode → protocol → event log).
+    timestamps/sequence numbers, so two runs of one seeded scenario
+    must collide.
 
     VS-internal traffic (``gprcv``) is deliberately excluded: its
     state-exchange Summary payloads depend on where view formation cut
-    each run's timeline, so they differ between two runs of *one* codec
-    and cannot witness codec equivalence.
+    each run's timeline, so they differ between two runs.
     """
     bcast: list[Any] = []
     brcv: dict[str, list[Any]] = {}

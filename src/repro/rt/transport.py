@@ -9,9 +9,10 @@ the registered protocol endpoint — the same
 simulated network uses, so :class:`~repro.membership.ring.RingMember`
 runs over it unmodified.
 
-Identity handshake: the first frame on every connection is a
-:class:`Hello` naming the sender, after which frames are protocol
-messages attributed to that sender.  The cluster driver connects the
+Identity handshake: the first message on every connection is a
+:class:`Hello` naming the sender, sent in a binary frame through the
+stream's own :class:`~repro.rt.wire.WireWriter`; the messages after it
+are attributed to that sender.  The cluster driver connects the
 same way (as ``"driver"``) and speaks :class:`Ctl` records, which are
 routed to the node's control handler instead of the ring.
 
@@ -38,19 +39,13 @@ from typing import Any
 
 from repro.net.status import FailureOracle
 from repro.rt.clock import LiveScheduler
-from repro.rt.framing import (
-    MAX_FRAME,
-    FrameError,
-    encode_frame,
-    encode_message,
-    register_wire_type,
-)
+from repro.rt.framing import MAX_FRAME, FrameError, register_wire_type
 from repro.rt.wire import (
+    BinaryWire,
     ReaderStats,
     WireReader,
     WireWriter,
     WriterStats,
-    make_wire,
 )
 
 #: Reserved sender id for the cluster driver's control connections.
@@ -74,14 +69,14 @@ COUNTER_KEYS = (
 @register_wire_type
 @dataclass(frozen=True)
 class Hello:
-    """Connection handshake: who is speaking on this stream, and which
-    codec they will frame after this record.  The Hello itself always
-    rides as a legacy json frame so any peer can read it; ``wire`` is
-    informational (receivers auto-detect per frame from the header) and
-    defaults to json so old peers decode cleanly."""
+    """Connection handshake: who is speaking on this stream.  It is the
+    stream's first message, encoded by the stream's own writer so that
+    it shares the connection's interning table.  ``wire`` says nothing
+    a receiver reads (there is one wire); the field stays so that the
+    pinned wire corpus keeps its bytes."""
 
     src: str
-    wire: str = "json"
+    wire: str = "binary"
 
 
 @register_wire_type
@@ -133,14 +128,9 @@ class LiveNetwork:
         Frame ceiling for both directions.
     reconnect_delay:
         Initial outbound reconnect backoff (doubles up to 8x).
-    wire:
-        Codec for everything this node sends (``"json"`` or
-        ``"binary"``); inbound frames are auto-detected per frame, so
-        mixed-codec clusters interoperate.
     flush_after:
         Batching window in seconds for outbound protocol frames.
-        ``None`` disables batching (every message is its own frame —
-        with the json codec this is byte-identical to the legacy wire);
+        ``None`` disables batching (every message is its own frame);
         ``0.0`` coalesces messages sent within the same event-loop turn
         without adding latency.
     flush_max_bytes:
@@ -156,7 +146,6 @@ class LiveNetwork:
         on_ctl: CtlHandler | None = None,
         max_frame: int = MAX_FRAME,
         reconnect_delay: float = 0.05,
-        wire: str = "json",
         flush_after: float | None = None,
         flush_max_bytes: int = 1 << 16,
     ) -> None:
@@ -176,13 +165,12 @@ class LiveNetwork:
         self._on_ctl = on_ctl
         self.max_frame = max_frame
         self._reconnect_delay = reconnect_delay
-        self.wire_name = wire
         self.flush_after = flush_after
         self.flush_max_bytes = flush_max_bytes
-        # One aggregate per codec name, shared by every connection's
+        # One aggregate per direction, shared by every connection's
         # writer/reader (all access is on the loop thread).
-        self.tx_stats: dict[str, WriterStats] = {}
-        self.rx_stats: dict[str, ReaderStats] = {}
+        self.tx_stats = WriterStats()
+        self.rx_stats = ReaderStats()
         for peer in self._peers.values():
             peer.sender = self._make_sender(batching=True)
         self._node: Any = None
@@ -203,24 +191,16 @@ class LiveNetwork:
     # ------------------------------------------------------------------
     # Wire plumbing
     # ------------------------------------------------------------------
-    def _tx_stats_for(self, codec_name: str) -> WriterStats:
-        stats = self.tx_stats.get(codec_name)
-        if stats is None:
-            stats = self.tx_stats[codec_name] = WriterStats()
-        return stats
-
     def _make_sender(self, batching: bool) -> WireWriter:
         """A codec writer for one outbound direction.  ``batching``
         is off for reply writers: control replies must hit the wire
         before the requester's timeout, not a flush window later."""
-        wire = make_wire(self.wire_name)
         return WireWriter(
-            wire,
             max_frame=self.max_frame,
             flush_after=self.flush_after if batching else None,
             flush_max_bytes=self.flush_max_bytes,
             schedule=self.simulator.schedule,
-            stats=self._tx_stats_for(wire.name),
+            stats=self.tx_stats,
         )
 
     def _frame_sink(self, writer: asyncio.StreamWriter) -> Callable[[bytes], None]:
@@ -264,8 +244,8 @@ class LiveNetwork:
             "rt_peers_connected", "outbound streams currently established",
             labels=("proc",),
         ).labels(proc)
-        # Wire-level families, synced from the per-codec aggregates on
-        # every stats()/snapshot pass (zero hot-path cost).
+        # Wire-level families, synced from the per-direction aggregates
+        # on every stats()/snapshot pass (zero hot-path cost).
         self._m_wire = {
             "frames": metrics.gauge(
                 "rt_wire_frames", "frames on the wire, by direction and codec",
@@ -292,25 +272,20 @@ class LiveNetwork:
         }
 
     def _sync_wire_metrics(self) -> None:
-        """Publish the per-codec wire aggregates into the registry."""
+        """Publish the wire aggregates into the registry."""
         if self._m_wire is None:
             return
-        proc = str(self.proc_id)
-        for codec, tx in sorted(self.tx_stats.items()):
-            self._m_wire["frames"].labels(proc, "out", codec).set(tx.frames)
-            self._m_wire["bytes"].labels(proc, "out", codec).set(tx.bytes_on_wire)
-            self._m_wire["entries"].labels(proc, "out", codec).set(tx.entries)
-            self._m_wire["flushes"].labels(proc, codec).set(tx.flushes)
-            self._m_wire["seconds"].labels(proc, "encode", codec).set(
-                tx.encode_seconds
-            )
-        for codec, rx in sorted(self.rx_stats.items()):
-            self._m_wire["frames"].labels(proc, "in", codec).set(rx.frames)
-            self._m_wire["bytes"].labels(proc, "in", codec).set(rx.bytes_on_wire)
-            self._m_wire["entries"].labels(proc, "in", codec).set(rx.entries)
-            self._m_wire["seconds"].labels(proc, "decode", codec).set(
-                rx.decode_seconds
-            )
+        proc, codec = str(self.proc_id), BinaryWire.name
+        tx, rx = self.tx_stats, self.rx_stats
+        self._m_wire["frames"].labels(proc, "out", codec).set(tx.frames)
+        self._m_wire["bytes"].labels(proc, "out", codec).set(tx.bytes_on_wire)
+        self._m_wire["entries"].labels(proc, "out", codec).set(tx.entries)
+        self._m_wire["flushes"].labels(proc, codec).set(tx.flushes)
+        self._m_wire["seconds"].labels(proc, "encode", codec).set(tx.encode_seconds)
+        self._m_wire["frames"].labels(proc, "in", codec).set(rx.frames)
+        self._m_wire["bytes"].labels(proc, "in", codec).set(rx.bytes_on_wire)
+        self._m_wire["entries"].labels(proc, "in", codec).set(rx.entries)
+        self._m_wire["seconds"].labels(proc, "decode", codec).set(rx.decode_seconds)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -378,15 +353,9 @@ class LiveNetwork:
                 delay = min(delay * 2, 8 * self._reconnect_delay)
                 continue
             delay = self._reconnect_delay
-            # The Hello always rides the legacy json wire (it is what
-            # tells the peer which codec the rest of the stream uses).
-            writer.write(
-                encode_frame(
-                    encode_message(Hello(src=self.proc_id, wire=self.wire_name))
-                )
-            )
             assert peer.sender is not None
             peer.sender.attach(self._frame_sink(writer))
+            peer.sender.send_now(Hello(src=self.proc_id))
             peer.writer = writer
             self.counters["connects"] += 1
             if self._m_connected is not None:
@@ -552,15 +521,9 @@ class LiveNetwork:
             ),
             "blocked": sorted(self.blocked),
             "wire": {
-                "codec": self.wire_name,
                 "flush_after": self.flush_after,
-                "tx": {
-                    codec: s.to_dict()
-                    for codec, s in sorted(self.tx_stats.items())
-                },
-                "rx": {
-                    codec: s.to_dict()
-                    for codec, s in sorted(self.rx_stats.items())
-                },
+                # Keyed by codec: readers iterate the values.
+                "tx": {BinaryWire.name: self.tx_stats.to_dict()},
+                "rx": {BinaryWire.name: self.rx_stats.to_dict()},
             },
         }

@@ -1,19 +1,12 @@
-"""Compact binary wire codec and frame/payload batching (E25).
+"""The live wire: binary frames, the compact codec, and batching (E25).
 
-:mod:`repro.rt.framing` defines the live runtime's *legacy* wire: a
-4-byte length prefix around a tagged-JSON payload.  That format is kept
-fully supported — it is the fallback codec and the offline trace
-vocabulary — but it pays for self-description on every frame.  This
-module adds the hot-path alternative:
-
-**Framed header.**  Binary-era frames open with a struct-packed header
-``(magic, version, codec id, flags, length)`` instead of a bare length.
-The magic byte (0xA5) can never open a legacy frame (a legacy length
-prefix below 16 MiB starts with 0x00), so :class:`WireDecoder` tells
-the two formats apart per frame and a stream may mix them — which is
-exactly how the handshake works: every connection opens with a legacy
-:class:`~repro.rt.transport.Hello` naming the sender's codec, and the
-frames after it speak whatever the header says.
+**Frames.**  Every frame opens with a struct-packed header ``(magic,
+version, codec id, flags, length)``.  :class:`WireDecoder` refuses a
+frame whose first byte is not the magic, a version other than
+:data:`WIRE_VERSION` and a codec id other than :data:`CODEC_BINARY` —
+the version byte is all the negotiation the wire has.  Every
+connection opens with a :class:`~repro.rt.transport.Hello` naming the
+sender, sent through the stream's own :class:`WireWriter`.
 
 **Compact value encoding.**  :class:`BinaryEncoder` writes the codec's
 value shapes (scalars, tuples/lists/frozensets/dicts, ``View``,
@@ -37,9 +30,10 @@ or control-plane sends costs one header and one socket write instead
 of one each.
 
 Determinism: encoding any value is a pure function of the value and
-the encoder's table state; sets sort by the canonical JSON encoding of
-their elements (the same order the legacy codec uses), so both codecs
-serialise one value identically on every process and hash seed.
+the encoder's table state; sets sort by the canonical tagged-JSON
+encoding of their elements (:func:`~repro.rt.framing.encode_value`,
+the event-log grammar), so one value serialises identically on every
+process and hash seed.
 """
 
 from __future__ import annotations
@@ -54,24 +48,16 @@ from repro.core.types import BOTTOM, Bottom, View
 from repro.rt.framing import (
     MAX_FRAME,
     FrameError,
-    decode_message,
-    encode_frame,
-    encode_message,
     encode_value,
     lookup_wire_type,
     wire_type_spec,
 )
 
-#: First header byte of a binary-era frame.  A legacy frame's first
-#: byte is the top byte of a 32-bit length, i.e. 0x00 for any frame
-#: under 16 MiB — far above every supported ceiling — so one byte of
-#: lookahead separates the two formats.
+#: First header byte of every frame.
 WIRE_MAGIC = 0xA5
-#: Wire protocol version carried in every binary-era header.
+#: Wire protocol version carried in every header.
 WIRE_VERSION = 1
-
-#: Codec identifiers carried in the frame header.
-CODEC_JSON = 0
+#: The codec id every header carries (0 was the retired JSON codec's).
 CODEC_BINARY = 1
 
 #: Header flag: the payload is a batch (varint count, then that many
@@ -80,7 +66,6 @@ FLAG_BATCH = 0x01
 
 #: magic, version, codec id, flags, payload length.
 _WIRE_HEADER = struct.Struct(">BBBBI")
-_LEGACY_HEADER = struct.Struct(">I")
 _DOUBLE = struct.Struct(">d")
 
 #: Interned strings longer than this ride inline (interning a huge
@@ -91,48 +76,41 @@ _MAX_INTERN_LEN = 255
 #: name a cluster produces many times over.
 _MAX_INTERN_TABLE = 4096
 
-#: Wire format names accepted by the node/cluster CLIs.
-WIRE_NAMES = ("json", "binary")
-
 
 class WireFrame:
-    """One decoded frame: which codec, which flags, which bytes."""
+    """One decoded frame: its header flags and payload bytes."""
 
-    __slots__ = ("codec", "flags", "payload")
+    __slots__ = ("flags", "payload")
 
-    def __init__(self, codec: int, flags: int, payload: bytes) -> None:
-        self.codec = codec
+    def __init__(self, flags: int, payload: bytes) -> None:
         self.flags = flags
         self.payload = payload
 
 
 def encode_wire_frame(
-    payload: bytes,
-    codec: int,
-    flags: int = 0,
-    max_frame: int = MAX_FRAME,
+    payload: bytes, flags: int = 0, max_frame: int = MAX_FRAME
 ) -> bytes:
-    """Wrap ``payload`` in a binary-era header; reject oversized."""
+    """Wrap ``payload`` in a frame header; reject oversized."""
     if len(payload) > max_frame:
         raise FrameError(
             f"frame payload of {len(payload)} bytes exceeds the "
             f"{max_frame}-byte ceiling"
         )
     return (
-        _WIRE_HEADER.pack(WIRE_MAGIC, WIRE_VERSION, codec, flags, len(payload))
+        _WIRE_HEADER.pack(WIRE_MAGIC, WIRE_VERSION, CODEC_BINARY, flags, len(payload))
         + payload
     )
 
 
 class WireDecoder:
-    """Incremental reassembly of a mixed legacy/binary frame stream.
+    """Incremental reassembly of a frame stream.
 
     Feed it whatever the socket produced — half a header, three frames
     and a tail, one byte at a time — and it yields complete frames in
-    order; one byte of lookahead picks the header format, and legacy
-    frames come back as ``WireFrame(CODEC_JSON, 0, payload)``.  A
-    declared length above ``max_frame`` raises :class:`FrameError`
-    *before* any of the oversized payload is buffered.
+    order.  A first byte that is not :data:`WIRE_MAGIC` (a legacy
+    length prefix starts ``0x00``), another version or another codec
+    id raises :class:`FrameError`, and so does a declared length above
+    ``max_frame``, *before* any of the oversized payload is buffered.
 
     Consuming a frame advances an offset cursor instead of deleting the
     buffer's prefix (a memmove of everything behind it — quadratic when
@@ -144,24 +122,19 @@ class WireDecoder:
         self.max_frame = max_frame
         self._buffer = bytearray()
         self._pos = 0
-        #: (codec, flags, remaining length) of the frame being read.
-        self._expect: tuple[int, int, int] | None = None
+        #: (flags, remaining length) of the frame being read.
+        self._expect: tuple[int, int] | None = None
         self.frames_decoded = 0
         self.bytes_fed = 0
 
-    def _parse_header(self, buffer: bytearray, pos: int) -> tuple[int, tuple[int, int, int]] | None:
-        """Parse one header at ``pos``; None when more bytes are needed.
-        Returns (bytes consumed, (codec, flags, length))."""
+    def _parse_header(self, buffer: bytearray, pos: int) -> tuple[int, int] | None:
+        """The (flags, length) of the header at ``pos``; None when more
+        bytes are needed."""
         if buffer[pos] != WIRE_MAGIC:
-            if len(buffer) - pos < _LEGACY_HEADER.size:
-                return None
-            (length,) = _LEGACY_HEADER.unpack_from(buffer, pos)
-            if length > self.max_frame:
-                raise FrameError(
-                    f"incoming frame declares {length} bytes, above the "
-                    f"{self.max_frame}-byte ceiling"
-                )
-            return _LEGACY_HEADER.size, (CODEC_JSON, 0, length)
+            raise FrameError(
+                f"frame starts with 0x{buffer[pos]:02x}, not the wire magic "
+                f"0x{WIRE_MAGIC:02x}"
+            )
         if len(buffer) - pos < _WIRE_HEADER.size:
             return None
         _magic, version, codec, flags, length = _WIRE_HEADER.unpack_from(
@@ -169,12 +142,14 @@ class WireDecoder:
         )
         if version != WIRE_VERSION:
             raise FrameError(f"unsupported wire version {version}")
+        if codec != CODEC_BINARY:
+            raise FrameError(f"unknown codec id {codec}")
         if length > self.max_frame:
             raise FrameError(
                 f"incoming frame declares {length} bytes, above the "
                 f"{self.max_frame}-byte ceiling"
             )
-        return _WIRE_HEADER.size, (codec, flags, length)
+        return flags, length
 
     def feed(self, data: bytes) -> list[WireFrame]:
         """Absorb ``data``; return every frame completed by it."""
@@ -188,17 +163,14 @@ class WireDecoder:
                 if self._expect is None:
                     if len(buffer) - pos < 1:
                         break
-                    parsed = self._parse_header(buffer, pos)
-                    if parsed is None:
+                    self._expect = self._parse_header(buffer, pos)
+                    if self._expect is None:
                         break
-                    consumed, self._expect = parsed
-                    pos += consumed
-                codec, flags, length = self._expect
+                    pos += _WIRE_HEADER.size
+                flags, length = self._expect
                 if len(buffer) - pos < length:
                     break
-                out.append(
-                    WireFrame(codec, flags, bytes(buffer[pos : pos + length]))
-                )
+                out.append(WireFrame(flags, bytes(buffer[pos : pos + length])))
                 pos += length
                 self._expect = None
                 self.frames_decoded += 1
@@ -285,9 +257,9 @@ _T_MESSAGE = 0x0E  # type name (str value) + varint arity + fields
 
 
 def _canonical_set_order(values: Any) -> list[Any]:
-    """Set elements in the legacy codec's order (sorted by the repr of
-    their canonical JSON encoding) — hash-seed independent, and it
-    keeps both codecs byte-deterministic for the same value."""
+    """Set elements sorted by the repr of their event-log encoding:
+    hash-seed independent, and the order the pinned wire corpus was
+    written in."""
     return sorted(values, key=lambda v: repr(encode_value(v)))
 
 
@@ -455,7 +427,9 @@ class BinaryDecoder:
     def decode(self, payload: bytes) -> Any:
         try:
             value, pos = self._dec(payload, 0, len(payload))
-        except (IndexError, struct.error, UnicodeDecodeError) as exc:
+        except (IndexError, struct.error, UnicodeDecodeError, TypeError, RecursionError) as exc:
+            # TypeError: an unhashable key or set member; RecursionError:
+            # nesting deeper than the interpreter's stack.
             raise FrameError(f"undecodable binary payload: {exc}") from exc
         if pos != len(payload):
             raise FrameError(
@@ -508,7 +482,7 @@ class BinaryDecoder:
             field_values, pos = self._dec_items(data, pos, end)
             try:
                 return cls(*field_values), pos
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:
                 raise FrameError(
                     f"wire type {name!r} rejected {len(field_values)} fields: {exc}"
                 ) from exc
@@ -552,43 +526,15 @@ class BinaryDecoder:
 
 
 # ----------------------------------------------------------------------
-# Codec objects (one per connection direction)
+# The codec object (one per connection direction)
 # ----------------------------------------------------------------------
-class Wire:
-    """One connection direction's codec: payload bytes <-> messages."""
+class BinaryWire:
+    """The codec of one connection direction: payload bytes <->
+    messages.  It holds both interning tables so one instance can serve
+    a connection's encode or decode side."""
 
-    name: str
-    codec_id: int
-
-    def encode(self, message: Any, max_frame: int = MAX_FRAME) -> bytes:
-        raise NotImplementedError
-
-    def decode(self, payload: bytes) -> Any:
-        raise NotImplementedError
-
-    def reset(self) -> None:
-        """Drop per-connection state (called on (re)connect)."""
-
-
-class JsonWire(Wire):
-    """The legacy tagged-JSON codec behind the common interface."""
-
-    name = "json"
-    codec_id = CODEC_JSON
-
-    def encode(self, message: Any, max_frame: int = MAX_FRAME) -> bytes:
-        return encode_message(message, max_frame)
-
-    def decode(self, payload: bytes) -> Any:
-        return decode_message(payload)
-
-
-class BinaryWire(Wire):
-    """The compact binary codec; holds both interning tables so one
-    instance can serve a connection's encode or decode side."""
-
+    #: The wire's name: the key of the per-codec stats and metrics.
     name = "binary"
-    codec_id = CODEC_BINARY
 
     def __init__(self) -> None:
         self._encoder = BinaryEncoder()
@@ -601,26 +547,16 @@ class BinaryWire(Wire):
         return self._decoder.decode(payload)
 
     def reset(self) -> None:
+        """Drop per-connection state (called on (re)connect)."""
         self._encoder.reset()
         self._decoder.reset()
 
 
-def make_wire(name: str) -> Wire:
-    """A fresh codec instance for a CLI wire name."""
-    if name == "json":
-        return JsonWire()
-    if name == "binary":
-        return BinaryWire()
-    raise ValueError(f"unknown wire format {name!r} (want one of {WIRE_NAMES})")
-
-
-def wire_for_codec(codec: int) -> Wire:
-    """A fresh codec instance for a frame-header codec id."""
-    if codec == CODEC_JSON:
-        return JsonWire()
-    if codec == CODEC_BINARY:
-        return BinaryWire()
-    raise FrameError(f"unknown codec id {codec}")
+def check_wire(name: str) -> None:
+    """Refuse any wire name but the one wire's (``wire=`` arguments
+    outlived the second codec)."""
+    if name != BinaryWire.name:
+        raise ValueError(f"unknown wire format {name!r} (the wire is 'binary')")
 
 
 # ----------------------------------------------------------------------
@@ -636,14 +572,6 @@ class WriterStats:
     flushes: int = 0
     bytes_on_wire: int = 0
     encode_seconds: float = 0.0
-
-    def merge(self, other: WriterStats) -> None:
-        self.frames += other.frames
-        self.entries += other.entries
-        self.batches += other.batches
-        self.flushes += other.flushes
-        self.bytes_on_wire += other.bytes_on_wire
-        self.encode_seconds += other.encode_seconds
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -668,14 +596,11 @@ class WireWriter:
     frame when it reaches ``flush_max_bytes``, when the ``flush_after``
     timer (armed at the first queued payload) fires, or explicitly via
     :meth:`send_now`/:meth:`flush`.  ``flush_after=None`` disables
-    batching: every payload is written as its own frame, and a json
-    codec degenerates to the byte-identical legacy (length-prefixed)
-    wire — the E22 fallback.
+    batching: every payload is written as its own frame.
     """
 
     def __init__(
         self,
-        wire: Wire,
         max_frame: int = MAX_FRAME,
         flush_after: float | None = None,
         flush_max_bytes: int = 1 << 16,
@@ -684,7 +609,7 @@ class WireWriter:
     ) -> None:
         if flush_max_bytes > max_frame // 2:
             flush_max_bytes = max_frame // 2
-        self.wire = wire
+        self.wire = BinaryWire()
         self.max_frame = max_frame
         self.flush_after = flush_after
         self.flush_max_bytes = flush_max_bytes
@@ -693,8 +618,8 @@ class WireWriter:
         self._pending: list[bytes] = []
         self._pending_bytes = 0
         self._timer: Any = None
-        #: May be shared between writers (one aggregate per codec at the
-        #: transport level); all access is on the event-loop thread.
+        #: May be shared between writers (one aggregate at the transport
+        #: level); all access is on the event-loop thread.
         self.stats = stats if stats is not None else WriterStats()
 
     # ------------------------------------------------------------------
@@ -731,8 +656,8 @@ class WireWriter:
     # ------------------------------------------------------------------
     def send(self, message: Any) -> bool:
         """Encode and queue (or write) one message; False when no
-        stream is attached (the message is dropped, as a disconnected
-        legacy send would be)."""
+        stream is attached (the message is dropped, as on a lost
+        connection)."""
         if self._write is None:
             return False
         start = time.perf_counter()
@@ -779,19 +704,11 @@ class WireWriter:
     def _emit(self, payloads: list[bytes]) -> None:
         write = self._write
         assert write is not None
-        if len(payloads) == 1 and self.wire.codec_id == CODEC_JSON:
-            # Single json payload: the byte-identical legacy frame.
-            frame = encode_frame(payloads[0], self.max_frame)
-        elif len(payloads) == 1:
-            frame = encode_wire_frame(
-                payloads[0], self.wire.codec_id, 0, self.max_frame
-            )
+        if len(payloads) == 1:
+            frame = encode_wire_frame(payloads[0], 0, self.max_frame)
         else:
             frame = encode_wire_frame(
-                pack_batch(payloads),
-                self.wire.codec_id,
-                FLAG_BATCH,
-                self.max_frame,
+                pack_batch(payloads), FLAG_BATCH, self.max_frame
             )
             self.stats.batches += 1
         write(frame)
@@ -813,13 +730,6 @@ class ReaderStats:
     bytes_on_wire: int = 0
     decode_seconds: float = 0.0
 
-    def merge(self, other: ReaderStats) -> None:
-        self.frames += other.frames
-        self.entries += other.entries
-        self.batches += other.batches
-        self.bytes_on_wire += other.bytes_on_wire
-        self.decode_seconds += other.decode_seconds
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "frames": self.frames,
@@ -834,27 +744,17 @@ class ReaderStats:
 
 
 class WireReader:
-    """Incremental frame reassembly + per-codec payload decoding for
-    one inbound stream.  Codec state (the binary interning table) lives
-    for the stream's lifetime, exactly mirroring the sender.  Stats are
-    kept per codec name and may be shared across connections (the
-    transport hands every reader one aggregate dict)."""
+    """Incremental frame reassembly + payload decoding for one inbound
+    stream.  Codec state (the interning table) lives for the stream's
+    lifetime, exactly mirroring the sender.  Stats may be shared across
+    connections (the transport hands every reader one aggregate)."""
 
     def __init__(
-        self,
-        max_frame: int = MAX_FRAME,
-        stats: dict[str, ReaderStats] | None = None,
+        self, max_frame: int = MAX_FRAME, stats: ReaderStats | None = None
     ) -> None:
         self._decoder = WireDecoder(max_frame)
-        self._wires: dict[int, Wire] = {}
-        self.stats: dict[str, ReaderStats] = stats if stats is not None else {}
-
-    def _wire(self, codec: int) -> Wire:
-        wire = self._wires.get(codec)
-        if wire is None:
-            wire = wire_for_codec(codec)
-            self._wires[codec] = wire
-        return wire
+        self._wire = BinaryWire()
+        self.stats = stats if stats is not None else ReaderStats()
 
     def feed(self, data: bytes) -> list[Any]:
         """Absorb stream bytes; return every decoded message.
@@ -864,11 +764,8 @@ class WireReader:
         safely resumed, so the caller must drop the connection.
         """
         messages: list[Any] = []
+        wire, stats = self._wire, self.stats
         for frame in self._decoder.feed(data):
-            wire = self._wire(frame.codec)
-            stats = self.stats.get(wire.name)
-            if stats is None:
-                stats = self.stats[wire.name] = ReaderStats()
             stats.frames += 1
             stats.bytes_on_wire += len(frame.payload)
             if frame.flags & FLAG_BATCH:

@@ -146,7 +146,8 @@ def decode_value(value: Any) -> Any:
 
 
 def decode_message(payload: bytes) -> Any:
-    """``repro.rt.framing.decode_message`` over :func:`decode_value`."""
+    """One tagged-JSON value read in two passes: ``json.loads``, then
+    :func:`decode_value`."""
     try:
         doc = json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

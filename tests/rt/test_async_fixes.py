@@ -5,7 +5,8 @@ Each test pins the *behavioral* contract the fix restored, not the
 lint finding: cancellation propagates out of reader loops (ASYNC004),
 concurrent metrics-stream stops are idempotent (ASYNC001), spawned
 node log descriptors do not leak (ASYNC005), and process reaping no
-longer stalls the event loop (ASYNC003).
+longer stalls the event loop (ASYNC003).  A connection handler also
+drops a stream that sends bytes the wire refuses, and counts it.
 """
 
 from __future__ import annotations
@@ -13,10 +14,14 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
+import struct
+
+import pytest
 
 from repro.rt.clock import LiveScheduler
 from repro.rt.cluster import LiveCluster, NodeClient, free_port
-from repro.rt.transport import LiveNetwork
+from repro.rt.transport import Hello, LiveNetwork
+from repro.rt.wire import CODEC_BINARY, WIRE_MAGIC, WireWriter, encode_wire_frame
 
 
 class HangingReader:
@@ -30,8 +35,21 @@ class HangingReader:
 class NullWriter:
     """Just enough asyncio.StreamWriter surface for _serve's finally."""
 
+    def __init__(self) -> None:
+        self.closed = False
+
     def close(self) -> None:
-        pass
+        self.closed = True
+
+
+class ScriptedReader:
+    """A stream reader that returns the given chunks, then EOF."""
+
+    def __init__(self, *chunks: bytes) -> None:
+        self._chunks = list(chunks)
+
+    async def read(self, n: int) -> bytes:
+        return self._chunks.pop(0) if self._chunks else b""
 
 
 def run(coro):
@@ -139,7 +157,7 @@ class TestSpawnAndReap:
         heartbeat task keeps ticking while the reap runs."""
 
         async def scenario():
-            cluster = LiveCluster(2, tmp_path, wire="json")
+            cluster = LiveCluster(2, tmp_path)
             await cluster.spawn()
             try:
                 held = []
@@ -178,5 +196,43 @@ class TestSpawnAndReap:
                     if proc.returncode is None:
                         proc.send_signal(signal.SIGKILL)
                         proc.wait()
+
+        run(scenario())
+
+
+def _header(version: int, codec: int) -> bytes:
+    return struct.pack(">BBBBI", WIRE_MAGIC, version, codec, 0, 1) + b"\x00"
+
+
+#: One frame each that the wire refuses after a good Hello.
+BAD_FRAMES = {
+    "legacy": struct.pack(">I", 9) + b'["hello"]',
+    "codec-0": _header(1, 0),
+    "version-99": _header(99, CODEC_BINARY),
+    "unhashable-dict-key": encode_wire_frame(bytes.fromhex("0C 01 09 00 00")),
+    "nested-5000": encode_wire_frame(bytes.fromhex("09 01") * 5000 + b"\x00"),
+}
+
+
+class TestServeRefusesHostileBytes:
+    @pytest.mark.parametrize("name", sorted(BAD_FRAMES))
+    def test_a_bad_frame_after_hello_drops_the_stream(self, name):
+        """The handler ends on the refusal with ``frame_errors`` counted,
+        instead of dying of an untyped exception."""
+
+        async def scenario():
+            net = LiveNetwork(
+                "p1",
+                {"p1": ("127.0.0.1", free_port()), "p2": ("127.0.0.1", free_port())},
+                LiveScheduler(asyncio.get_running_loop()),
+            )
+            frames: list[bytes] = []
+            hello = WireWriter()
+            hello.attach(frames.append)
+            hello.send_now(Hello(src="p2"))
+            writer = NullWriter()
+            await net._serve(ScriptedReader(frames[0], BAD_FRAMES[name], frames[0]), writer)
+            assert net.counters["frame_errors"] == 1
+            assert writer.closed and "p2" not in net._inbound
 
         run(scenario())

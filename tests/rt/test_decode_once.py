@@ -1,7 +1,12 @@
 """The one-pass tagged-JSON decoder held to the two-pass one it
 replaced (``tests/reference.py``): the same values and refusals for
-frames, the same event lists, types and errors for captures, and only
-labels shared."""
+one value of the log grammar, the same event lists, types and errors
+for captures, and only labels shared.
+
+One deliberate difference: a tagged record with a missing part or a
+part of the wrong shape (``MALFORMED``) is a :class:`FrameError` here,
+while the reference still raises the ``KeyError`` or ``TypeError`` of
+the Python call that failed."""
 
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.types import Label
 from repro.membership.messages import Token
-from repro.rt.framing import FrameError, decode_message, encode_message
+from repro.rt.framing import FrameError, TaggedDecoder, encode_value
 from repro.rt.trace import VS_EVENTS, TO_EVENTS, EventLog, EventLogError, load_event_logs
 from repro.rt.transport import Ctl
 from tests import reference
@@ -32,8 +37,26 @@ def outcome(decode: Any, *args: Any) -> tuple[str, Any]:
         return type(exc).__name__, str(exc)
 
 
+def encode_message(value: Any) -> bytes:
+    """One value of the log grammar, as bytes."""
+    return json.dumps(encode_value(value), separators=(",", ":")).encode()
+
+
+def decode_message(payload: bytes) -> Any:
+    """The one-pass decoder reading one value, refusing as the
+    reference does: text that is not JSON, and an untagged object no
+    record took."""
+    try:
+        value, untagged = TaggedDecoder().decode(payload.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FrameError(f"undecodable frame payload: {exc}") from exc
+    if untagged is not None:
+        raise FrameError("unknown codec tag None")
+    return value
+
+
 # ----------------------------------------------------------------------
-# Frames
+# Values
 # ----------------------------------------------------------------------
 class TestMessages:
     @pytest.mark.parametrize("name", sorted(SAMPLES))
@@ -273,3 +296,36 @@ class TestInterning:
         events = load_event_logs([path])
         assert repr(events) == repr(reference.load_event_logs([path]))
         assert [repr(e["args"][0][0]) for e in events] == [repr(label), repr(twin)] * 2
+
+
+#: Valid JSON the grammar refuses as malformed, where the reference
+#: raises the error of the call that failed.
+MALFORMED = [
+    ({"!": "t"}, KeyError),
+    ({"!": "fs", "v": [[1]]}, TypeError),
+    ({"!": "d", "v": [1]}, TypeError),
+    ({"!": "m", "m": "Label", "f": {"x": 1}}, TypeError),
+]
+MALFORMED_IDS = [json.dumps(doc) for doc, _ in MALFORMED]
+
+
+class TestMalformedRecords:
+    """The deliberate difference from the reference: a typed refusal."""
+
+    @pytest.mark.parametrize("doc, untyped", MALFORMED, ids=MALFORMED_IDS)
+    def test_the_decoder_refuses_typed(self, doc, untyped):
+        with pytest.raises(FrameError):
+            TaggedDecoder().decode(json.dumps(doc))
+        with pytest.raises(untyped):
+            reference.decode_message(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("doc, untyped", MALFORMED, ids=MALFORMED_IDS)
+    def test_the_loader_refuses_typed(self, tmp_path, doc, untyped):
+        # An interior line: valid JSON, so not a torn tail.
+        path = tmp_path / "p1.events.jsonl"
+        bad = {"ts": 1.5, "seq": 2, "node": "p1", "ev": "gpsnd", "args": [doc, "p1"]}
+        path.write_text("\n".join([GOOD, json.dumps(bad), GOOD]) + "\n", encoding="utf-8")
+        with pytest.raises(FrameError):
+            load_event_logs([path])
+        with pytest.raises(untyped):
+            reference.load_event_logs([path])

@@ -1,29 +1,19 @@
-"""Wire-format tests: codec round-trips, frame reassembly, ceilings."""
+"""Format tests: the event-log grammar's round-trips, and binary frame
+reassembly and ceilings."""
 
 from __future__ import annotations
 
 import json
-import struct
 
 import pytest
 
 from repro.core.types import BOTTOM, Label, View
 from repro.core.vstoto.summary import Summary
 from repro.membership.messages import Accept, Join, NewGroup, Probe, Sequenced, Token
-from repro.rt.framing import (
-    MAX_FRAME,
-    FrameError,
-    decode_message,
-    encode_frame,
-    encode_message,
-    encode_value,
-)
+from repro.rt.framing import MAX_FRAME, FrameError, TaggedDecoder, encode_value
 from repro.rt.transport import Ctl, Hello
-from repro.rt.wire import WireDecoder
-
-
-def roundtrip(value):
-    return decode_message(encode_message(value))
+from repro.rt.wire import BinaryWire, WireDecoder, encode_wire_frame
+from tests.rt.test_wire import log_roundtrip as roundtrip
 
 
 class TestCodecRoundtrip:
@@ -108,20 +98,19 @@ class TestCodecRoundtrip:
 
     def test_unencodable_value_raises(self):
         with pytest.raises(FrameError, match="cannot encode"):
-            encode_message(object())
+            encode_value(object())
 
     def test_undecodable_payload_raises(self):
-        with pytest.raises(FrameError, match="undecodable"):
-            decode_message(b"\xff\xfe not json")
         with pytest.raises(FrameError, match="unknown wire type"):
-            decode_message(json.dumps({"!": "m", "m": "Nope", "f": {}}).encode())
+            TaggedDecoder().decode(json.dumps({"!": "m", "m": "Nope", "f": {}}))
         with pytest.raises(FrameError, match="unknown codec tag"):
-            decode_message(json.dumps({"!": "??"}).encode())
+            TaggedDecoder().decode(json.dumps({"!": "??"}))
+        with pytest.raises(FrameError, match="malformed 'view' record"):
+            TaggedDecoder().decode(json.dumps({"!": "view", "id": 1}))
 
     def test_encoding_is_deterministic(self):
         value = frozenset({("b", 2), ("a", 1), ("c", 3)})
-        assert encode_message(value) == encode_message(value)
-        assert encode_value(value) == encode_value(value)
+        assert json.dumps(encode_value(value)) == json.dumps(encode_value(value))
         assert roundtrip(value) == value
 
 
@@ -130,12 +119,12 @@ def bodies(frames):
 
 
 class TestFrameDecoder:
-    """Length-prefixed JSON-era frames through the one stream decoder,
-    :class:`~repro.rt.wire.WireDecoder` (the binary-era header cases
-    live in ``test_wire.py``)."""
+    """Binary frames through the stream decoder,
+    :class:`~repro.rt.wire.WireDecoder` (the refused headers are in
+    ``test_wire.py``)."""
 
     def test_single_frame(self):
-        frame = encode_frame(b"hello")
+        frame = encode_wire_frame(b"hello")
         decoder = WireDecoder()
         assert bodies(decoder.feed(frame)) == [b"hello"]
         assert decoder.frames_decoded == 1
@@ -143,7 +132,7 @@ class TestFrameDecoder:
 
     def test_partial_reads_byte_at_a_time(self):
         payloads = [b"one", b"twotwo", b"", b"x" * 300]
-        stream = b"".join(encode_frame(p) for p in payloads)
+        stream = b"".join(encode_wire_frame(p) for p in payloads)
         decoder = WireDecoder()
         seen: list[bytes] = []
         for i in range(len(stream)):
@@ -153,25 +142,25 @@ class TestFrameDecoder:
         assert decoder.pending_bytes == 0
 
     def test_multiple_frames_in_one_read(self):
-        stream = encode_frame(b"a") + encode_frame(b"bb") + encode_frame(b"ccc")
+        stream = b"".join(encode_wire_frame(p) for p in (b"a", b"bb", b"ccc"))
         assert bodies(WireDecoder().feed(stream)) == [b"a", b"bb", b"ccc"]
 
     def test_split_across_header_boundary(self):
-        frame = encode_frame(b"payload")
+        frame = encode_wire_frame(b"payload")
         decoder = WireDecoder()
-        assert decoder.feed(frame[:2]) == []  # half a header
-        assert decoder.feed(frame[2:5]) == []  # header + 1 byte
-        assert bodies(decoder.feed(frame[5:])) == [b"payload"]
+        assert decoder.feed(frame[:4]) == []  # half a header
+        assert decoder.feed(frame[4:9]) == []  # header + 1 byte
+        assert bodies(decoder.feed(frame[9:])) == [b"payload"]
 
     def test_oversized_outgoing_frame_rejected(self):
         with pytest.raises(FrameError, match="exceeds"):
-            encode_frame(b"x" * 101, max_frame=100)
+            encode_wire_frame(b"x" * 101, max_frame=100)
         with pytest.raises(FrameError, match="exceeds"):
-            encode_message("y" * (MAX_FRAME + 1))
+            BinaryWire().encode("y" * (MAX_FRAME + 1))
 
     def test_oversized_incoming_frame_rejected_before_buffering(self):
         decoder = WireDecoder(max_frame=64)
-        header = struct.pack(">I", 65)
+        header = encode_wire_frame(b"x" * 65, max_frame=65)[:8]
         with pytest.raises(FrameError, match="declares 65 bytes"):
             decoder.feed(header + b"x" * 10)
         # The poison payload was never buffered.
@@ -180,6 +169,6 @@ class TestFrameDecoder:
     def test_frame_at_exact_ceiling_accepted(self):
         decoder = WireDecoder(max_frame=64)
         payload = b"z" * 64
-        assert bodies(decoder.feed(encode_frame(payload, max_frame=64))) == [
+        assert bodies(decoder.feed(encode_wire_frame(payload, max_frame=64))) == [
             payload
         ]

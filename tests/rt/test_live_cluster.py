@@ -286,16 +286,12 @@ class TestLiveClusterSmoke:
 @pytest.mark.soak
 class TestLivePartitionSoak:
     """Nightly: the conformance gates the retired E22/E24/E25 scripts
-    ran at sizes and codecs tier-1 does not.  n=3 is here for E24's
-    fault-window gate; its verdict under a partition is also checked
-    on every push by ``test_wire_equivalence.py``."""
+    ran at sizes tier-1 does not.  n=3 is here for E24's fault-window
+    gate; its verdict under a partition is also checked on every push
+    by ``test_wire_equivalence.py``."""
 
-    @pytest.mark.parametrize(
-        "nodes,wire", [(3, "json"), (5, "json"), (5, "binary"), (7, "json")]
-    )
-    def test_partition_heal_verifies_complete_and_stitches(
-        self, tmp_path, nodes, wire
-    ):
+    @pytest.mark.parametrize("nodes", [3, 5, 7])
+    def test_partition_heal_verifies_complete_and_stitches(self, tmp_path, nodes):
         report = asyncio.run(
             run_cluster(
                 nodes=nodes,
@@ -305,7 +301,6 @@ class TestLivePartitionSoak:
                 delta=0.05,
                 send_interval=0.01,
                 metrics_interval=0.1,
-                wire=wire,
             )
         )
         assert report["ok"], report["violations"] or report["to_reason"]

@@ -1,8 +1,10 @@
 """Binary wire codec tests: registry sweep, interning, batching,
-frame sniffing, ceilings, and stream-decoder linearity (E25)."""
+frame refusals, ceilings, and stream-decoder linearity (E25)."""
 
 from __future__ import annotations
 
+import json
+import struct
 import time
 
 import pytest
@@ -19,23 +21,22 @@ from repro.membership.messages import (
 )
 from repro.rt.framing import (
     FrameError,
-    encode_frame,
-    encode_message,
+    TaggedDecoder,
+    encode_value,
     registered_wire_types,
 )
 from repro.rt.transport import Ctl, Hello
 from repro.shard.live import ShardEnvelope
 from repro.rt.wire import (
-    CODEC_BINARY,
-    CODEC_JSON,
     FLAG_BATCH,
+    WIRE_MAGIC,
+    WIRE_VERSION,
     BinaryDecoder,
     BinaryEncoder,
     WireDecoder,
     WireReader,
     WireWriter,
     encode_wire_frame,
-    make_wire,
     pack_batch,
     unpack_batch,
 )
@@ -114,17 +115,24 @@ def binary_roundtrip(value: object) -> object:
     return BinaryDecoder().decode(BinaryEncoder().encode(value))
 
 
+def log_roundtrip(value: object) -> object:
+    """Through the event log's tagged-JSON grammar, as a line's argument."""
+    decoded, untagged = TaggedDecoder().decode(json.dumps(encode_value(value)))
+    assert untagged is None
+    return decoded
+
+
 class TestRegistrySweep:
-    """Every registered wire type through BOTH codecs."""
+    """Every registered wire type through both codecs: the binary wire
+    and the tagged-JSON grammar of the event logs."""
 
     def test_samples_cover_registry_exactly(self):
         assert set(SAMPLES) == set(registered_wire_types())
 
     @pytest.mark.parametrize("name", sorted(SAMPLES))
     def test_json_roundtrip(self, name):
-        wire = make_wire("json")
         sample = SAMPLES[name]
-        assert wire.decode(wire.encode(sample)) == sample
+        assert log_roundtrip(sample) == sample
 
     @pytest.mark.parametrize("name", sorted(SAMPLES))
     def test_binary_roundtrip(self, name):
@@ -141,8 +149,7 @@ class TestRegistrySweep:
 
     @pytest.mark.parametrize("value", EDGE_VALUES, ids=edge_id)
     def test_edge_values_both_codecs(self, value):
-        wire = make_wire("json")
-        assert wire.decode(wire.encode(value)) == value
+        assert log_roundtrip(value) == value
         back = binary_roundtrip(value)
         assert back == value
         if value == value:  # noqa: PLR0124 - guards NaN-style surprises
@@ -150,6 +157,34 @@ class TestRegistrySweep:
 
     def test_bottom_is_the_singleton(self):
         assert binary_roundtrip(BOTTOM) is BOTTOM
+
+
+#: Hostile payloads each a typed refusal, not a TypeError or a
+#: RecursionError: an unhashable dict key, a list as a frozenset member,
+#: a list as a view member, and a list nested 5,000 deep.
+HOSTILE_PAYLOADS = {
+    "unhashable-dict-key": bytes.fromhex("0C 01 09 00 00"),
+    "list-in-frozenset": bytes.fromhex("0B 01 09 00"),
+    "list-in-view": bytes.fromhex("0D 00 01 09 00"),
+    "nested-5000": bytes.fromhex("09 01") * 5000 + b"\x00",
+}
+
+
+class TestHostilePayloads:
+    @pytest.mark.parametrize("name", sorted(HOSTILE_PAYLOADS))
+    def test_decoder_and_reader_refuse_typed(self, name):
+        with pytest.raises(FrameError, match="undecodable binary payload"):
+            BinaryDecoder().decode(HOSTILE_PAYLOADS[name])
+        with pytest.raises(FrameError, match="undecodable binary payload"):
+            WireReader().feed(encode_wire_frame(HOSTILE_PAYLOADS[name]))
+
+    def test_a_field_value_the_type_refuses_is_typed(self):
+        # Summary refuses next < 1 with a ValueError.
+        summary = Summary(con=frozenset(), ord=(), next=1, high=BOTTOM)
+        payload = BinaryEncoder().encode(summary)
+        assert payload.endswith(b"\x04\x02\x03")  # next = 1, high = BOTTOM
+        with pytest.raises(FrameError, match="'Summary' rejected 4 fields: next must be >= 1"):
+            BinaryDecoder().decode(payload[:-3] + b"\x04\x00\x03")
 
 
 class TestInterning:
@@ -210,27 +245,32 @@ class TestFramesAndBatches:
         with pytest.raises(FrameError):
             unpack_batch(blob + b"\x00")
 
-    def test_mixed_stream_sniffing_one_byte_at_a_time(self):
-        legacy = encode_frame(encode_message("legacy"))
-        single = encode_wire_frame(b"xyz", CODEC_BINARY)
-        batch = encode_wire_frame(
-            pack_batch([b"a", b"b"]), CODEC_BINARY, FLAG_BATCH
-        )
-        stream = legacy + single + batch + legacy
+    def test_a_legacy_frame_is_refused(self):
+        # Two frames one byte at a time, then the retired format: a
+        # 4-byte length prefix around tagged JSON.  Its first byte is
+        # not the magic, so nothing of it is buffered as a frame.
+        single = encode_wire_frame(b"xyz")
+        batch = encode_wire_frame(pack_batch([b"a", b"b"]), FLAG_BATCH)
+        legacy = b'["legacy"]'
+        legacy = struct.pack(">I", len(legacy)) + legacy
         decoder = WireDecoder()
         frames = []
-        for i in range(len(stream)):
-            frames.extend(decoder.feed(stream[i : i + 1]))
-        assert [f.codec for f in frames] == [
-            CODEC_JSON, CODEC_BINARY, CODEC_BINARY, CODEC_JSON,
-        ]
-        assert frames[1].payload == b"xyz"
-        assert frames[2].flags & FLAG_BATCH
+        for byte in single + batch:
+            frames.extend(decoder.feed(bytes([byte])))
+        assert [f.payload for f in frames] == [b"xyz", pack_batch([b"a", b"b"])]
+        assert frames[1].flags & FLAG_BATCH
         assert decoder.pending_bytes == 0
+        with pytest.raises(FrameError, match="not the wire magic"):
+            decoder.feed(legacy[:1])
+
+    def test_the_retired_json_codec_id_is_refused(self):
+        header = struct.pack(">BBBBI", WIRE_MAGIC, WIRE_VERSION, 0, 0, 1)
+        with pytest.raises(FrameError, match="unknown codec id 0"):
+            WireReader().feed(header + b"\x00")
 
     def test_oversized_binary_frame_rejected_before_buffering(self):
         decoder = WireDecoder(max_frame=64)
-        header = encode_wire_frame(b"x" * 64, CODEC_BINARY)[:8]
+        header = encode_wire_frame(b"x" * 64)[:8]
         oversized = bytearray(header)
         oversized[4:8] = (65).to_bytes(4, "big")
         with pytest.raises(FrameError):
@@ -239,12 +279,12 @@ class TestFramesAndBatches:
 
     def test_oversized_wire_payload_rejected_on_encode(self):
         with pytest.raises(FrameError):
-            encode_wire_frame(b"x" * 65, CODEC_BINARY, max_frame=64)
+            encode_wire_frame(b"x" * 65, max_frame=64)
         with pytest.raises(FrameError):
             BinaryEncoder().encode("y" * 4096, max_frame=64)
 
     def test_unknown_wire_version_rejected(self):
-        frame = bytearray(encode_wire_frame(b"x", CODEC_BINARY))
+        frame = bytearray(encode_wire_frame(b"x"))
         frame[1] = 99  # version byte
         with pytest.raises(FrameError):
             WireDecoder().feed(bytes(frame))
@@ -281,22 +321,14 @@ class _FakeTimer:
 
 
 class TestWireWriterBatching:
-    def pipe(self, flush_after, wire="binary", **kwargs):
+    def pipe(self, flush_after, **kwargs):
         frames: list[bytes] = []
         loop = FakeLoop()
         writer = WireWriter(
-            make_wire(wire),
-            flush_after=flush_after,
-            schedule=loop.schedule,
-            **kwargs,
+            flush_after=flush_after, schedule=loop.schedule, **kwargs
         )
         writer.attach(frames.append)
         return writer, frames, loop
-
-    def test_no_batching_is_legacy_identical_for_json(self):
-        writer, frames, _loop = self.pipe(flush_after=None, wire="json")
-        writer.send({"v": 1})
-        assert frames == [encode_frame(encode_message({"v": 1}))]
 
     def test_timer_flush_coalesces(self):
         writer, frames, loop = self.pipe(flush_after=0.01)
@@ -359,7 +391,7 @@ class TestWireWriterBatching:
         for frame in frames:
             out.extend(reader.feed(frame))
         assert out == [("member-1", "member-2")] * 3
-        stats = reader.stats["binary"].to_dict()
+        stats = reader.stats.to_dict()
         assert stats["frames"] == 3
         assert stats["entries"] == 3
 
@@ -372,7 +404,7 @@ class TestFrameDecoderLinearity:
 
     def test_many_frames_single_feed_is_fast(self):
         frames = 50_000
-        blob = encode_frame(b"x") * frames
+        blob = encode_wire_frame(b"x") * frames
         decoder = WireDecoder()
         start = time.perf_counter()
         out = decoder.feed(blob)
@@ -385,7 +417,7 @@ class TestFrameDecoderLinearity:
 
     def test_one_byte_feeds_stay_incremental(self):
         payloads = [bytes([65 + (i % 26)]) * (i % 7 + 1) for i in range(50)]
-        stream = b"".join(encode_frame(p) for p in payloads)
+        stream = b"".join(encode_wire_frame(p) for p in payloads)
         decoder = WireDecoder()
         out = []
         for i in range(len(stream)):

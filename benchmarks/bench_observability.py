@@ -2,22 +2,22 @@
 
 The unified observability layer (:mod:`repro.obs`) promises:
 
-1. **Zero perturbation** — attaching a full hub (metrics + tracing +
-   profiling) leaves a seeded execution event-for-event identical: same
-   timed trace, same RNG stream positions (asserted on the pinned E18
-   chaos configuration, against cross-process golden digests).
+1. **Zero perturbation** — attaching a hub leaves a seeded execution
+   event-for-event identical: same timed trace, same RNG stream
+   positions (asserted on the pinned E18 chaos configuration, against
+   cross-process golden digests).
 2. **Bounded overhead** — with the default hub attached, the E7
    steady-state workload runs within 15% of the uninstrumented
    wall-clock (min-of-3 timings on both sides).
 3. **Valid export** — the Chrome trace-event output is structurally
    sound: balanced async begin/end arcs, unique arc ids, virtual time
    scaled by :data:`repro.obs.export.TS_SCALE`.
-4. **Agreement** — the spans an in-run tracer builds equal the spans
-   stitched offline from the run's recorded events
-   (:func:`repro.obs.live.stitch.stitch_sim`), so l' and delivery
-   latency read the same either way — and read what the retired
-   ``analysis.measure`` scrape read (pinned).  The tier-1 form of this
-   claim is ``tests/obs/test_sim_parity.py``.
+4. **Agreement** — the spans stitched from the run's recorded events
+   (:func:`repro.obs.live.stitch.stitch_sim`, the one way spans are
+   built) give the l' and delivery latency the retired
+   ``analysis.measure`` scrape read (pinned).  That they equal the
+   spans the retired in-run tracer built is pinned in
+   ``tests/obs/test_sim_parity.py``.
 """
 
 from __future__ import annotations
@@ -89,9 +89,9 @@ def timed(thunk) -> float:
 
 
 def test_e19_attach_is_perturbation_free():
-    """Full hub attached vs bare: identical trace, identical RNG use."""
+    """Hub attached vs bare: identical trace, identical RNG use."""
     plain = chaos_run()
-    observed = chaos_run(Observability(profiling=True))
+    observed = chaos_run(Observability())
     plain_trace = plain.service.merged_trace()
     observed_trace = observed.service.merged_trace()
 
@@ -108,10 +108,9 @@ def test_e19_attach_is_perturbation_free():
     metrics = observed.service.obs.metrics
     fired = metrics.total("sim_events_fired_total")
     assert fired == plain.service.simulator.events_processed > 0
-    assert observed.service.obs.tracer.message_spans
     print(
         f"\nE19 perturbation: {len(plain_trace.events)} VS events, "
-        f"{int(fired)} sim events, digests identical with full hub"
+        f"{int(fired)} sim events, digests identical with a hub"
     )
 
 
@@ -151,8 +150,8 @@ def test_e19_overhead_within_budget():
 
 
 def test_e19_chrome_trace_is_structurally_valid():
-    observed = chaos_run(Observability())
-    trace = chrome_trace(observed.service.obs.tracer)
+    observed = chaos_run()
+    trace = chrome_trace(stitch_sim(observed.service, observed.schedule).tracer)
     json.dumps(trace)  # serialisable as-is
     events = trace["traceEvents"]
     arcs: dict = {}
@@ -177,16 +176,14 @@ def test_e19_chrome_trace_is_structurally_valid():
 
 
 def test_e19_spans_agree_with_measurement():
-    """In-run spans == spans stitched from the recorded events, and
-    both read what ``analysis.measure`` read before it was retired."""
+    """Spans stitched from the recorded events read what
+    ``analysis.measure`` read before it was retired."""
     pinned = {0: (2.781, 164.6), 1: (3.064, 164.1), 2: (2.886, 165.9)}
     for seed in (0, 1, 2):
-        obs = Observability()
         service = TokenRingVS(
             PROCS,
             RingConfig(delta=1.0, pi=10.0, mu=30.0, work_conserving=True),
             seed=seed,
-            obs=obs,
         )
         runtime = VStoTORuntime(service, MajorityQuorumSystem(PROCS))
         service.install_scenario(
@@ -199,15 +196,12 @@ def test_e19_spans_agree_with_measurement():
         runtime.start()
         runtime.run_until(800.0)
 
-        tracer, offline = obs.tracer, stitch_sim(service).tracer
-        assert tracer.unmatched_events == offline.unmatched_events == 0
-        assert tracer.message_spans == offline.message_spans
+        tracer = stitch_sim(service).tracer
+        assert tracer.unmatched_events == 0
         span_l = tracer.timeline(PROCS, 300.0).alpha1_length
-        assert span_l == offline.timeline(PROCS, 300.0).alpha1_length
         span_mean = summarize(
             c - b for b, c in tracer.delivery_latencies(PROCS)
         ).mean
-        assert tracer.delivery_latencies(PROCS) == offline.delivery_latencies(PROCS)
         assert (float(f"{span_l:.4g}"), float(f"{span_mean:.4g}")) == pinned[seed]
 
     headers, rows = observability_table()

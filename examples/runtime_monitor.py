@@ -60,7 +60,7 @@ def main() -> None:
     )
     print(f"Views observed: {sorted(monitor.views)}")
     print(f"Event counts: {summarize_trace(vs.trace)}")
-    settled = stitch_sim(vs, scenario).tracer.timeline(PROCS, 160.0)
+    settled = stitch_sim(vs).tracer.timeline(PROCS, 160.0)
     print(
         f"Stabilised {settled.alpha1_length:.2f} after the heal "
         f"(bound b = {VSBounds(1.0, 8.0, 25.0).b(len(PROCS)):.0f})"

@@ -27,7 +27,6 @@ from repro.membership.bounds import VSBounds
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
 from repro.net.scenarios import PartitionScenario
-from repro.obs import Observability
 from repro.obs.live.stitch import stitch_sim
 
 Row = Sequence[object]
@@ -124,24 +123,21 @@ def latency_table(work_conserving: bool = False) -> Table:
 
 
 def _full_stack(
-    n: int, seed: int, obs: Observability | None = None
+    n: int, seed: int
 ) -> tuple[tuple[int, ...], TokenRingVS, VStoTORuntime]:
     processors = tuple(range(1, n + 1))
     service = TokenRingVS(
         processors,
         RingConfig(delta=1.0, pi=10.0, mu=30.0, work_conserving=True),
         seed=seed,
-        obs=obs,
     )
     runtime = VStoTORuntime(service, MajorityQuorumSystem(processors))
     return processors, service, runtime
 
 
-def _split_heal_run(
-    seed: int, obs: Observability | None = None
-) -> tuple[tuple[int, ...], TokenRingVS]:
+def _split_heal_run(seed: int) -> tuple[tuple[int, ...], TokenRingVS]:
     """n = 5 under load, split {1,2,3}|{4,5} at 40 and healed at 300."""
-    processors, service, runtime = _full_stack(5, seed, obs)
+    processors, service, runtime = _full_stack(5, seed)
     service.install_scenario(
         PartitionScenario()
         .add(40.0, [[1, 2, 3], [4, 5]])
@@ -232,16 +228,14 @@ def timeline_table(seeds: Sequence[int] = (0, 1, 2), workers: int = 1) -> Table:
 
 
 def observability_table(seeds: Sequence[int] = (0, 1, 2)) -> Table:
-    """E19: what an in-run tracer sees of the E12 execution (that the
-    same spans come back from the recorded events offline is held by
-    ``tests/obs/test_sim_parity.py``)."""
+    """E19: the spans stitched from the recorded events of the E12
+    execution (``tests/obs/test_sim_parity.py`` pins them to the spans
+    the retired in-run tracer built)."""
     headers = ["seed", "msg spans", "views", "unmatched", "l'", "deliv mean"]
     rows: list[Row] = []
     for seed in seeds:
-        obs = Observability()
-        processors, _service = _split_heal_run(seed, obs)
-        tracer = obs.tracer
-        assert tracer is not None
+        processors, service = _split_heal_run(seed)
+        tracer = stitch_sim(service).tracer
         deliveries = tracer.delivery_latencies(processors)
         rows.append(
             [

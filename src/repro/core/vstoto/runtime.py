@@ -25,7 +25,7 @@ from collections.abc import Callable, Hashable
 from typing import Any
 
 from repro.core.quorums import QuorumSystem
-from repro.core.types import BOTTOM, View
+from repro.core.types import View
 from repro.core.vstoto.process import Status, VStoTOProcess
 from repro.ioa.actions import Action, act
 from repro.ioa.timed import IncrementalStatusMerger, TimedEvent, TimedTrace
@@ -105,7 +105,6 @@ class VStoTORuntime:
         self._m_pending_delay = None
         self._m_pending_buffer = None
         self._m_residency = None
-        self._tracer = None
         self._mode: dict[ProcId, str] = {}
         self._mode_since: dict[ProcId, float] = {}
         obs = getattr(service, "obs", None)
@@ -122,45 +121,43 @@ class VStoTORuntime:
         order).  Inherited automatically from ``service.obs``."""
         if obs is None:
             return
-        if obs.metrics is not None:
-            metrics = obs.metrics
-            views = metrics.counter(
-                "vstoto_views_installed_total",
-                "newview inputs applied per processor",
-                labels=("proc",),
-            )
-            delay = metrics.gauge(
-                "vstoto_pending_delay",
-                "client values awaiting a label (no current view)",
-                labels=("proc",),
-            )
-            buffer = metrics.gauge(
-                "vstoto_pending_buffer",
-                "labelled values awaiting gpsnd",
-                labels=("proc",),
-            )
-            residency = metrics.counter(
-                "vstoto_residency_time",
-                "virtual time spent in primary vs non-primary views",
-                labels=("proc", "mode"),
-            )
-            self._m_views = {p: views.labels(str(p)) for p in self.processors}
-            self._m_pending_delay = {
-                p: delay.labels(str(p)) for p in self.processors
-            }
-            self._m_pending_buffer = {
-                p: buffer.labels(str(p)) for p in self.processors
-            }
-            self._m_residency = {
-                (p, mode): residency.labels(str(p), mode)
-                for p in self.processors
-                for mode in ("primary", "non_primary")
-            }
-            now = self.service.simulator.now
-            for p in self.processors:
-                self._mode[p] = self._mode_of(p)
-                self._mode_since[p] = now
-        self._tracer = obs.tracer
+        metrics = obs.metrics
+        views = metrics.counter(
+            "vstoto_views_installed_total",
+            "newview inputs applied per processor",
+            labels=("proc",),
+        )
+        delay = metrics.gauge(
+            "vstoto_pending_delay",
+            "client values awaiting a label (no current view)",
+            labels=("proc",),
+        )
+        buffer = metrics.gauge(
+            "vstoto_pending_buffer",
+            "labelled values awaiting gpsnd",
+            labels=("proc",),
+        )
+        residency = metrics.counter(
+            "vstoto_residency_time",
+            "virtual time spent in primary vs non-primary views",
+            labels=("proc", "mode"),
+        )
+        self._m_views = {p: views.labels(str(p)) for p in self.processors}
+        self._m_pending_delay = {
+            p: delay.labels(str(p)) for p in self.processors
+        }
+        self._m_pending_buffer = {
+            p: buffer.labels(str(p)) for p in self.processors
+        }
+        self._m_residency = {
+            (p, mode): residency.labels(str(p), mode)
+            for p in self.processors
+            for mode in ("primary", "non_primary")
+        }
+        now = self.service.simulator.now
+        for p in self.processors:
+            self._mode[p] = self._mode_of(p)
+            self._mode_since[p] = now
 
     def _mode_of(self, p: ProcId) -> str:
         return "primary" if self.procs[p].primary else "non_primary"
@@ -215,9 +212,13 @@ class VStoTORuntime:
             return
         old, new = self._last_status[p].value, status.value
         self._last_status[p] = status
+        if status is Status.NORMAL:
+            # Fig. 10 sets normal in one place: state exchange completes
+            # (collect -> normal), which establishes the current view.
+            self.service.record_view_event(
+                "established", self.procs[p].current.id, p
+            )
         now = self.service.simulator.now
-        if self._tracer is not None:
-            self._tracer.on_status_edge(now, p, old, new)
         for fn in self._status_listeners:
             fn(now, p, old, new)
 
@@ -241,20 +242,7 @@ class VStoTORuntime:
     # VS callbacks
     # ------------------------------------------------------------------
     def _on_gprcv(self, payload: Any, src: ProcId, dst: ProcId) -> None:
-        proc = self.procs[dst]
-        # Establishment (Section 6 history variable) happens inside a
-        # summary gprcv that completes state exchange: status leaves
-        # COLLECT for NORMAL.  Watch for it on behalf of the tracer.
-        watching = self._tracer is not None and proc.status is not Status.NORMAL
-        proc.step(act("gprcv", payload, src, dst))
-        if (
-            watching
-            and proc.status is Status.NORMAL
-            and proc.current is not BOTTOM
-        ):
-            self._tracer.on_established(
-                self.service.simulator.now, proc.current.id, dst
-            )
+        self.procs[dst].step(act("gprcv", payload, src, dst))
         self._emit_status_edge(dst)
         self._drain(dst)
 
@@ -321,8 +309,6 @@ class VStoTORuntime:
         event = self.trace.append(now, action)
         if self._events is not None:
             self._events.append(event)
-        if self._tracer is not None:
-            self._tracer.on_to_event(now, action.name, action.args)
 
     # ------------------------------------------------------------------
     def merged_trace(self) -> TimedTrace:

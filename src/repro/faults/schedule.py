@@ -215,18 +215,6 @@ class FaultSchedule:
         ctx = ChaosContext(service)
         for injector in self.injectors:
             injector.bind(ctx)
-        # Annotate the windows on the service's lifecycle tracer (if
-        # any) so trace exports show what the nemesis was doing when.
-        obs = getattr(service, "obs", None)
-        tracer = getattr(obs, "tracer", None) if obs is not None else None
-        if tracer is not None:
-            for window in self.windows:
-                tracer.on_fault_window(
-                    window.injector.kind,
-                    window.injector.name,
-                    window.start,
-                    window.stop,
-                )
         for window in self.windows:
             service.simulator.schedule_at(
                 window.start,

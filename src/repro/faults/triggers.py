@@ -198,7 +198,7 @@ class ProtocolEventHub:
 
     def add_window_observer(self, fn: WindowObserver) -> None:
         """Called with (spec_kind, start, stop) when a triggered window
-        opens — the coverage tracker and lifecycle tracer ride on this."""
+        opens — the coverage tracker rides on this."""
         self._window_observers.append(fn)
 
     def arm(self, fault: TriggeredFault, horizon: float | None = None) -> None:

@@ -8,7 +8,7 @@ findings the rules yield.
 
 Suppression comments::
 
-    self.t0 = time.perf_counter()  # repro-lint: ignore[DET002] -- profiling layer owns the clock
+    self.t0 = time.perf_counter()  # repro-lint: ignore[DET002] -- operator wall-clock
     foo()  # repro-lint: ignore[DET001,IOA002]
     bar()  # repro-lint: ignore[*]
 

@@ -7,8 +7,8 @@ from collections.abc import Iterator
 
 #: Dotted names whose *call* reads a host clock.  Reading wall-clock
 #: time inside the reproduction breaks replay-from-seed determinism;
-#: only the profiling layer (``repro.obs.profile``) and benchmark
-#: drivers may observe the host clock.
+#: only the live runtime (``repro.rt``) and benchmark drivers may
+#: observe the host clock.
 WALL_CLOCK_CALLS = frozenset(
     {
         "time.time",

@@ -75,21 +75,20 @@ class UnseededRandomRule(Rule):
 
 
 class WallClockRule(Rule):
-    """DET002: wall-clock reads outside the profiling layer.
+    """DET002: wall-clock reads outside the live runtime.
 
     Virtual time comes from the simulator; host-clock reads inside the
     reproduction make traces, digests, and parallel-sweep merges
-    irreproducible.  ``repro.obs.profile`` (host-side callback costing)
-    and ``repro.rt`` (the live runtime, where wall time *is* the time
-    base — its captures are verified offline, not replayed) are the
-    sanctioned exceptions; benchmark drivers live outside ``src`` and
-    are not scanned by the CI gate.
+    irreproducible.  ``repro.rt`` (the live runtime, where wall time
+    *is* the time base — its captures are verified offline, not
+    replayed) is the sanctioned exception; benchmark drivers live
+    outside ``src`` and are not scanned by the CI gate.
     """
 
     id = "DET002"
-    summary = "wall-clock read outside repro.obs.profile / repro.rt"
+    summary = "wall-clock read outside repro.rt"
 
-    ALLOWED_MODULES = ("repro.obs.profile", "repro.rt")
+    ALLOWED_MODULES = ("repro.rt",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if module_matches(ctx.module, self.ALLOWED_MODULES):
@@ -104,7 +103,7 @@ class WallClockRule(Rule):
                     node,
                     f"wall-clock read {resolved}(); simulation code must use "
                     "virtual time (Simulator.now) — host timing belongs in "
-                    "repro.obs.profile or benchmarks",
+                    "repro.rt or benchmarks",
                 )
 
 
@@ -260,21 +259,19 @@ class IdentityOrderingRule(Rule):
 
 
 class EnvironReadRule(Rule):
-    """DET005: environment reads outside config/capture entry points.
+    """DET005: environment reads outside the live runtime.
 
     Environment variables are per-host state; a run whose behaviour
-    depends on them cannot be replayed from its seed alone.  The
-    sanctioned readers are the capture entry point
-    (``repro.obs.capture``, which only gates *exporting*, never
-    behaviour) and ``repro.rt`` (the cluster driver must forward the
-    environment to node subprocesses) — everything else takes
+    depends on them cannot be replayed from its seed alone.  The one
+    sanctioned reader is ``repro.rt`` (the cluster driver must forward
+    the environment to node subprocesses) — everything else takes
     configuration explicitly.
     """
 
     id = "DET005"
-    summary = "os.environ/os.getenv read outside config/capture entry points"
+    summary = "os.environ/os.getenv read outside repro.rt"
 
-    ALLOWED_MODULES = ("repro.obs.capture", "repro.rt")
+    ALLOWED_MODULES = ("repro.rt",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if module_matches(ctx.module, self.ALLOWED_MODULES):

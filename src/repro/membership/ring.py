@@ -61,7 +61,6 @@ from repro.sim.timers import PeriodicTimer, WatchdogTimer
 if TYPE_CHECKING:
     from repro.obs import Observability
     from repro.obs.metrics import Counter, Histogram
-    from repro.obs.tracing import LifecycleTracer
 
 ProcId = Hashable
 
@@ -167,6 +166,10 @@ class RingService(Protocol):
 
     def emit_safe(self, payload: Any, src: ProcId, dst: ProcId) -> None: ...
 
+    def record_view_event(self, name: str, *args: Any) -> None:
+        """Record a view-lifecycle event that is no VS output
+        (``formation``, ``createview``, ``established``)."""
+
 
 class RingMember(NetworkNode):
     """The protocol endpoint for one processor."""
@@ -259,7 +262,6 @@ class RingMember(NetworkNode):
         self._m_dedup: Counter | None = None
         self._m_retrans: Counter | None = None
         self._m_formations: Counter | None = None
-        self._tracer: LifecycleTracer | None = None
         self._round_started: float | None = None
 
         # Timers.
@@ -271,42 +273,40 @@ class RingMember(NetworkNode):
     # ------------------------------------------------------------------
     def attach_obs(self, obs: Observability | None) -> None:
         """Bind per-processor ring metrics (token flow, round durations,
-        dedup, retransmissions, formations) and the lifecycle tracer."""
+        dedup, retransmissions, formations)."""
         if obs is None:
             return
-        if obs.metrics is not None:
-            metrics = obs.metrics
-            proc = str(self.proc_id)
-            self._m_tokens = metrics.counter(
-                "ring_tokens_processed_total", "token visits per member",
-                labels=("proc",),
-            ).labels(proc)
-            self._m_rotations = metrics.counter(
-                "ring_rotations_total",
-                "full token circulations observed by the leader",
-                labels=("proc",),
-            ).labels(proc)
-            self._m_round_hist = metrics.histogram(
-                "ring_round_duration",
-                "virtual-time length of one token circulation",
-                labels=("proc",),
-            ).labels(proc)
-            self._m_dedup = metrics.counter(
-                "ring_duplicates_suppressed_total",
-                "packets rejected by per-sender dedup",
-                labels=("proc",),
-            ).labels(proc)
-            self._m_retrans = metrics.counter(
-                "ring_retransmissions_total",
-                "blind retransmissions actually sent",
-                labels=("proc",),
-            ).labels(proc)
-            self._m_formations = metrics.counter(
-                "ring_formations_initiated_total",
-                "view formations this member started",
-                labels=("proc",),
-            ).labels(proc)
-        self._tracer = obs.tracer
+        metrics = obs.metrics
+        proc = str(self.proc_id)
+        self._m_tokens = metrics.counter(
+            "ring_tokens_processed_total", "token visits per member",
+            labels=("proc",),
+        ).labels(proc)
+        self._m_rotations = metrics.counter(
+            "ring_rotations_total",
+            "full token circulations observed by the leader",
+            labels=("proc",),
+        ).labels(proc)
+        self._m_round_hist = metrics.histogram(
+            "ring_round_duration",
+            "virtual-time length of one token circulation",
+            labels=("proc",),
+        ).labels(proc)
+        self._m_dedup = metrics.counter(
+            "ring_duplicates_suppressed_total",
+            "packets rejected by per-sender dedup",
+            labels=("proc",),
+        ).labels(proc)
+        self._m_retrans = metrics.counter(
+            "ring_retransmissions_total",
+            "blind retransmissions actually sent",
+            labels=("proc",),
+        ).labels(proc)
+        self._m_formations = metrics.counter(
+            "ring_formations_initiated_total",
+            "view formations this member started",
+            labels=("proc",),
+        ).labels(proc)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -465,14 +465,16 @@ class RingMember(NetworkNode):
             self._probe_timer.start()
 
     # ------------------------------------------------------------------
-    # Optional instrumentation (the WeakVS shadow machine listens here;
-    # see repro.membership.shadow)
+    # View-lifecycle events, and optional instrumentation (the WeakVS
+    # shadow machine listens here; see repro.membership.shadow)
     # ------------------------------------------------------------------
     def _notify_createview(
         self, viewid: RingViewId, members: tuple[ProcId, ...]
     ) -> None:
-        if self._tracer is not None:
-            self._tracer.on_createview(self._sim.now, viewid, members)
+        """The membership of ``viewid`` is fixed here, at its initiator."""
+        self.service.record_view_event(
+            "createview", viewid, members, self.proc_id
+        )
         hook = getattr(self.service, "notify_createview", None)
         if hook is not None:
             hook(View(viewid, frozenset(members)))
@@ -540,8 +542,7 @@ class RingMember(NetworkNode):
         self.formations_initiated += 1
         if self._m_formations is not None:
             self._m_formations.inc()
-        if self._tracer is not None:
-            self._tracer.on_formation(self._sim.now, viewid, self.proc_id)
+        self.service.record_view_event("formation", viewid, self.proc_id)
         self._join_watchdog.disarm()
         if self.config.one_round:
             members = self._connectivity_estimate()

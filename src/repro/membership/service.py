@@ -22,7 +22,6 @@ from repro.ioa.actions import act
 from repro.ioa.timed import IncrementalStatusMerger, TimedEvent, TimedTrace
 from repro.membership.ring import RingConfig, RingMember
 from repro.net.channel import ChannelConfig
-from repro.obs import capture
 from repro.net.network import Network
 from repro.net.scenarios import PartitionScenario
 from repro.sim.engine import Simulator
@@ -30,7 +29,6 @@ from repro.sim.rng import RngRegistry
 
 if TYPE_CHECKING:
     from repro.obs import Observability
-    from repro.obs.tracing import LifecycleTracer
 
 ProcId = Hashable
 
@@ -100,11 +98,12 @@ class TokenRingVS:
             self.members[p] = member
             self.network.register(member)
         self.trace = TimedTrace()
-        #: Every external event of the stack — this service's VS events
-        #: and the TO events of a ``VStoTORuntime`` on top — in the
-        #: order they happened (two traces merged by time lose it: a
-        #: ``bcast`` and the ``gpsnd`` it causes share a timestamp).
-        #: What :func:`repro.rt.trace.sim_entries` reads.
+        #: Every external event of the stack — this service's VS events,
+        #: the TO events of a ``VStoTORuntime`` on top, and the view
+        #: lifecycle events of :meth:`record_view_event` — in the order
+        #: they happened (two traces merged by time lose it: a ``bcast``
+        #: and the ``gpsnd`` it causes share a timestamp).  What
+        #: :func:`repro.rt.trace.sim_entries` reads.
         self.events: list[TimedEvent] = []
         self._merger = IncrementalStatusMerger(
             self.trace, lambda: self.network.oracle.history
@@ -115,10 +114,8 @@ class TokenRingVS:
         self._started = False
         self._vs_listeners: list[VSEventListener] = []
         self.obs: Observability | None = None
-        self._tracer: LifecycleTracer | None = None
         if obs is not None:
             self.attach_obs(obs)
-        capture.register(self)
 
     # ------------------------------------------------------------------
     def attach_obs(self, obs: Observability | None) -> None:
@@ -131,9 +128,6 @@ class TokenRingVS:
         self.network.attach_obs(obs)
         for member in self.members.values():
             member.attach_obs(obs)
-        self._tracer = obs.tracer
-        if self._tracer is not None:
-            self._tracer.set_initial_view(self.initial_view)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -195,17 +189,20 @@ class TokenRingVS:
     def add_vs_listener(self, fn: VSEventListener) -> None:
         """Subscribe a passive observer to every recorded VS event
         (``gpsnd``/``gprcv``/``safe``/``newview``).  Listeners must not
-        schedule events or draw randomness — they ride the recorder the
-        same way the lifecycle tracer does.  The protocol-event hub of
+        schedule events or draw randomness.  The protocol-event hub of
         :mod:`repro.faults.triggers` is the main customer."""
         self._vs_listeners.append(fn)
+
+    def record_view_event(self, name: str, *args: Any) -> None:
+        """Record a view-lifecycle event (``formation``, ``createview``,
+        ``established``) in :attr:`events` only: it is no VS output, so
+        neither the VS trace nor the VS listeners see it."""
+        self.events.append(TimedEvent(self.simulator.now, act(name, *args)))
 
     def _record(self, name: str, *args: Any) -> None:
         self.events.append(
             self.trace.append(self.simulator.now, act(name, *args))
         )
-        if self._tracer is not None:
-            self._tracer.on_vs_event(self.simulator.now, name, args)
         for fn in self._vs_listeners:
             fn(self.simulator.now, name, args)
 

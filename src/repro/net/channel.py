@@ -145,7 +145,7 @@ class Channel:
         """Bind per-link metric children: sends, deliveries, per-reason
         drops and an in-flight depth gauge, all labelled by the directed
         link."""
-        if obs is None or obs.metrics is None:
+        if obs is None:
             return
         metrics = obs.metrics
         link = f"{self.src}->{self.dst}"

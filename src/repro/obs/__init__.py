@@ -1,15 +1,21 @@
-"""Unified observability: metrics, lifecycle tracing and profiling.
+"""Unified observability: metrics in the run, spans from its events.
 
-One :class:`Observability` hub bundles the three concerns and is
-attached to a running stack in one call::
+One :class:`Observability` hub holds the run's metrics and is attached
+to a running stack in one call::
 
     from repro.obs import Observability
+    from repro.obs.live.stitch import stitch_sim
 
-    obs = Observability(profiling=True)
+    obs = Observability()
     vs = TokenRingVS(processors, config, seed=0, obs=obs)
     ...
     print(obs.metrics.render_text())
-    write_chrome_trace(obs.tracer, "run.trace.json")
+    write_chrome_trace(stitch_sim(vs).tracer, "run.trace.json")
+
+Spans are not built in the run: :func:`repro.obs.live.stitch.stitch_sim`
+rebuilds them afterwards from the service's recorded events, the way
+:func:`~repro.obs.live.stitch.stitch_log_dir` rebuilds a live run's
+from its event logs.
 
 Design contract (asserted by ``benchmarks/bench_observability.py``):
 
@@ -22,10 +28,10 @@ Design contract (asserted by ``benchmarks/bench_observability.py``):
   branch.
 
 Layers instrument themselves when the hub reaches them:
-:class:`~repro.sim.engine.Simulator` (event counts, queue depth, host
-wall-clock per callback owner), :class:`~repro.net.channel.Channel`
-(per-link sends/drops/in-flight), :class:`~repro.membership.ring.RingMember`
-(tokens, rounds, dedup, retransmissions, formations), and
+:class:`~repro.sim.engine.Simulator` (event counts, queue depth),
+:class:`~repro.net.channel.Channel` (per-link sends/drops/in-flight),
+:class:`~repro.membership.ring.RingMember` (tokens, rounds, dedup,
+retransmissions, formations), and
 :class:`~repro.core.vstoto.runtime.VStoTORuntime` (pending queues, views
 installed, primary residency).
 """
@@ -39,7 +45,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.profile import CallbackProfiler
 from repro.obs.tracing import (
     FaultAnnotation,
     LifecycleTracer,
@@ -57,35 +62,11 @@ __all__ = [
     "MessageSpan",
     "ViewSpan",
     "FaultAnnotation",
-    "CallbackProfiler",
 ]
 
 
 class Observability:
-    """The per-execution observability hub.
+    """The per-execution observability hub: one metrics registry."""
 
-    Parameters
-    ----------
-    metrics, tracing:
-        Enable the metrics registry / lifecycle tracer (default on —
-        constructing a hub means you want to observe).
-    profiling:
-        Enable host wall-clock attribution per simulator callback owner
-        (default off: it adds two ``perf_counter`` calls per event).
-    """
-
-    def __init__(
-        self,
-        metrics: bool = True,
-        tracing: bool = True,
-        profiling: bool = False,
-    ) -> None:
-        self.metrics: MetricsRegistry | None = (
-            MetricsRegistry() if metrics else None
-        )
-        self.tracer: LifecycleTracer | None = (
-            LifecycleTracer() if tracing else None
-        )
-        self.profiler: CallbackProfiler | None = (
-            CallbackProfiler() if profiling else None
-        )
+    def __init__(self) -> None:
+        self.metrics = MetricsRegistry()

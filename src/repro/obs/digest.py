@@ -14,6 +14,10 @@ nothing") is asserted two ways:
   (exact Mersenne-Twister stream positions) as goldens.  Any change to
   event order, event count, timing or RNG consumption moves at least
   one of them.
+
+These stay apart from :func:`repro.rt.trace.content_digest`: they pin
+the simulator's timing and RNG use, while ``content_digest`` strips
+timing from the TO content so that two live runs can agree.
 """
 
 from __future__ import annotations

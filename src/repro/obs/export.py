@@ -25,9 +25,7 @@ from typing import TYPE_CHECKING, Any, TextIO
 from repro.obs.tracing import LifecycleTracer
 
 if TYPE_CHECKING:
-    from repro.ioa.timed import TimedTrace
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.profile import CallbackProfiler
 
 ProcId = Hashable
 
@@ -225,46 +223,15 @@ def write_chrome_trace(tracer: LifecycleTracer, path: str) -> None:
         json.dump(chrome_trace(tracer), handle)
 
 
-def timed_trace_chrome(trace: TimedTrace, label: str = "events") -> dict:
-    """A Chrome trace built from a plain :class:`TimedTrace` — the
-    post-hoc fallback when no tracer was attached (CI failure
-    artifacts).  Every event becomes an instant on one track."""
-    events: list[dict] = [
-        {
-            "ph": "M",
-            "pid": _PID_SERVICE,
-            "tid": 1,
-            "name": "thread_name",
-            "args": {"name": label},
-        }
-    ]
-    for event in trace.events:
-        events.append(
-            {
-                "ph": "i",
-                "s": "t",
-                "cat": "event",
-                "name": event.action.name,
-                "pid": _PID_SERVICE,
-                "tid": 1,
-                "ts": _ts(event.time),
-                "args": {"action": str(event.action)},
-            }
-        )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
 # ----------------------------------------------------------------------
 # JSONL
 # ----------------------------------------------------------------------
 def jsonl_records(
     tracer: LifecycleTracer | None = None,
     metrics: MetricsRegistry | None = None,
-    profiler: CallbackProfiler | None = None,
-    timed_trace: TimedTrace | None = None,
 ) -> Iterable[dict]:
     """Structured-event records for JSONL export, in a stable order:
-    spans, fault annotations, raw events, metric families, profile."""
+    spans, fault annotations, metric families."""
     if tracer is not None:
         for span in tracer.message_spans:
             yield {
@@ -302,19 +269,9 @@ def jsonl_records(
                 "start": annotation.start,
                 "stop": annotation.stop,
             }
-    if timed_trace is not None:
-        for event in timed_trace.events:
-            yield {
-                "type": "event",
-                "time": event.time,
-                "name": event.action.name,
-                "action": str(event.action),
-            }
     if metrics is not None:
         for name, family in metrics.as_dict().items():
             yield {"type": "metric", "name": name, **family}
-    if profiler is not None:
-        yield {"type": "profile", **profiler.as_dict()}
 
 
 def write_jsonl(path_or_handle: str | TextIO, **kwargs: Any) -> int:

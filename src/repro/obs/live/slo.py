@@ -248,12 +248,15 @@ def first_hop_samples(
 def view_install_samples(
     run: StitchedRun, clean_only: bool = True
 ) -> list[float]:
-    """Per-view proposal → installed-at-every-member latency, for views
-    that did install everywhere."""
+    """Per-view proposal (the ``formation`` event) → installed-at-every-
+    member latency, for views that did install everywhere.  A view whose
+    proposal the capture does not hold gives no sample: first to last
+    ``newview`` would leave out the formation rounds."""
     installs = [
-        (span.start_time(), installed)
+        (span.proposed_at, installed)
         for span in run.tracer.view_spans.values()
-        if (installed := span.installed_everywhere_at()) is not None
+        if span.proposed_at is not None
+        and (installed := span.installed_everywhere_at()) is not None
     ]
     return _latencies(run, installs, clean_only)
 

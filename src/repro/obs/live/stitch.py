@@ -3,11 +3,13 @@
 A live run leaves one JSONL event log per OS process and VS group (see
 :mod:`repro.rt.trace`).  Each log sees only its own side of a message's
 lifecycle — the origin logs ``bcast``/``gpsnd``, every member logs its
-own ``gprcv``/``safe``/``brcv``.  The stitcher merges one group's logs
-on the shared host clock and replays them through the *same*
-:class:`~repro.obs.tracing.LifecycleTracer` the simulator uses (the
-live nodes keep none of their own: every live span is built here), so
-one
+own ``gprcv``/``safe``/``brcv`` — and of a view's: the initiator logs
+``formation``/``createview``, every member its own
+``newview``/``established``.  The stitcher merges one group's logs on
+the shared host clock and replays them through a
+:class:`~repro.obs.tracing.LifecycleTracer`.  This is the one place a
+tracer is built, for live and simulated runs alike (:func:`stitch_sim`
+reads a simulated run's recorded events the same way), so one
 :class:`~repro.obs.tracing.MessageSpan` ends up holding lifecycle
 points recorded by several different processes — a genuinely
 distributed span — and :mod:`repro.obs.export` renders the whole
@@ -35,7 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 from collections.abc import Iterable, Sequence
 
 from repro.core.types import View
@@ -50,8 +52,10 @@ from repro.rt.trace import (
     group_event_logs,
     load_event_logs,
     sim_entries,
-    sim_timeline,
 )
+
+if TYPE_CHECKING:
+    from repro.faults.schedule import FaultSchedule
 
 #: Driver-timeline mark names that become trace annotations.
 FAULT_MARKS = ("partition", "heal", "kill", "restart")
@@ -140,10 +144,18 @@ def stitch_events(
         args = tuple(entry["args"])
         if name in VS_EVENTS:
             tracer.on_vs_event(time, name, args)
-            fed += 1
         elif name in TO_EVENTS:
             tracer.on_to_event(time, name, args)
-            fed += 1
+        elif name == "formation":
+            tracer.on_formation(time, *args)
+        elif name == "createview":
+            viewid, members, _p = args
+            tracer.on_createview(time, viewid, members)
+        elif name == "established":
+            tracer.on_established(time, *args)
+        else:
+            continue
+        fed += 1
     sends = sum(1 for entry in events if entry["ev"] == "gpsnd")
     if sends and not tracer.message_spans:
         raise StitchError(
@@ -167,20 +179,26 @@ def stitch_events(
     )
 
 
-def stitch_sim(service: Any, scenario: Any = None) -> StitchedRun:
+def stitch_sim(
+    service: Any, scenario: FaultSchedule | None = None
+) -> StitchedRun:
     """A simulated run read the way a live capture is: the events of a
     :class:`~repro.membership.service.TokenRingVS` (with or without a
     VStoTO runtime on top) through :func:`~repro.rt.trace.sim_entries`,
-    the layout changes of ``scenario`` (a ``PartitionScenario``) as
-    ``partition``/``heal`` marks.  Times stay virtual."""
-    marks = () if scenario is None else sim_timeline(scenario, service.processors)
-    return stitch_events(
+    and each timed window of ``scenario`` as a fault window named after
+    its injector.  Times stay virtual."""
+    run = stitch_events(
         sim_entries(service.events),
         service.processors,
         service.initial_view,
-        timeline=marks,
         t0=0.0,
     )
+    for window in scenario.windows if scenario is not None else ():
+        injector = window.injector
+        run.tracer.on_fault_window(
+            injector.kind, injector.name, window.start, window.stop
+        )
+    return run
 
 
 def stitch_log_dir(

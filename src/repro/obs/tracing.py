@@ -6,10 +6,10 @@ stack's external events and is the one place the four timed quantities
 are derived, for simulated and live runs alike: l′ and the Fig. 12
 boundaries (:meth:`LifecycleTracer.timeline`), send→safe-everywhere
 (:meth:`~LifecycleTracer.safe_latencies`) and bcast→delivered-everywhere
-(:meth:`~LifecycleTracer.delivery_latencies`).  A tracer is fed either
-in-run (an ``Observability`` hub on a simulated service) or offline from
-event entries (:func:`repro.obs.live.stitch.stitch_events`); the two
-feeds build the same spans.
+(:meth:`~LifecycleTracer.delivery_latencies`).  A tracer has one feed:
+event entries, replayed offline by
+:func:`repro.obs.live.stitch.stitch_events` — a live run's merged logs,
+or a simulated run's recorded events.
 
 Two span kinds:
 
@@ -18,17 +18,16 @@ Two span kinds:
   runtime is on top) the TO-level ``bcast`` and per-member ``brcv``
   bracketing it.  Matching uses per-sender sequence positions within a
   view, exact because VS guarantees per-sender FIFO within a view.
-- :class:`ViewSpan` — one view id: formation proposal (the first
-  ``NewGroup``/one-round announcement for the id), membership
-  announcement, per-member ``newview`` installation, and per-member
-  state-exchange completion (the VStoTO establishment point).
+- :class:`ViewSpan` — one view id: formation proposal (the
+  ``formation`` event: the first ``NewGroup``/one-round announcement for
+  the id), membership fix (``createview``), per-member ``newview``
+  installation, and per-member state-exchange completion
+  (``established``, the VStoTO establishment point).
 
-Fault-schedule windows from :mod:`repro.faults` are attached as
+Fault windows — a :class:`~repro.faults.schedule.FaultSchedule`'s, or
+the live driver's partition and kill marks — are attached as
 annotations (:class:`FaultAnnotation`), so an exported trace shows what
 the nemesis was doing while a view was forming.
-
-The tracer is *passive*: it never draws randomness, schedules events or
-mutates protocol state, so attaching it cannot perturb an execution.
 """
 
 from __future__ import annotations
@@ -176,14 +175,16 @@ class Timeline:
 class LifecycleTracer:
     """Incremental span recorder for one execution.
 
-    Feed points (all optional — the tracer degrades gracefully when a
-    layer is absent, e.g. a bare :class:`TokenRingVS` without VStoTO):
+    It has one feed, :func:`repro.obs.live.stitch.stitch_events`, which
+    replays event entries in order through these entry points (each
+    optional — the tracer degrades gracefully when a layer is absent,
+    e.g. a bare :class:`TokenRingVS` without VStoTO):
 
-    - :meth:`on_vs_event` from the VS service's event recorder;
-    - :meth:`on_to_event` from the VStoTO runtime's recorder;
-    - :meth:`on_formation` / :meth:`on_createview` from ring members;
-    - :meth:`on_established` from the VStoTO runtime;
-    - :meth:`on_fault_window` from an installing fault schedule.
+    - :meth:`on_vs_event` for ``gpsnd``/``gprcv``/``safe``/``newview``;
+    - :meth:`on_to_event` for ``bcast``/``brcv``;
+    - :meth:`on_formation` / :meth:`on_createview` / :meth:`on_established`
+      for the view-lifecycle events of the same names;
+    - :meth:`on_fault_window` for fault windows.
     """
 
     def __init__(self) -> None:
@@ -344,8 +345,8 @@ class LifecycleTracer:
     def on_status_edge(
         self, time: float, proc: ProcId, old: str, new: str
     ) -> None:
-        """A VStoTO status transition at ``proc`` (fed by
-        :class:`~repro.core.vstoto.runtime.VStoTORuntime`)."""
+        """A VStoTO status transition at ``proc``.  No feed calls it:
+        status edges are no logged events."""
         self.status_edges.append(StatusEdge(time, proc, old, new))
 
     def _view_span(self, viewid: Any) -> ViewSpan:

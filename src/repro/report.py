@@ -57,7 +57,7 @@ SECTIONS = (
         lambda: chaos_table(),
     ),
     (
-        "E19 — observability (what an in-run tracer sees of the E12 run)",
+        "E19 — observability (the spans stitched from the E12 run's events)",
         lambda: observability_table(),
     ),
 )

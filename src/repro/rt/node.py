@@ -20,7 +20,8 @@ The node exposes a small control plane to the cluster driver:
   and each group's own under ``groups``);
 - ``stop`` — flush the event logs, write the final report, exit.
 
-Every VS and TO external event is appended to the group's event log
+Every VS and TO external event, and every view-formation attempt,
+membership fix and establishment, is appended to the group's event log
 under ``<log-dir>`` (``<id>.events.jsonl`` for one group; see
 :func:`repro.rt.trace.event_log_path`); on stop a ``<id>.report.json``
 records transport counters, ring statistics and the rendered
@@ -85,7 +86,8 @@ class LiveNodeService:
     protocol) and :class:`~repro.core.vstoto.runtime.VStoTORuntime`
     consume, backed by one live transport and one local ring member.
     Every VS external event at this node is recorded to the event log
-    before being forwarded.
+    before being forwarded, and so is every view-lifecycle event
+    (:meth:`record_view_event`).
     """
 
     def __init__(
@@ -138,6 +140,10 @@ class LiveNodeService:
         self._record("safe", payload, src, dst)
         if self.on_safe is not None:
             self.on_safe(payload, src, dst)
+
+    def record_view_event(self, name: str, *args: Any) -> None:
+        """Log a ``formation``, ``createview`` or ``established`` event."""
+        self._record(name, *args)
 
     def _record(self, name: str, *args: Any) -> None:
         if self.log is not None:
@@ -194,9 +200,9 @@ class LiveNode:
         )
         self.log_dir = Path(log_dir)
         self.log_dir.mkdir(parents=True, exist_ok=True)
-        # Metrics only: nothing reads spans off a running node.  They
-        # are rebuilt offline, per group, from the event logs.
-        self.obs = Observability(metrics=True, tracing=False)
+        # The hub holds metrics; spans are rebuilt offline, per group,
+        # from the event logs.
+        self.obs = Observability()
         self.network.attach_obs(self.obs)
         names = group_names(self.shards)
         self._stacks = {name: self._build_stack(name) for name in names}
@@ -368,23 +374,18 @@ class LiveNode:
         same wall clock the event log stamps, so the driver's metrics
         timeline and the stitched spans share one time base."""
         self._snapshot_seq += 1
-        metrics = (
-            self.obs.metrics.to_dict() if self.obs.metrics is not None else {}
-        )
         return MetricsSnapshot(
             node=self.proc_id,
             seq=self._snapshot_seq,
             ts=time.time(),
             uptime=self.scheduler.now,
-            metrics=metrics,
+            metrics=self.obs.metrics.to_dict(),
         ).to_dict()
 
     def _write_report(self) -> None:
         report = {
             "stats": self.stats(),
-            "metrics": (
-                self.obs.metrics.render_text() if self.obs.metrics else ""
-            ),
+            "metrics": self.obs.metrics.render_text(),
         }
         path = self.log_dir / f"{self.proc_id}.report.json"
         path.write_text(json.dumps(report, indent=2), encoding="utf-8")

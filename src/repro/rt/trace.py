@@ -7,9 +7,15 @@ group it hosts (:func:`event_log_path` names the file,
 ``{"ts": <epoch seconds>, "seq": <per-node counter>, "node": <id>,
 "ev": <name>, "args": <codec-encoded argument list>}``
 
-Events are the VS interface (``gpsnd``/``gprcv``/``safe``/``newview``)
-and the TO interface (``bcast``/``brcv``) — exactly the external
-actions the specifications constrain.
+Nine event names are logged.  Six are the external actions the
+specifications constrain, and the oracles read only these: the VS
+interface (``gpsnd``/``gprcv``/``safe``/``newview``) and the TO
+interface (``bcast``/``brcv``).  Three record the view lifecycle for
+the span readers: ``formation(viewid, p)`` when ``p`` starts a formation
+attempt, ``createview(viewid, members, p)`` when the initiator ``p``
+fixes the membership, and ``established(viewid, p)`` when state
+exchange completes at ``p``.  A steady-state run logs none of them.
+In all nine the processor the event occurs at is the last argument.
 
 The log-line contract: a line is ``json.dumps(entry, separators=(",",
 ":"))`` of the entry above, byte for byte; the file is line-buffered,
@@ -61,6 +67,8 @@ from repro.rt.framing import TaggedDecoder, encode_value
 VS_EVENTS = ("gpsnd", "gprcv", "safe", "newview")
 #: Event names captured at the TO layer (fed to check_to_trace).
 TO_EVENTS = ("bcast", "brcv")
+#: View-lifecycle event names (read by the span stitcher only).
+VIEW_EVENTS = ("formation", "createview", "established")
 
 
 #: The group of a one-group capture, whose file names carry no group
@@ -212,11 +220,12 @@ def sim_entries(events: Iterable[TimedEvent]) -> list[dict[str, Any]]:
     """A simulated run's events as the entries :func:`load_event_logs`
     returns, so the readers of live logs read simulated runs too.
 
-    ``events`` is ``TokenRingVS.events``: VS and TO events in the order
-    they happened, which is the order the entries keep (they are not
-    re-sorted — virtual time ties across processors are causal).  ``ts``
-    is virtual time, ``node`` the processor the event occurs at (the
-    last argument of all six event kinds), ``seq`` counts per node.
+    ``events`` is ``TokenRingVS.events``: VS, TO and view-lifecycle
+    events in the order they happened, which is the order the entries
+    keep (they are not re-sorted — virtual time ties across processors
+    are causal).  ``ts`` is virtual time, ``node`` the processor the
+    event occurs at (the last argument of all nine event kinds), ``seq``
+    counts per node.
     """
     seqs: dict[Any, int] = {}
     entries = []
@@ -229,25 +238,6 @@ def sim_entries(events: Iterable[TimedEvent]) -> list[dict[str, Any]]:
              "args": list(args)}
         )
     return entries
-
-
-def sim_timeline(
-    scenario: Any, processors: Iterable[Any]
-) -> list[dict[str, Any]]:
-    """A :class:`~repro.net.scenarios.PartitionScenario`'s layout
-    changes as the cluster driver's timeline marks: ``heal`` when one
-    group holds every processor, ``partition`` otherwise."""
-    whole = frozenset(processors)
-    marks: list[dict[str, Any]] = []
-    for event in scenario.events:
-        if [frozenset(g) for g in event.groups] == [whole]:
-            marks.append({"t": event.time, "event": "heal"})
-        else:
-            groups = [list(g) for g in event.groups]
-            marks.append(
-                {"t": event.time, "event": "partition", "groups": groups}
-            )
-    return marks
 
 
 @dataclass
@@ -297,6 +287,7 @@ def verify_events(
     broadcast value for ``delivered_complete`` (default: all of them;
     pass the survivors when the run killed nodes; others are a
     ``ValueError``).  An event naming another processor is a violation.
+    View-lifecycle events count in ``events`` and feed neither checker.
     """
     procs = tuple(sorted(processors))
     required = tuple(sorted(expect_at)) if expect_at is not None else procs

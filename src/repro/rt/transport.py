@@ -224,7 +224,7 @@ class LiveNetwork:
     def attach_obs(self, obs: Any) -> None:
         """Bind transport metrics: frames in/out, firewall drops, and a
         connected-peer gauge, all labelled by this node."""
-        if obs is None or obs.metrics is None:
+        if obs is None:
             return
         metrics = obs.metrics
         proc = str(self.proc_id)

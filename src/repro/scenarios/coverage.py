@@ -22,7 +22,7 @@ module makes coverage first-class:
 
 The tracker is a pure observer: it draws no randomness and schedules no
 simulator events, so attaching it never perturbs an execution (the same
-contract as the lifecycle tracer, enforced by the zero-perturbation
+contract as an observability hub, enforced by the zero-perturbation
 goldens).
 
 Fault×status pairs are reconstructed *at report time* from the recorded

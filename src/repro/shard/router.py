@@ -103,7 +103,7 @@ class ShardRouter:
     def attach_obs(self, obs: Any) -> None:
         """Bind per-group routing metrics: requests routed/queued
         (counters) and the live in-flight/queue-depth gauges."""
-        if obs is None or obs.metrics is None:
+        if obs is None:
             return
         metrics = obs.metrics
         self._m_routed = metrics.counter(

@@ -84,33 +84,28 @@ class Simulator:
         self._m_fired = None
         self._m_cancelled = None
         self._m_queue_depth = None
-        self._profiler = None
 
     # ------------------------------------------------------------------
     def attach_obs(self, obs: Any) -> None:
         """Bind an :class:`~repro.obs.Observability` hub: event-flow
-        counters, a queue-depth gauge, and (when the hub enables it)
-        host wall-clock attribution per callback owner.  Purely
-        additive — no RNG draws, no event scheduling, virtual time
-        untouched."""
+        counters and a queue-depth gauge.  Purely additive — no RNG
+        draws, no event scheduling, virtual time untouched."""
         if obs is None:
             return
-        if obs.metrics is not None:
-            metrics = obs.metrics
-            self._m_scheduled = metrics.counter(
-                "sim_events_scheduled_total", "events entered the queue"
-            ).labels()
-            self._m_fired = metrics.counter(
-                "sim_events_fired_total", "events whose callback ran"
-            ).labels()
-            self._m_cancelled = metrics.counter(
-                "sim_events_cancelled_total",
-                "cancelled events discarded at pop time",
-            ).labels()
-            self._m_queue_depth = metrics.gauge(
-                "sim_queue_depth", "queued events after the last fire"
-            ).labels()
-        self._profiler = obs.profiler
+        metrics = obs.metrics
+        self._m_scheduled = metrics.counter(
+            "sim_events_scheduled_total", "events entered the queue"
+        ).labels()
+        self._m_fired = metrics.counter(
+            "sim_events_fired_total", "events whose callback ran"
+        ).labels()
+        self._m_cancelled = metrics.counter(
+            "sim_events_cancelled_total",
+            "cancelled events discarded at pop time",
+        ).labels()
+        self._m_queue_depth = metrics.gauge(
+            "sim_queue_depth", "queued events after the last fire"
+        ).labels()
 
     # ------------------------------------------------------------------
     @property
@@ -196,10 +191,7 @@ class Simulator:
             if event.time > self._now and self._trace_hook is not None:
                 self._trace_hook(event.time - self._now)
             self._now = max(self._now, event.time)
-            if self._profiler is not None:
-                self._profiler.run(event.callback)
-            else:
-                event.callback()
+            event.callback()
             self._events_processed += 1
             if self._m_fired is not None:
                 self._m_fired.inc()

@@ -80,7 +80,7 @@ class TestSweeps:
 #: are deterministic per seed, so any change to an E5–E19 number or
 #: verdict shows up here; re-pin only with the before/after tables in
 #: EXPERIMENTS.md.
-REPORT_SHA256 = "a55129810c2aabf72bae6c4ee9a4dd639a6b5e2f40ed25f9cd05181a008809ff"
+REPORT_SHA256 = "18cb44e6d4f309b2da20da6f7faf7f02000f8f980069d5243359328f311662ed"
 
 
 class TestReportCLI:

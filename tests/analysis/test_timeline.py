@@ -93,7 +93,7 @@ class TestFullStackTimeline:
         service.install_scenario(scenario)
         runtime.start()
         runtime.run_until(700.0)
-        timeline = stitch_sim(service, scenario).tracer.timeline(
+        timeline = stitch_sim(service).tracer.timeline(
             procs, 300.0, is_summary
         )
         assert timeline.final_view is not None

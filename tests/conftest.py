@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import os
+import re
+import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
-from repro.obs import capture
 from repro.core.quorums import MajorityQuorumSystem
 from repro.core.vstoto import (
     RandomRunConfig,
@@ -16,6 +18,9 @@ from repro.core.vstoto import (
 )
 from repro.ioa.actions import ActionKind
 from repro.ioa.automaton import TransitionError
+from repro.membership.service import TokenRingVS
+from repro.obs.export import write_chrome_trace
+from repro.obs.live.stitch import stitch_sim, stitched_jsonl
 
 # Tier-1 is a gate: the same examples on every run, and no saved
 # failure from an unrelated run deciding this one.  The nightly soak
@@ -85,27 +90,68 @@ def run_random(
     return driver
 
 
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_makereport(item, call):
-    """Export traces of failed tests when REPRO_OBS_CAPTURE is set.
+# Post-mortem capture.  With REPRO_OBS_CAPTURE set (CI's tier-1 job
+# sets it) every TokenRingVS a test builds is remembered, and when the
+# test fails each one's stitched spans are written as JSONL plus a
+# Chrome trace under REPRO_TRACE_DIR (default trace-artifacts/), which
+# CI uploads.  Services are held weakly: capture changes no lifetime and
+# no execution.
+CAPTURE_ENV = "REPRO_OBS_CAPTURE"
+DIR_ENV = "REPRO_TRACE_DIR"
 
-    Services built while the capture env var is on register themselves
-    with ``repro.obs.capture``; on a call-phase failure their VS traces
-    are written as JSONL + Chrome trace files under REPRO_TRACE_DIR so
-    CI can upload them as artifacts.
-    """
-    outcome = yield
-    report = outcome.get_result()
-    if report.when == "call" and report.failed:
-        capture.export_failed(item.nodeid)
+
+class ServiceCapture:
+    """Every TokenRingVS built while it is installed, and their export."""
+
+    def __init__(self, monkeypatch):
+        self._refs = refs = []
+        build = TokenRingVS.__init__
+
+        def __init__(service, *args, **kwargs):
+            build(service, *args, **kwargs)
+            refs.append(weakref.ref(service))
+
+        monkeypatch.setattr(TokenRingVS, "__init__", __init__)
+
+    def services(self):
+        return [s for ref in self._refs if (s := ref()) is not None]
+
+    def export(self, label, directory):
+        """Write each service's spans for failed test ``label``;
+        returns the paths written."""
+        written = []
+        slug = re.sub(r"[^A-Za-z0-9._-]+", "_", label).strip("_")[:120]
+        for index, service in enumerate(self.services()):
+            try:
+                run = stitch_sim(service)
+            except Exception:  # the export must not mask the test's failure
+                continue
+            base = Path(directory) / f"{slug}.{index}"
+            base.parent.mkdir(parents=True, exist_ok=True)
+            Path(f"{base}.jsonl").write_text(stitched_jsonl(run))
+            write_chrome_trace(run.tracer, f"{base}.trace.json")
+            written += [f"{base}.jsonl", f"{base}.trace.json"]
+        return written
+
+
+def start_capture(monkeypatch):
+    """A capture installed until the test ends, or None when the
+    environment does not ask for one."""
+    return ServiceCapture(monkeypatch) if os.environ.get(CAPTURE_ENV) else None
 
 
 @pytest.fixture(autouse=True)
-def _clear_obs_capture():
-    """Keep capture registrations scoped to the test that created them."""
-    capture.clear()
-    yield
-    capture.clear()
+def _obs_capture(request, monkeypatch):
+    request.node.obs_capture = start_capture(monkeypatch)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    outcome = yield
+    report = outcome.get_result()
+    capture = getattr(item, "obs_capture", None)
+    if capture is not None and report.when == "call" and report.failed:
+        capture.export(item.nodeid, os.environ.get(DIR_ENV, "trace-artifacts"))
 
 
 @pytest.fixture

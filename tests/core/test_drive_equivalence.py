@@ -59,9 +59,11 @@ class OldLoopRuntime(VStoTORuntime):
         if new == old:
             return
         self._last_status[p] = new
+        if new == "normal":
+            self.service.record_view_event(
+                "established", self.procs[p].current.id, p
+            )
         now = self.service.simulator.now
-        if self._tracer is not None:
-            self._tracer.on_status_edge(now, p, old, new)
         for fn in self._status_listeners:
             fn(now, p, old, new)
 
@@ -88,8 +90,6 @@ class OldLoopRuntime(VStoTORuntime):
 
     def _record(self, name, *args):
         self.trace.append(self.service.simulator.now, act(name, *args))
-        if self._tracer is not None:
-            self._tracer.on_to_event(self.service.simulator.now, name, args)
 
 
 # ----------------------------------------------------------------------
@@ -113,13 +113,8 @@ class StubService:
     def gpsnd(self, p, payload):
         self.observed.append(("vs.gpsnd", p, payload))
 
-
-class RecordingTracer:
-    def __init__(self, observed):
-        self.observed = observed
-
-    def __getattr__(self, hook):
-        return lambda *args: self.observed.append((hook, args))
+    def record_view_event(self, name, *args):
+        self.observed.append(("vs.record", name, args))
 
 
 def build(runtime_class, quorums):
@@ -128,7 +123,6 @@ def build(runtime_class, quorums):
     runtime = runtime_class(
         service, quorums, lambda *args: observed.append(("deliver", args))
     )
-    runtime._tracer = RecordingTracer(observed)
     runtime.add_status_listener(lambda *edge: observed.append(("edge", edge)))
     for proc in runtime.procs.values():
         applying = proc.apply
@@ -277,6 +271,9 @@ def test_the_schedules_reach_every_locally_controlled_action():
     assert {e[1][2:] for e in observed if e[0] == "edge"} == {
         ("normal", "send"), ("send", "collect"), ("collect", "normal")
     }
+    assert [e[1:] for e in observed if e[0] == "vs.record"] == [
+        ("established", (1, p)) for p in PROCS
+    ]
     assert all(snap["status"] == "normal" for snap in final.values())
     assert run(OldLoopRuntime, MajorityQuorumSystem(PROCS), schedule)[0] == observed
 

@@ -1,4 +1,4 @@
-"""Fixture: DET005 fires on environment reads outside capture/config."""
+"""Fixture: DET005 fires on environment reads outside repro.rt."""
 
 import os
 

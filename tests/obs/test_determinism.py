@@ -4,9 +4,8 @@ change an execution.
 Two layers of defence:
 
 - the same-process check runs the pinned E18 chaos configuration twice
-  — bare, and with a full hub (metrics + tracing + profiling) — and
-  compares complete event-for-event trace digests and exact RNG stream
-  positions;
+  — bare, and with a hub attached — and compares complete
+  event-for-event trace digests and exact RNG stream positions;
 - the cross-process goldens pin the execution's shape digest and RNG
   digest (both ``PYTHONHASHSEED``-independent), so *any* change to
   event order, timing or randomness consumption — obs-related or not —
@@ -20,6 +19,7 @@ import pytest
 from repro.faults.chaos import ChaosRunner
 from repro.faults.schedule import FaultSchedule
 from repro.obs import Observability
+from repro.obs.live.stitch import stitch_sim
 from repro.obs.digest import (
     rng_digest,
     trace_full_digest,
@@ -52,9 +52,7 @@ def run_chaos_pinned(obs=None) -> ChaosRunner:
 @pytest.fixture(scope="module")
 def plain_and_observed():
     plain = run_chaos_pinned()
-    observed = run_chaos_pinned(
-        Observability(metrics=True, tracing=True, profiling=True)
-    )
+    observed = run_chaos_pinned(Observability())
     return plain, observed
 
 
@@ -112,15 +110,7 @@ class TestObservedRunIsWatched:
 
     def test_tracer_populated(self, plain_and_observed):
         _, observed = plain_and_observed
-        tracer = observed.service.obs.tracer
+        tracer = stitch_sim(observed.service, observed.schedule).tracer
         assert tracer.message_spans
         assert tracer.view_spans
         assert tracer.faults  # nemesis windows annotated
-
-    def test_profiler_populated(self, plain_and_observed):
-        _, observed = plain_and_observed
-        profiler = observed.service.obs.profiler
-        assert profiler.profiles
-        assert sum(p.calls for p in profiler.profiles.values()) == (
-            GOLDEN_SIM_EVENTS
-        )

@@ -1,9 +1,10 @@
 """Exporters: Chrome trace-event structure, JSONL records, and the
-failed-test capture hook."""
+failed-test capture hook of ``tests/conftest.py``."""
 
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,23 +13,25 @@ from repro.core.vstoto.runtime import VStoTORuntime
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
 from repro.net.scenarios import PartitionScenario
-from repro.obs import Observability, capture
+from repro.obs import Observability
 from repro.obs.export import (
     TS_SCALE,
     chrome_trace,
     jsonl_records,
-    timed_trace_chrome,
     write_chrome_trace,
     write_jsonl,
 )
+from repro.obs.live.stitch import stitch_sim
+from tests.conftest import CAPTURE_ENV, start_capture
 
 PROCS = (1, 2, 3)
 
 
 @pytest.fixture(scope="module")
 def observed_run():
-    """One small healthy execution with a full hub attached."""
-    obs = Observability(profiling=True)
+    """One small healthy execution with a hub attached: its metrics,
+    and the spans stitched from its events."""
+    obs = Observability()
     service = TokenRingVS(
         PROCS,
         RingConfig(delta=1.0, pi=10.0, mu=30.0, work_conserving=True),
@@ -43,8 +46,9 @@ def observed_run():
         runtime.schedule_broadcast(5.0 + 11.0 * i, PROCS[i % 3], f"m{i}")
     runtime.start()
     runtime.run_until(400.0)
-    obs.tracer.on_fault_window("loss", "loss(1->2)", 40.0, 60.0)
-    return obs, service, runtime
+    tracer = stitch_sim(service).tracer
+    tracer.on_fault_window("loss", "loss(1->2)", 40.0, 60.0)
+    return SimpleNamespace(metrics=obs.metrics, tracer=tracer), service, runtime
 
 
 class TestChromeTrace:
@@ -105,35 +109,13 @@ class TestChromeTrace:
         write_chrome_trace(obs.tracer, str(path))
         assert json.loads(path.read_text())["traceEvents"]
 
-    def test_timed_trace_fallback(self, observed_run):
-        _, service, _ = observed_run
-        trace = service.merged_trace()
-        out = timed_trace_chrome(trace)
-        instants = [e for e in out["traceEvents"] if e["ph"] == "i"]
-        assert len(instants) == len(trace.events)
-        json.dumps(out)
-
 
 class TestJsonl:
     def test_record_types(self, observed_run):
-        obs, service, _ = observed_run
-        records = list(
-            jsonl_records(
-                tracer=obs.tracer,
-                metrics=obs.metrics,
-                profiler=obs.profiler,
-                timed_trace=service.merged_trace(),
-            )
-        )
+        obs, _, _ = observed_run
+        records = list(jsonl_records(tracer=obs.tracer, metrics=obs.metrics))
         kinds = {r["type"] for r in records}
-        assert kinds == {
-            "message_span",
-            "view_span",
-            "fault_window",
-            "event",
-            "metric",
-            "profile",
-        }
+        assert kinds == {"message_span", "view_span", "fault_window", "metric"}
         for record in records:
             json.dumps(record)
 
@@ -152,29 +134,26 @@ class TestJsonl:
 
 class TestCapture:
     def test_registration_is_env_gated(self, monkeypatch):
-        monkeypatch.delenv(capture.CAPTURE_ENV, raising=False)
-        service = TokenRingVS(
-            PROCS, RingConfig(delta=1.0, pi=10.0, mu=30.0), seed=0
-        )
-        assert service not in capture.live_services()
-        monkeypatch.setenv(capture.CAPTURE_ENV, "1")
+        monkeypatch.delenv(CAPTURE_ENV, raising=False)
+        assert start_capture(monkeypatch) is None
+        monkeypatch.setenv(CAPTURE_ENV, "1")
+        capture = start_capture(monkeypatch)
         registered = TokenRingVS(
             PROCS, RingConfig(delta=1.0, pi=10.0, mu=30.0), seed=0
         )
-        assert registered in capture.live_services()
+        assert registered in capture.services()
 
     def test_export_failed_writes_artifacts(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(capture.CAPTURE_ENV, "1")
-        monkeypatch.setenv(capture.DIR_ENV, str(tmp_path))
+        monkeypatch.setenv(CAPTURE_ENV, "1")
+        capture = start_capture(monkeypatch)
         service = TokenRingVS(
             PROCS,
             RingConfig(delta=1.0, pi=10.0, mu=30.0, work_conserving=True),
             seed=1,
-            obs=Observability(),
         )
         service.start()
         service.simulator.run_until(120.0)
-        written = capture.export_failed("tests/x.py::test_y[p-1]")
+        written = capture.export("tests/x.py::test_y[p-1]", tmp_path)
         assert len(written) == 2
         jsonl_path, chrome_path = sorted(written)
         assert jsonl_path.endswith(".jsonl")
@@ -187,14 +166,7 @@ class TestCapture:
     def test_export_without_registrations_is_noop(
         self, monkeypatch, tmp_path
     ):
-        monkeypatch.setenv(capture.CAPTURE_ENV, "1")
-        monkeypatch.setenv(capture.DIR_ENV, str(tmp_path))
-        assert capture.export_failed("tests/x.py::test_none") == []
+        monkeypatch.setenv(CAPTURE_ENV, "1")
+        capture = start_capture(monkeypatch)
+        assert capture.export("tests/x.py::test_none", tmp_path) == []
         assert list(tmp_path.iterdir()) == []
-
-    def test_clear_empties_registry(self, monkeypatch):
-        monkeypatch.setenv(capture.CAPTURE_ENV, "1")
-        TokenRingVS(PROCS, RingConfig(delta=1.0, pi=10.0, mu=30.0), seed=0)
-        assert capture.live_services()
-        capture.clear()
-        assert capture.live_services() == []

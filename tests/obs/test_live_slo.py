@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.types import View
 from repro.membership.bounds import VSBounds
 from repro.obs.live.slo import (
     LatencySummary,
@@ -123,6 +124,23 @@ class TestSampleExtraction:
         summaries = latency_summaries(run)
         assert summaries["safe"].count == 1
         assert summaries["view_install"].count == 0
+
+    def test_view_install_starts_at_the_formation_line(self):
+        view = View((1, "p1"), frozenset(PROCS))
+        events = [
+            {"ts": 100.0, "seq": 1, "node": "p1", "ev": "formation",
+             "args": [view.id, "p1"]},
+            {"ts": 100.1, "seq": 2, "node": "p1", "ev": "createview",
+             "args": [view.id, PROCS, "p1"]},
+        ]
+        for i, p in enumerate(PROCS):
+            events.append({"ts": 100.2 + 0.05 * i, "seq": 3 + i, "node": p,
+                           "ev": "newview", "args": [view, p]})
+        assert view_install_samples(stitch_events(events, PROCS)) == [
+            pytest.approx(0.3)
+        ]
+        # Without the proposal, first to last newview is no sample.
+        assert view_install_samples(stitch_events(events[1:], PROCS)) == []
 
     def test_fault_window_excludes_overlapping_spans(self):
         timeline = [

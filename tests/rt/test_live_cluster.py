@@ -175,7 +175,7 @@ class TestOneNodeShape:
             demux = node.network._node
             assert isinstance(demux, GroupDemux)
             assert list(demux.handlers) == ["g0"] and demux.default == "g0"
-            assert node.obs.tracer is None and node.obs.metrics is not None
+            assert vars(node.obs) == {"metrics": node.obs.metrics}
 
         self.on_node(tmp_path, 1, body)
 

@@ -134,7 +134,7 @@ class TestRingSwap:
 
 class TestMetrics:
     def test_per_group_counters_and_gauges(self):
-        obs = Observability(metrics=True, tracing=False)
+        obs = Observability()
         ring, _, router = make_router(1, window=2, obs=obs)
         keys = keys_owned_by(ring, "g0", 1)
         for i in range(5):

@@ -445,13 +445,7 @@ class RingMember(NetworkNode):
         probes of others) trigger a formation that includes it.
         """
         self.restarts += 1
-        self._cancel_formation()
-        for handle in self._retransmit_handles:
-            handle.cancel()
-        self._retransmit_handles = []
-        self._watchdog.disarm()
-        self._join_watchdog.disarm()
-        self._launch_timer.stop()
+        self._disarm()
         self.view = None
         self.buffered = []
         self.delivered_idx = 0
@@ -463,6 +457,23 @@ class RingMember(NetworkNode):
         self._seen_floor = {}
         if not self._probe_timer.running:
             self._probe_timer.start()
+
+    def stop(self) -> None:
+        """Cancel every timer and pending retransmission, probes
+        included: the member takes no further step of its own."""
+        self._disarm()
+        self._probe_timer.stop()
+
+    def _disarm(self) -> None:
+        """The timer half of :meth:`restart`: deadlines, the launch
+        timer and retransmissions (probes keep running)."""
+        self._cancel_formation()
+        for handle in self._retransmit_handles:
+            handle.cancel()
+        self._retransmit_handles = []
+        self._watchdog.disarm()
+        self._join_watchdog.disarm()
+        self._launch_timer.stop()
 
     # ------------------------------------------------------------------
     # View-lifecycle events, and optional instrumentation (the WeakVS

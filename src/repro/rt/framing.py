@@ -28,6 +28,10 @@ control plane put on the wire; nesting works (a
 :class:`~repro.membership.messages.Sequenced` wraps another message, a
 token's order entries are tuples of payload and origin).
 
+A log writes an argument's text with :func:`render_value`, which is
+``json.dumps(encode_value(x), separators=(",", ":"))`` by definition
+and writes the common exact types without building the tagged dicts.
+
 :class:`TaggedDecoder`, an ``object_hook`` on ``json``'s C scanner,
 decodes a line in one pass.  It refuses, with :class:`FrameError`,
 unknown tags and wire types, a tagged record whose parts are missing or
@@ -94,10 +98,26 @@ _WIRE_SPECS: dict[type, tuple[str, tuple[str, ...]]] = {
 }
 
 
+#: A ``str`` as ``json.dumps`` writes it.
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _text_spec(cls: type) -> tuple[str, tuple[tuple[str, str], ...]]:
+    name, names = _WIRE_SPECS[cls]
+    head = '{"!":"m","m":' + _quote(name) + ',"f":{'
+    return head, tuple((field, _quote(field) + ":") for field in names)
+
+
+#: Per registered class, its log text up to the field map and each
+#: field's ``"name":`` key, for :func:`render_value`.
+_TEXT_SPECS = {cls: _text_spec(cls) for cls in _WIRE_SPECS}
+
+
 def register_wire_type(cls: type) -> type:
     """Add a dataclass to the wire registry (decorator-friendly)."""
     _REGISTRY[cls.__name__] = cls
     _WIRE_SPECS[cls] = _wire_spec(cls)
+    _TEXT_SPECS[cls] = _text_spec(cls)
     return cls
 
 
@@ -150,6 +170,37 @@ def encode_value(value: Any) -> Any:
     """Public alias of the recursive value encoder (trace capture uses
     it to make event arguments JSON-able)."""
     return _enc(value)
+
+
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def render_value(value: Any) -> str:
+    """``json.dumps(encode_value(value), separators=(",", ":"))``, by
+    definition: the exact types a log line mostly holds (``str``,
+    ``int``, ``tuple``, registered records, ``list``, ``None``,
+    ``bool``) are written here, directly; every other type, subclasses
+    included, through that expression."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is tuple:
+        return '{"!":"t","v":[' + ",".join([render_value(v) for v in value]) + "]}"
+    if kind is int:
+        return int.__repr__(value)
+    spec = _TEXT_SPECS.get(kind)
+    if spec is not None:
+        head, keys = spec
+        return head + ",".join(
+            [key + render_value(getattr(value, field)) for field, key in keys]
+        ) + "}}"
+    if kind is list:
+        return "[" + ",".join([render_value(v) for v in value]) + "]"
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    return _dumps(_enc(value))
 
 
 class TaggedDecoder:

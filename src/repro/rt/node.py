@@ -226,6 +226,7 @@ class LiveNode:
             event_log_path(self.log_dir, self.proc_id, group, self.shards),
             self.proc_id,
         )
+        self.network.write_ahead(log.flush)
         service = LiveNodeService(
             self.proc_id,
             cast(LiveNetwork, GroupNet(group, self.network)),
@@ -391,9 +392,14 @@ class LiveNode:
         path.write_text(json.dumps(report, indent=2), encoding="utf-8")
 
     async def close(self) -> None:
+        """Stop every ring timer and pending retransmission, then the
+        transport, then write out and close the logs: a closed node
+        neither logs nor sends again (its loop may live on)."""
+        for stack in self._stacks.values():
+            stack.member.stop()
+        await self.network.close()
         for stack in self._stacks.values():
             stack.log.close()
-        await self.network.close()
 
 
 def default_ring_config(delta: float = 0.05) -> RingConfig:

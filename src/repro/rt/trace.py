@@ -17,12 +17,22 @@ fixes the membership, and ``established(viewid, p)`` when state
 exchange completes at ``p``.  A steady-state run logs none of them.
 In all nine the processor the event occurs at is the last argument.
 
-The log-line contract: a line is ``json.dumps(entry, separators=(",",
-":"))`` of the entry above, byte for byte; the file is line-buffered,
-one ``write`` per event, so a SIGKILL loses at most the line being
-written and a killed node's log is a valid prefix, which is all trace
-inclusion needs; and the line is written ahead of the action it
-records (``gpsnd`` is in the file before the frame leaves the node).
+The log contract, INV-LOG-1:
+
+- *same bytes* — a line is ``json.dumps(entry, separators=(",",
+  ":"))`` of the entry above, byte for byte (arguments are written by
+  :func:`~repro.rt.framing.render_value`, that expression by
+  definition);
+- *one write per turn* — :meth:`EventLog.record` buffers the line, and
+  one ``write`` at the end of the event-loop turn empties the buffer;
+- *write-ahead* — the node's transport empties its logs before it
+  writes any frame to a socket, so every line a frame depends on
+  (``gpsnd`` before the token that carries its entry) is in the file
+  before the frame leaves;
+- *prefix on a kill* — the file grows by whole buffers in order, so a
+  SIGKILL leaves a prefix of whole lines plus at most one torn last
+  line, which is all trace inclusion needs and what
+  :func:`load_event_logs` accepts.
 
 :func:`load_event_logs` merges the per-node files into one global
 sequence ordered by ``(ts, node, seq)``.  All nodes run on one host in
@@ -48,6 +58,7 @@ timings.  Throughput and latency are measured from outside by
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import json
 import time
@@ -61,7 +72,7 @@ from repro.core.to_spec import check_to_trace
 from repro.core.types import View
 from repro.ioa.actions import Action, act
 from repro.ioa.timed import TimedEvent
-from repro.rt.framing import TaggedDecoder, encode_value
+from repro.rt.framing import TaggedDecoder, encode_value, render_value
 
 #: Event names captured at the VS layer (fed to OnlineVSMonitor).
 VS_EVENTS = ("gpsnd", "gprcv", "safe", "newview")
@@ -103,14 +114,8 @@ def group_event_logs(log_dir: str | Path) -> dict[str, dict[str, Path]]:
     return {group: found[group] for group in sorted(found)}
 
 
-#: ``json.dumps(x, separators=(",", ":"))`` without building an encoder
-#: per call.
-_dumps = json.JSONEncoder(separators=(",", ":")).encode
-
-#: Rendered-argument memo ceiling per log; the table is cleared when
-#: full.  Strings longer than ``_MEMO_STR_LEN`` are rendered each time.
+#: Rendered-payload memo ceiling per log; the table is cleared when full.
 _MEMO_ENTRIES = 512
-_MEMO_STR_LEN = 64
 
 
 class EventLog:
@@ -124,30 +129,31 @@ class EventLog:
     its ``id`` cannot be reused by another value while the text is
     held.  Event arguments are protocol values: nothing mutates them
     after they are recorded.
+
+    Lines are buffered and written by :meth:`flush`: at the end of the
+    event-loop turn that recorded them, before any frame leaves the
+    node (the transport calls it, INV-LOG-1), or on :meth:`close`.
+    Without a running loop only those last two write.
     """
 
     def __init__(self, path: str | Path, node: str) -> None:
         self.path = Path(path)
         self.node = node
         self._seq = 0
-        self._file: TextIO = open(self.path, "w", buffering=1, encoding="utf-8")
+        self._file: TextIO = open(self.path, "w", encoding="utf-8")
+        self._lines: list[str] = []
         self._heads: dict[str, str] = {}
-        #: ``id(tuple)`` or the string itself -> (argument, its JSON).
-        self._memo: dict[int | str, tuple[Any, str]] = {}
+        #: ``id(tuple)`` -> (the tuple, its JSON).
+        self._memo: dict[int, tuple[Any, str]] = {}
 
     def _render(self, arg: Any) -> str:
-        kind = type(arg)
-        if kind is tuple:
-            key: int | str = id(arg)
-        elif kind is str and len(arg) <= _MEMO_STR_LEN:
-            key = arg
-        else:
-            return _dumps(encode_value(arg))
-        hit = self._memo.get(key)
+        if type(arg) is not tuple:
+            return render_value(arg)
+        hit = self._memo.get(id(arg))
         if hit is None:
             if len(self._memo) >= _MEMO_ENTRIES:
                 self._memo.clear()
-            hit = self._memo[key] = (arg, _dumps(encode_value(arg)))
+            hit = self._memo[id(arg)] = (arg, render_value(arg))
         return hit[1]
 
     def record(self, name: str, *args: Any) -> None:
@@ -157,12 +163,26 @@ class EventLog:
         head = self._heads.get(name)
         if head is None:
             head = self._heads[name] = (
-                f',"node":{_dumps(self.node)},"ev":{_dumps(name)},"args":['
+                f',"node":{json.dumps(self.node)},"ev":{json.dumps(name)},"args":['
             )
         body = ",".join([self._render(arg) for arg in args])
-        self._file.write(f'{{"ts":{ts!r},"seq":{self._seq}{head}{body}]}}\n')
+        if not self._lines:
+            try:
+                asyncio.get_running_loop().call_soon(self.flush)
+            except RuntimeError:
+                pass  # no loop turn to end
+        self._lines.append(f'{{"ts":{ts!r},"seq":{self._seq}{head}{body}]}}\n')
+
+    def flush(self) -> None:
+        """Write the buffered lines with one ``write``; a closed log
+        drops them (nothing a node does after closing is in its log)."""
+        lines, self._lines = self._lines, []
+        if lines and not self._file.closed:
+            self._file.write("".join(lines))
+            self._file.flush()
 
     def close(self) -> None:
+        self.flush()
         self._file.close()
 
     @property

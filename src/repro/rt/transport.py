@@ -27,7 +27,9 @@ Delivery semantics match the model's *fair lossy* channels: a frame
 written while the peer is connected is delivered unless the connection
 drops mid-flight; frames sent while disconnected or blocked are lost
 (the ring's watchdogs and retransmissions are what tolerate exactly
-this).
+this).  Before any frame reaches a socket the transport calls its
+:meth:`~LiveNetwork.write_ahead` hooks, through which a node empties
+its event logs (INV-LOG-1 in :mod:`repro.rt.trace`).
 """
 
 from __future__ import annotations
@@ -174,6 +176,7 @@ class LiveNetwork:
         for peer in self._peers.values():
             peer.sender = self._make_sender(batching=True)
         self._node: Any = None
+        self._write_ahead: list[Callable[[], None]] = []
         self._server: asyncio.AbstractServer | None = None
         self._inbound: dict[str, asyncio.StreamWriter] = {}
         self._closing = False
@@ -208,6 +211,8 @@ class LiveNetwork:
         keep the transport counters truthful about the wire."""
 
         def sink(frame: bytes) -> None:
+            for flush in self._write_ahead:
+                flush()
             try:
                 writer.write(frame)
             except OSError:
@@ -297,6 +302,12 @@ class LiveNetwork:
                 f"node {node.proc_id!r} registered on transport {self.proc_id!r}"
             )
         self._node = node
+
+    def write_ahead(self, flush: Callable[[], None]) -> None:
+        """Call ``flush`` before every frame is written to a socket: the
+        node's event logs reach the file ahead of the frames whose
+        sending they record (INV-LOG-1)."""
+        self._write_ahead.append(flush)
 
     async def start(self) -> None:
         """Bind the listen socket and start outbound connector tasks."""

@@ -6,6 +6,7 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
+import time
 
 import pytest
 
@@ -226,6 +227,49 @@ class TestOneNodeShape:
         # For one group the totals are that group's numbers.
         group = one["groups"]["g0"]
         assert {k: one[k] for k in group} == group
+
+
+class TestClosedNode:
+    """A node closed while its loop lives on — the in-process cluster,
+    whose nodes share one loop — takes no further step: its ring
+    timers are stopped, so nothing reaches its closed log."""
+
+    def test_a_closed_node_stays_quiet_past_two_watchdogs(self, tmp_path, caplog):
+        config = default_ring_config(0.02)
+        watchdog = config.token_timeout(3)
+
+        async def scenario():
+            peers = loopback_peers(3)
+            nodes = {p: LiveNode(p, peers, tmp_path, config=config) for p in peers}
+            try:
+                for node in nodes.values():
+                    await node.start()
+                for p in ("p2", "p3", "p1"):  # the leader last
+                    await nodes[p]._on_ctl("driver", Ctl("go"), lambda reply: None)
+                for i, p in enumerate(("p1", "p2", "p3")):
+                    await nodes[p]._on_ctl("driver", Ctl("send", f"m{i}"), lambda reply: None)
+                await asyncio.sleep(2 * watchdog)
+                closed = nodes.pop("p2")
+                await closed.close()
+                closed_at = time.time()
+                recorded = closed.stats()["events_recorded"]
+                await asyncio.sleep(2.5 * watchdog)
+                # Without a token from p2 the others form a new view.
+                assert any(node.stats()["formations"] for node in nodes.values())
+                assert closed.stats()["events_recorded"] == recorded
+                return closed_at
+            finally:
+                for node in nodes.values():
+                    await node.close()
+                await asyncio.sleep(0.1)  # stream handlers see EOF and end
+
+        closed_at = asyncio.run(scenario())
+        assert not [r for r in caplog.records if "Exception in callback" in r.getMessage()]
+        text = (tmp_path / "p2.events.jsonl").read_text(encoding="utf-8")
+        assert text.endswith("\n")
+        events = load_event_logs([tmp_path / "p2.events.jsonl"])
+        assert len(events) == len(text.splitlines()) > 0
+        assert max(e["ts"] for e in events) <= closed_at
 
 
 class TestLiveClusterSmoke:

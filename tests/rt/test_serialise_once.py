@@ -10,8 +10,10 @@ change.
 
 from __future__ import annotations
 
+import asyncio
 import copy
 import dataclasses
+import enum
 import hashlib
 import json
 import tempfile
@@ -19,7 +21,7 @@ from pathlib import Path
 from typing import Any
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.types import BOTTOM, Label, View
@@ -32,7 +34,7 @@ from repro.membership.messages import (
     Sequenced,
     Token,
 )
-from repro.membership.ring import RingConfig
+from repro.membership.ring import RingConfig, RingMember
 from repro.membership.service import TokenRingVS
 from repro.rt import framing
 from repro.rt import trace as trace_module
@@ -41,11 +43,15 @@ from repro.rt.framing import (
     encode_value,
     register_wire_type,
     registered_wire_types,
+    render_value,
 )
+from repro.rt.node import LiveNode, default_ring_config
 from repro.rt.trace import EventLog, load_event_logs
-from repro.rt.transport import Ctl, Hello
-from repro.rt.wire import BinaryDecoder, BinaryEncoder, BinaryWire
+from repro.rt.transport import Ctl, Hello, LiveNetwork
+from repro.rt.wire import BinaryDecoder, BinaryEncoder, BinaryWire, WireReader
 from repro.shard.live import ShardEnvelope
+from tests.rt.test_live_cluster import loopback_peers
+from tests.rt.test_wire import EDGE_VALUES, SAMPLES
 
 # ----------------------------------------------------------------------
 # The codec's value grammar
@@ -120,7 +126,34 @@ def reference_line(line: str, node: str, name: str, args: list[Any]) -> str:
     return json.dumps(entry, separators=(",", ":"))
 
 
+class Colour(enum.IntEnum):
+    RED = 1
+
+
+class Name(str):
+    pass
+
+
+#: Argument lists every run checks, beside the drawn ones: one per wire
+#: sample and edge value, and the scalars the renderer must leave to
+#: ``json.dumps``.
+EXPLICIT_ARGS = [
+    *([sample, "p1"] for sample in SAMPLES.values()),
+    *([value, "p1"] for value in EDGE_VALUES),
+    [float("nan"), float("inf"), -0.0, 2**70],
+    ['q"\\\n\t', "naïve ☃ \U0001F600", Name('s"ub'), Colour.RED],
+    [(Name("x"), Colour.RED, [True, None]), [(), []]],
+]
+
+
+def with_explicit_args(test: Any) -> Any:
+    for args in EXPLICIT_ARGS:
+        test = example(args, "p1")(test)
+    return test
+
+
 class TestEventLogLines:
+    @with_explicit_args
     @settings(max_examples=150, deadline=None)
     @given(st.lists(values, max_size=4), st.sampled_from(["p1", "nœud-2", 'n"3']))
     def test_lines_equal_json_dumps_and_round_trip(self, args, node):
@@ -142,25 +175,167 @@ class TestEventLogLines:
             assert [e["ev"] for e in events] == ["gpsnd", "gprcv", "safe"]
             for event in events:
                 assert event["node"] == node
-                assert event["args"] == args
+                # repr for NaN, which equals nothing
+                assert event["args"] == args or repr(event["args"]) == repr(args)
 
-    def test_file_is_line_buffered_one_write_per_event(self, tmp_path):
-        # The write-ahead guarantee: the line is readable by another
-        # handle as soon as record() returns, without flush or close.
+
+class CountingFile:
+    """Stands in for a log's file and counts its ``write`` calls."""
+
+    def __init__(self, file: Any) -> None:
+        self.file = file
+        self.writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        return self.file.write(text)
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self.file, name)
+
+
+def one_turn(body: Any) -> None:
+    """Run ``body()`` as one callback of a loop turn, then let the next
+    turn start."""
+
+    async def scenario() -> None:
+        asyncio.get_running_loop().call_soon(body)
+        await asyncio.sleep(0)  # body's turn
+        await asyncio.sleep(0)  # the turn after it
+
+    asyncio.run(scenario())
+
+
+class TestOneWritePerTurn:
+    """INV-LOG-1: ``record`` buffers, one ``write`` at the end of the
+    loop turn empties the buffer."""
+
+    def test_the_turns_lines_are_on_disk_once_it_ends(self, tmp_path):
         path = tmp_path / "p1.events.jsonl"
         log = EventLog(path, "p1")
-        log.record("gpsnd", ("m", 1), "p1")
-        assert path.read_text(encoding="utf-8").endswith('"p1"]}\n')
-        log.record("bcast", "v", "p1")
-        assert len(path.read_text(encoding="utf-8").splitlines()) == 2
+        on_disk_in_turn: list[str] = []
+
+        def turn() -> None:
+            log.record("gpsnd", ("m", 1), "p1")
+            log.record("bcast", "v", "p1")
+            on_disk_in_turn.append(path.read_text(encoding="utf-8"))
+
+        one_turn(turn)
+        assert on_disk_in_turn == [""]
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["ev"] for line in lines] == ["gpsnd", "bcast"]
         log.close()
+
+    def test_a_turn_of_30_events_is_one_write(self, tmp_path):
+        log = EventLog(tmp_path / "p1.events.jsonl", "p1")
+        log._file = spy = CountingFile(log._file)
+        one_turn(lambda: [log.record("gpsnd", ("m", i), "p1") for i in range(30)])
+        assert spy.writes == 1
+        one_turn(lambda: [log.record("bcast", f"v{i}", "p1") for i in range(30)])
+        assert spy.writes == 2
+        log.close()
+        assert spy.writes == 2
+        assert len(load_event_logs([log.path])) == 60
+
+
+def submit(node: LiveNode, value: str) -> None:
+    """A client send handled at once (the control handler's ``send``
+    branch never suspends)."""
+    with pytest.raises(StopIteration):
+        node._on_ctl("driver", Ctl("send", value), lambda reply: None).send(None)
+
+
+class SpyStream:
+    """A peer stream that, at every frame written to it, finds the
+    writing node's own entries in the tokens the frame carries and
+    notes each whose ``gpsnd`` line is not yet in the node's log."""
+
+    def __init__(self, node: str, stream: Any, log_path: Path, seen: dict[str, list]) -> None:
+        self.node, self.stream, self.log_path = node, stream, log_path
+        self.reader = WireReader()
+        self.seen = seen
+
+    def write(self, frame: bytes) -> None:
+        for message in self.reader.feed(frame):
+            body = getattr(getattr(message, "msg", None), "body", None)
+            own = [p for p, origin in getattr(body, "order", ()) if origin == self.node]
+            if own:
+                logged = {
+                    e["args"][0] for e in load_event_logs([self.log_path])
+                    if e["ev"] == "gpsnd"
+                }
+                self.seen["checked"] += own
+                self.seen["late"] += [p for p in own if p not in logged]
+        self.stream.write(frame)
+
+
+class TestWriteAhead:
+    """INV-LOG-1: a node's logs are emptied before any frame it writes,
+    so a token never leaves ahead of the ``gpsnd`` of an entry it
+    carries.  Each node takes a client send in the very turn the token
+    reaches it, and writes each frame as it is sent (``LiveNode``'s
+    default, no batching window), so the token leaves carrying an entry
+    logged in the same turn, before that turn's end could write it."""
+
+    SENDS = 12
+
+    def episode(self, tmp_path: Path, monkeypatch: Any) -> dict[str, list]:
+        seen: dict[str, list] = {"checked": [], "late": []}
+        frame_sink = LiveNetwork._frame_sink
+
+        def spied(network: LiveNetwork, stream: Any) -> Any:
+            path = tmp_path / f"{network.proc_id}.events.jsonl"
+            return frame_sink(network, SpyStream(network.proc_id, stream, path, seen))
+
+        monkeypatch.setattr(LiveNetwork, "_frame_sink", spied)
+        peers = loopback_peers(3)
+        on_message = RingMember.on_message
+        budget = list(range(self.SENDS))
+
+        async def scenario() -> None:
+            nodes = {p: LiveNode(p, peers, tmp_path, config=default_ring_config(0.02)) for p in peers}
+
+            def token_arrives(member: RingMember, src: str, message: Any) -> None:
+                if budget and isinstance(getattr(message, "body", None), Token):
+                    submit(nodes[member.proc_id], f"{member.proc_id}-{budget.pop()}")
+                on_message(member, src, message)
+
+            monkeypatch.setattr(RingMember, "on_message", token_arrives)
+            try:
+                for node in nodes.values():
+                    await node.start()
+                for p in ("p2", "p3", "p1"):  # the leader last
+                    await nodes[p]._on_ctl("driver", Ctl("go"), lambda reply: None)
+                loop = asyncio.get_running_loop()
+                deadline = loop.time() + 10.0
+                while budget and loop.time() < deadline:
+                    await asyncio.sleep(0.01)
+                await asyncio.sleep(0.3)  # the last entries ride a lap
+            finally:
+                for node in nodes.values():
+                    await node.close()
+                await asyncio.sleep(0.1)  # stream handlers see EOF and end
+
+        asyncio.run(scenario())
+        assert not budget, "the ring never took every send"
+        return seen
+
+    def test_gpsnd_is_on_disk_before_its_token_leaves(self, tmp_path, monkeypatch):
+        seen = self.episode(tmp_path, monkeypatch)
+        assert len(set(seen["checked"])) == self.SENDS
+        assert seen["late"] == []
+
+    def test_without_the_flush_a_token_leaves_first(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(LiveNetwork, "write_ahead", lambda network, flush: None)
+        seen = self.episode(tmp_path, monkeypatch)
+        assert seen["late"], "the check cannot fail: it proves nothing"
 
 
 class TestRenderOnce:
     def test_one_payload_is_encoded_once_per_node(self, tmp_path, monkeypatch):
-        """gpsnd -> gprcv -> safe of one payload on one node's log call
-        ``encode_value`` on it once; across a 3-member ring (which hands
-        gprcv and safe the entry object it logged) once per node."""
+        """gpsnd -> gprcv -> safe of one payload on one node's log
+        render it once; across a 3-member ring (which hands gprcv and
+        safe the entry object it logged) once per node."""
         procs = (1, 2, 3)
         logs = {p: EventLog(tmp_path / f"{p}.events.jsonl", str(p)) for p in procs}
         payload = (Label((0, 1), 1, 1), "value")
@@ -168,9 +343,9 @@ class TestRenderOnce:
 
         def counting(value: Any) -> Any:
             encoded.append(value)
-            return encode_value(value)
+            return render_value(value)
 
-        monkeypatch.setattr(trace_module, "encode_value", counting)
+        monkeypatch.setattr(trace_module, "render_value", counting)
         vs = TokenRingVS(procs, RingConfig(delta=1.0, pi=10.0, mu=30.0), seed=0)
         vs.on_gprcv = lambda m, src, dst: logs[dst].record("gprcv", m, src, dst)
         vs.on_safe = lambda m, src, dst: logs[dst].record("safe", m, src, dst)

@@ -47,12 +47,12 @@ from repro.obs.export import TS_SCALE, chrome_trace
 PROCS = (1, 2, 3, 4, 5)
 
 # Pinned seed-7 chaos execution; tests/obs/test_determinism.py asserts
-# the same goldens in tier-1.
+# the same goldens in tier-1 (re-pinned in EXPERIMENTS E36).
 GOLDEN_SHAPE = (
-    "b4ed75838a0c6dedcdb25ca73a89b0c01f5e0f531a80ea2316c9bce059944939"
+    "27e8ba827d4ed2df6b721de100fd12eb61f8917c8348c517aaccf38bb83a7ee2"
 )
 GOLDEN_RNG = (
-    "9f1352c9cc4c25a21fc7781b777663b245d2d78090df4a9784abfd7911b4d479"
+    "6a248f96d7e122357d2d915cd05c80978693164b79a574ac50ba066a47e4af1c"
 )
 
 OVERHEAD_BUDGET = 0.15
@@ -177,8 +177,9 @@ def test_e19_chrome_trace_is_structurally_valid():
 
 def test_e19_spans_agree_with_measurement():
     """Spans stitched from the recorded events read what
-    ``analysis.measure`` read before it was retired."""
-    pinned = {0: (2.781, 164.6), 1: (3.064, 164.1), 2: (2.886, 165.9)}
+    ``analysis.measure`` read before it was retired (re-pinned in
+    EXPERIMENTS E36, when non-leader sends began to wake the token)."""
+    pinned = {0: (2.65, 137.5), 1: (3.108, 138.9), 2: (2.519, 137.9)}
     for seed in (0, 1, 2):
         service = TokenRingVS(
             PROCS,

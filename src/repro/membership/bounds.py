@@ -76,7 +76,8 @@ class VSBounds:
     #   completed counts one further pass later → ≈ 3π + nδ;
     # - work-conserving (leader relaunches while any entry is unsafe):
     #   one launch wait plus at most four back-to-back passes
-    #   → ≈ π + 4nδ.
+    #   → ≈ π + 4nδ.  A member's wake only moves a launch earlier, so
+    #   a lost one leaves this worst case as it was.
     # ------------------------------------------------------------------
     def d_impl(self, n: int, work_conserving: bool = False) -> float:
         """Worst-case safe latency of this repository's implementation."""

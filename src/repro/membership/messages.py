@@ -121,6 +121,16 @@ class Probe:
 
 
 @dataclass(frozen=True)
+class Wake:
+    """A member's request that the leader launch its idle token now
+    (work-conserving mode).  A liveness hint outside the model: it is
+    never retransmitted and never starts a formation, so a lost or stale
+    wake costs at most the wait for the next π tick."""
+
+    viewid: RingViewId
+
+
+@dataclass(frozen=True)
 class Sequenced:
     """A protocol message stamped with a per-sender packet sequence
     number.

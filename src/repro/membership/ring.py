@@ -27,6 +27,11 @@ but does not order packets), the token carries the view membership, and
 a processor that accepted a view but missed the Join installs the view
 directly from the first token it sees for it.
 
+Work-conserving wake: a non-leader's send asks the leader to launch its
+idle token, with one :class:`Wake` per token visit.  A liveness hint
+outside the model: only a same-view wake at the leader holding the token
+acts, and a lost one costs the π tick the protocol waited for anyway.
+
 Hardening beyond the model (exercised by :mod:`repro.faults`): every
 outgoing packet is wrapped in :class:`Sequenced` and duplicates are
 suppressed per sender (injected duplication of a token would otherwise
@@ -54,6 +59,7 @@ from repro.membership.messages import (
     RingViewId,
     Sequenced,
     Token,
+    Wake,
 )
 from repro.net.network import Network, NetworkNode
 from repro.sim.timers import PeriodicTimer, WatchdogTimer
@@ -101,9 +107,10 @@ class RingConfig:
         self.pi = pi
         self.mu = mu
         #: When True, the leader keeps the token circulating while any
-        #: entry is not yet safe at every member, instead of holding it
-        #: until the next π tick.  Trades token traffic for latency; the
-        #: periodic mode is the literal Section 8 protocol.
+        #: entry is not yet safe at every member, and any member's send
+        #: launches an idle token (a non-leader's by a :class:`Wake`).
+        #: Trades token traffic for latency; the periodic mode is the
+        #: literal Section 8 protocol.
         self.work_conserving = work_conserving
         #: Totem/Transis-style "safe delivery" (§1 discussion point 5):
         #: delay gprcv until every member's lower layer has the message
@@ -209,6 +216,8 @@ class RingMember(NetworkNode):
         #: member processes a token it is not behind on, ``log`` equals
         #: the full logical order known to that token.
         self.log: list = []
+        #: Set by each token visit, cleared by a wake and by an install.
+        self._wake_armed = False
 
         # Connectivity estimate for the one-round protocol.
         self.last_heard: dict[ProcId, float] = {}
@@ -249,6 +258,7 @@ class RingMember(NetworkNode):
         self.token_entries_sent = 0
         self.token_entries_max = 0
         self.token_resyncs = 0
+        self.wakes_sent = 0
         # Client-send batching: how many buffered gpsnd payloads each
         # token visit appended (all queued sends ride one circulation).
         self.token_entries_appended = 0
@@ -505,14 +515,24 @@ class RingMember(NetworkNode):
         if self.view is None:
             return
         self.buffered.append((self.view.id, payload))
-        if (
-            self.config.work_conserving
-            and self.held_token is not None
-            and self._alive()
-        ):
+        if not self.config.work_conserving or not self._alive():
+            return
+        if self.held_token is not None:
             # Wake the circulation immediately instead of waiting for
             # the next π tick.
             self._sim.call_soon(self._on_launch_tick)
+        elif self._wake_armed and self.safe_idx == len(self.log):
+            # Ask the leader to, once per token visit and not before the
+            # view's first token (launched at install anyway).  Liveness
+            # needs no wake while safe_idx < len(log): this member's
+            # ``safed`` on the token is then below ``total``, so the
+            # leader relaunches at home (``_token_has_work``) and this
+            # member is visited again.  Under saturation few are sent.
+            leader = self._ring_order()[0]
+            if leader != self.proc_id:
+                self._wake_armed = False
+                self.wakes_sent += 1
+                self._send(leader, Wake(self.view.id))
 
     # ------------------------------------------------------------------
     # Message dispatch
@@ -534,6 +554,8 @@ class RingMember(NetworkNode):
             self._on_join(message)
         elif isinstance(message, Token):
             self._on_token(message)
+        elif isinstance(message, Wake):
+            self._on_wake(message)
         elif isinstance(message, Probe):
             self._on_probe(message)
 
@@ -680,6 +702,7 @@ class RingMember(NetworkNode):
         self.safe_idx = 0
         self.held_token = None
         self.log = []
+        self._wake_armed = False
         self.service.emit_newview(self.view, self.proc_id)
         self._launch_timer.stop()
         if self.is_leader:
@@ -750,6 +773,17 @@ class RingMember(NetworkNode):
             self._round_started = self._sim.now
             self._forward(token)
 
+    def _on_wake(self, message: Wake) -> None:
+        # Only the live leader holding its view's token acts, as on its
+        # own send; any other wake is dropped: it starts no formation.
+        if (
+            self.held_token is not None
+            and self.view is not None
+            and message.viewid == self.view.id
+            and self._alive()
+        ):
+            self._sim.call_soon(self._on_launch_tick)
+
     def _process_token(self, token: Token) -> None:
         """Deliver new entries, append buffered sends, update counts and
         emit safe notifications.
@@ -769,6 +803,7 @@ class RingMember(NetworkNode):
         full-order resync for this member).
         """
         self.tokens_processed += 1
+        self._wake_armed = True
         if self._m_tokens is not None:
             self._m_tokens.inc()
         assert self.view is not None

@@ -61,6 +61,7 @@ from repro.membership.messages import (
     Probe,
     Sequenced,
     Token,
+    Wake,
 )
 
 #: Default ceiling on one frame's payload size.  A steady-state token
@@ -82,7 +83,7 @@ class FrameError(ValueError):
 #: :func:`register_wire_type` (avoiding a circular import).
 _REGISTRY: dict[str, type] = {
     cls.__name__: cls
-    for cls in (NewGroup, Accept, Join, Probe, Token, Sequenced, Label, Summary)
+    for cls in (NewGroup, Accept, Join, Probe, Wake, Token, Sequenced, Label, Summary)
 }
 
 

@@ -329,6 +329,7 @@ class LiveNode:
                 "entries_appended": member.token_entries_appended,
                 "append_batches": member.token_append_batches,
                 "append_max": member.token_append_max,
+                "wakes": member.wakes_sent,
             },
         }
 

@@ -80,7 +80,7 @@ class TestSweeps:
 #: are deterministic per seed, so any change to an E5–E19 number or
 #: verdict shows up here; re-pin only with the before/after tables in
 #: EXPERIMENTS.md.
-REPORT_SHA256 = "18cb44e6d4f309b2da20da6f7faf7f02000f8f980069d5243359328f311662ed"
+REPORT_SHA256 = "aa09f77da0847ecb4e9d78ab9b950e6b3e198ed8d57586626a8ec636cdd827be"
 
 
 class TestReportCLI:

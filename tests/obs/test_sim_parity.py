@@ -50,12 +50,14 @@ from repro.rt.trace import (
 PROCS = (1, 2, 3, 4, 5)
 CONFIG = dict(delta=1.0, pi=10.0, mu=30.0, work_conserving=True)
 
-#: (records, sha256) of the retired in-run tracer's output.
+#: (records, sha256) of the retired in-run tracer's output; the two
+#: view-span pins were re-pinned on the stitched spans in EXPERIMENTS
+#: E36, when a non-leader's send began to wake the idle token.
 SPLIT_VIEW_SPANS = (
-    9, "003cef2290bd13ddaf2199ef264772e71d62ec6d682bb350e4d627582afb03e6"
+    9, "46d422719c89ea79bc008dcf6d45e238d4d77d1ace31dcb313580ef7760f3f91"
 )
 CHAOS_VIEW_SPANS = (
-    34, "e793c398a41f3e1e0c82024bf8c2016c3fb0cc8c62896b2f27e62ba443e14f48"
+    33, "190ba84b87b08e2b1f75b5d2fdc51a21583d3d11ba1c828448ac50aaccb6b482"
 )
 CHAOS_FAULT_WINDOWS = (
     10, "943c24684083f9db4c01d5ad6d92a19ec1a1a302ad2fd405cf91bc8cc4e8ef72"

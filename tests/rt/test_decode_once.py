@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any
 
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core.types import Label
 from repro.membership.messages import Token
+from repro.rt import trace as trace_module
 from repro.rt.framing import FrameError, TaggedDecoder, encode_value
 from repro.rt.trace import VS_EVENTS, TO_EVENTS, EventLog, EventLogError, load_event_logs
 from repro.rt.transport import Ctl
@@ -169,13 +171,56 @@ def write_capture(tmp: Path, logs: list[list[Any]], data: st.DataObject) -> list
     filled = [i for i, line in enumerate(lines) if line.strip()]
     if damage == "torn tail" or (damage == "torn interior" and len(filled) > 1):
         at = filled[-1] if damage == "torn tail" else data.draw(st.sampled_from(filled[:-1]))
-        lines[at] = lines[at][: data.draw(st.integers(1, len(lines[at]) - 1))]
+        # The cut is a fraction of the line, not a bound drawn from its
+        # length: a line's length moves with the wall-clock stamp on it,
+        # and the same choices must build the same strategies.
+        per_mille = data.draw(st.integers(0, 1000))
+        lines[at] = lines[at][: 1 + per_mille * (len(lines[at]) - 2) // 1000]
     elif damage == "refused":
         bad = data.draw(st.sampled_from(BAD_ARGS))
         entry = {"ts": 0.5, "seq": 0, "node": "px", "ev": "gpsnd", "args": [bad, "px"]}
         lines.insert(data.draw(st.integers(0, len(lines))), json.dumps(entry))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return paths
+
+
+class RecordingData:
+    """Draws through ``data``, noting each strategy and what it drew
+    (with the capture's directory left out)."""
+
+    def __init__(self, data: st.DataObject, tmp: str) -> None:
+        self.data, self.tmp = data, tmp
+        self.draws: list[tuple[str, str]] = []
+
+    def draw(self, strategy: st.SearchStrategy[Any]) -> Any:
+        value = self.data.draw(strategy)
+        self.draws.append((repr(strategy).replace(self.tmp, ""), repr(value).replace(self.tmp, "")))
+        return value
+
+
+def test_capture_draws_do_not_depend_on_the_clock(monkeypatch):
+    """The same choices under two clocks whose stamps differ in length
+    build the same strategies and draw the same values."""
+    logs = [[("bcast", ["v", "p1"]), ("gpsnd", [("m", 1), "p1"])], [("bcast", ["w", "p2"])]]
+    clock = [0.0]
+    monkeypatch.setattr(trace_module, "time", SimpleNamespace(time=lambda: clock[0]))
+    runs: list[list[tuple[str, str]]] = []
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def capture(data: st.DataObject) -> None:
+        with tempfile.TemporaryDirectory() as tmp:
+            recorder = RecordingData(data, tmp)
+            write_capture(Path(tmp), logs, recorder)
+        runs[-1].extend(recorder.draws)
+
+    for stamp in (1.5, 1760000000.1234567):
+        clock[0] = stamp
+        runs.append([])
+        capture()
+    cut = repr(st.integers(0, 1000))
+    assert any(strategy == cut for strategy, _ in runs[0]), "no line was cut"
+    assert runs[0] == runs[1]
 
 
 class TestCaptures:

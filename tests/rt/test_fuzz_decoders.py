@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.rt.framing import FrameError, TaggedDecoder, registered_wire_types
 from repro.rt.wire import FLAG_BATCH, WireReader, WireWriter, encode_wire_frame
-from tests.rt.test_serialise_once import corpus
+from tests.rt.test_serialise_once import corpus, wake_corpus
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("HYPOTHESIS_PROFILE") != "explore",
@@ -34,12 +34,12 @@ pytestmark = pytest.mark.skipif(
 
 @cache
 def corpus_frames() -> tuple[bytes, ...]:
-    """The corpus as one connection puts it on the wire, one frame a
-    message."""
+    """The corpus and the wake frames as one connection puts them on
+    the wire, one frame a message."""
     frames: list[bytes] = []
     writer = WireWriter()
     writer.attach(frames.append)
-    for message in corpus():
+    for message in corpus() + wake_corpus():
         writer.send(message)
     return tuple(frames)
 

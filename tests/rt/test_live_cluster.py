@@ -214,11 +214,15 @@ class TestOneNodeShape:
             return type(value).__name__
 
         async def body(node):
+            for wakes, stack in enumerate(node._stacks.values(), 2):
+                stack.member.wakes_sent = wakes
             return node.stats()
 
         one = self.on_node(tmp_path / "one", 1, body)
         two = self.on_node(tmp_path / "two", 2, body)
         assert shape(one) == shape(two)
+        assert [g["token"]["wakes"] for g in two["groups"].values()] == [2, 3]
+        assert two["token"]["wakes"] == 5
         for stats, shards in ((one, 1), (two, 2)):
             assert stats["shards"] == shards
             assert list(stats["groups"]) == [f"g{i}" for i in range(shards)]

@@ -33,6 +33,7 @@ from repro.membership.messages import (
     Probe,
     Sequenced,
     Token,
+    Wake,
 )
 from repro.membership.ring import RingConfig, RingMember
 from repro.membership.service import TokenRingVS
@@ -491,12 +492,33 @@ def corpus() -> list[object]:
     ]
 
 
+#: Records registered after :func:`corpus` was pinned, pinned apart so
+#: that the corpus and its refusals stay the parent commit's bytes.
+WAKE_SHA256 = "532cc13e84c3b980c3ee2b85d1345310de470f54f3c9c6bbcbae6047dbb85734"
+WAKE_BYTES = 70
+
+
+def wake_corpus() -> list[object]:
+    return [
+        Sequenced(10, Wake(VIEWID)),
+        ShardEnvelope("g1", Sequenced(11, Wake((4, "p2")))),
+    ]
+
+
 class TestWireCorpus:
     def test_bytes_are_the_parent_commits(self):
         wire = BinaryWire()
         blob = b"".join(wire.encode(message) for message in corpus())
         assert len(blob) == CORPUS_BYTES
         assert hashlib.sha256(blob).hexdigest() == CORPUS_SHA256
+
+    def test_wake_bytes_are_pinned(self):
+        sender, receiver = BinaryWire(), BinaryWire()
+        frames = [sender.encode(message) for message in wake_corpus()]
+        assert [receiver.decode(frame) for frame in frames] == wake_corpus()
+        blob = b"".join(frames)
+        assert len(blob) == WAKE_BYTES
+        assert hashlib.sha256(blob).hexdigest() == WAKE_SHA256
 
     def test_rejections_are_the_parent_commits(self):
         digest = hashlib.sha256()
@@ -545,4 +567,5 @@ class TestWireCorpus:
                     walk(item)
 
         walk(corpus())
+        walk(wake_corpus())
         assert set(registered_wire_types()) <= seen

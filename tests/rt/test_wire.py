@@ -18,6 +18,7 @@ from repro.membership.messages import (
     Probe,
     Sequenced,
     Token,
+    Wake,
 )
 from repro.rt.framing import (
     FrameError,
@@ -52,6 +53,7 @@ SAMPLES: dict[str, object] = {
     "Accept": Accept((2, "p1"), "p2"),
     "Join": Join((2, "p1"), ("p1", "p2", "p3")),
     "Probe": Probe("p1", (1, "p1")),
+    "Wake": Wake((3, "p1")),
     "Token": Token(
         viewid=(3, "p1"),
         members=("p1", "p2", "p3"),

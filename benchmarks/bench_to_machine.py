@@ -42,6 +42,8 @@ def test_e1_trace_validity_across_sizes():
         rows.append([n, len(execution), len(report.common_order)])
     print("\nE1: TO-machine random schedules vs the TO trace predicate")
     print(format_table(["n", "steps", "ordered"], rows))
+    # Seeded schedules: the table is exact, under any PYTHONHASHSEED.
+    assert rows == [[2, 600, 113], [3, 600, 103], [5, 600, 55], [8, 600, 34]]
 
 
 @pytest.mark.benchmark(group="e1-to-machine")

@@ -47,6 +47,8 @@ def test_e2_conformance_across_sizes():
         rows.append([n, views, deliveries])
     print("\nE2: VS-machine random schedules vs the Lemma 4.2 predicate")
     print(format_table(["n", "views(last seed)", "gprcv(last seed)"], rows))
+    # Seeded schedules: the table is exact, under any PYTHONHASHSEED.
+    assert rows == [[2, 5, 83], [3, 11, 270], [5, 9, 272]]
 
 
 @pytest.mark.benchmark(group="e2-vs-machine")

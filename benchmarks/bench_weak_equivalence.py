@@ -62,6 +62,16 @@ def test_e10_weak_runs_conform_to_vs_traces():
             rows,
         )
     )
+    # Seeded schedules: the table is exact, under any PYTHONHASHSEED
+    # (VSMachine enumerates newview actions in P's order).
+    assert rows == [
+        [0, 6, True, 616],
+        [1, 6, True, 618],
+        [2, 6, True, 621],
+        [3, 6, True, 620],
+        [4, 6, True, 616],
+        [5, 6, True, 627],
+    ]
 
 
 def test_e10_out_of_order_views_never_reach_members_backwards():

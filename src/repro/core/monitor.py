@@ -1,11 +1,11 @@
-"""Online runtime verification of the VS interface.
+"""Online runtime verification of the VS interface — the one
+implementation of the VS trace properties.
 
-:func:`repro.core.vs_spec.check_vs_trace` decides conformance of a
-complete trace after the fact.  :class:`OnlineVSMonitor` does the same
-work *incrementally*: feed it each VS event as it happens and it raises
+Feed :class:`OnlineVSMonitor` each VS event as it happens and it raises
 (or records, in permissive mode) at the **first** non-conformant event —
 which is how a deployed system would embed the specification as a
-runtime monitor.
+runtime monitor.  :func:`repro.core.vs_spec.check_vs_trace` decides a
+complete trace after the fact by feeding it through this monitor.
 
 Checked online, per event:
 
@@ -15,7 +15,7 @@ Checked online, per event:
   receive extends a prefix of the view's common order (the monitor
   maintains the lub of receive sequences and flags divergence); the
   per-sender subsequence extends that sender's sends in the view
-  (integrity + FIFO + no-dup + no-loss, i.e. Lemma 4.2);
+  (integrity + FIFO + no-dup + no-loss + causality, i.e. Lemma 4.2);
 - ``safe``: safe events form a prefix of the common order and the k-th
   safe at q happens only after the k-th receive at every member.
 """
@@ -43,7 +43,6 @@ class _ViewState:
     common_order: list = field(default_factory=list)
     sent: dict = field(default_factory=dict)        # sender -> [payload]
     received: dict = field(default_factory=dict)    # dest -> count
-    received_from: dict = field(default_factory=dict)  # (dest, src) -> count
     safed: dict = field(default_factory=dict)       # dest -> count
     #: sender -> number of that sender's entries in common_order; a
     #: running cursor so extending the order is O(1) instead of a
@@ -95,7 +94,7 @@ class OnlineVSMonitor:
             self.views[view.id] = state
         elif state.membership != view.set:
             self._fail(
-                f"view id {view.id!r} seen with memberships "
+                f"view id {view.id!r} seen with two memberships "
                 f"{sorted(map(str, state.membership))} and "
                 f"{sorted(map(str, view.set))}"
             )
@@ -107,13 +106,13 @@ class OnlineVSMonitor:
     def on_newview(self, view: View, p: ProcId) -> None:
         self.events_checked += 1
         if p not in view.set:
-            self._fail(f"newview {view} at non-member {p!r}")
+            self._fail(f"newview {view} at non-member {p!r} (self-inclusion)")
             return
         prior = self.current[p]
         if prior is not BOTTOM and not view_id_less(prior.id, view.id):
             self._fail(
                 f"newview at {p!r}: id {view.id!r} not above current "
-                f"{prior.id!r}"
+                f"{prior.id!r} (local monotonicity)"
             )
             return
         self._view_state(view)
@@ -157,8 +156,6 @@ class OnlineVSMonitor:
             state.common_order.append(entry)
             state.order_rank[src] = rank + 1
         state.received[dst] = index + 1
-        key = (dst, src)
-        state.received_from[key] = state.received_from.get(key, 0) + 1
 
     def on_safe(self, payload: Any, src: ProcId, dst: ProcId) -> None:
         self.events_checked += 1

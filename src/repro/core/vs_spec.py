@@ -1,6 +1,10 @@
 """The VS specification (Section 4): *VS-machine*, *WeakVS-machine*,
-trace-level checks for the Lemma 4.2 properties, and
+the trace check for the Lemma 4.2 properties, and
 *VS-property(b, d, Q)* (Fig. 7).
+
+:func:`check_vs_trace` has no checking logic of its own: it feeds the
+trace through :class:`~repro.core.monitor.OnlineVSMonitor`, the one
+implementation of the VS trace properties.
 
 Action encoding (paper subscripts become trailing parameters; the source
 location precedes the destination, as in the paper's ``gprcv(m)_{p,q}``):
@@ -16,9 +20,11 @@ location precedes the destination, as in the paper's ``gprcv(m)_{p,q}``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Hashable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from typing import Any
 
+from repro.core.monitor import OnlineVSMonitor
+from repro.core.to_spec import FAILURE_STATUS_NAMES, find_stabilization_point
 from repro.core.types import BOTTOM, View, ViewId, view_id_less
 from repro.ioa.actions import Action, Signature, act
 from repro.ioa.automaton import Automaton
@@ -30,8 +36,6 @@ VS_INPUTS = frozenset({"gpsnd"})
 VS_OUTPUTS = frozenset({"gprcv", "safe", "newview"})
 VS_INTERNALS = frozenset({"createview", "vs-order"})
 VS_EXTERNAL = VS_INPUTS | VS_OUTPUTS
-
-FAILURE_STATUS_NAMES = frozenset({"good", "bad", "ugly"})
 
 
 class VSMachine(Automaton):
@@ -204,7 +208,11 @@ class VSMachine(Automaton):
             if self._createview_enabled(view):
                 yield act("createview", view)
         for view in self.created.values():
-            for p in view.set:
+            # P's order, not the frozenset's: a str set iterates in hash
+            # order, which would make seeded schedules vary by hash seed.
+            for p in self.processors:
+                if p not in view.set:
+                    continue
                 current = self.current_viewid[p]
                 if current is BOTTOM or view_id_less(current, view.id):
                     yield act("newview", view, p)
@@ -296,9 +304,10 @@ def reorder_weak_execution(actions: Sequence[Action]) -> list[Action]:
 class VSTraceReport:
     """Result of :func:`check_vs_trace`.
 
-    ``per_view_order`` maps each view id to the lub of receive sequences
-    observed within that view (the externally observable part of
-    ``queue[g]``).
+    ``per_view_order`` maps the id of v0 and of each installed view to
+    the lub of receive sequences observed within that view (the
+    externally observable part of ``queue[g]``); ``views_seen`` holds
+    each view installed by a ``newview``.
     """
 
     ok: bool
@@ -313,151 +322,38 @@ def check_vs_trace(
     initial_view: View,
 ) -> VSTraceReport:
     """Decide whether an external action sequence could be a trace of
-    VS-machine, by checking the properties that characterise its traces:
+    VS-machine: feed it through :class:`OnlineVSMonitor`, the one
+    statement of the properties that characterise its traces (view
+    discipline and Lemma 4.2), and report the monitor's first violation.
 
-    - view discipline: per-location monotone view ids, self-inclusion,
-      consistent membership per view id;
-    - all receive/safe events occur in the sender's sending view
-      (message integrity, Lemma 4.2(1));
-    - per view, receive sequences at all destinations are prefixes of a
-      common total order (the prefix property), and that order restricted
-      to one sender is a prefix of that sender's send sequence in the
-      view (no duplication, no reordering, no losses — Lemma 4.2(2-4));
-    - safe events at q within a view form a prefix of the common order,
-      and the k-th safe event happens only after every member's k-th
-      receive (the safe precondition);
-    - causality: the j-th receive of (m, p) in a view follows the j-th
-      send by p in that view.
+    Internal and failure-status actions are skipped; any other action
+    outside the VS signature fails the trace.
     """
-    processors = tuple(processors)
-    current: dict[ProcId, Any] = {
-        p: (initial_view if p in initial_view.set else BOTTOM) for p in processors
+    monitor = OnlineVSMonitor(processors, initial_view, strict=False)
+    feeds: dict[str, Callable[..., None]] = {
+        "newview": monitor.on_newview,
+        "gpsnd": monitor.on_gpsnd,
+        "gprcv": monitor.on_gprcv,
+        "safe": monitor.on_safe,
     }
-    membership_of: dict[ViewId, frozenset] = {initial_view.id: initial_view.set}
-
-    sent: dict[tuple[ViewId, ProcId], list[Any]] = {}
-    sent_index: dict[tuple[ViewId, ProcId], list[int]] = {}
-    received: dict[tuple[ViewId, ProcId], list[tuple[Any, ProcId]]] = {}
-    received_index: dict[tuple[ViewId, ProcId], list[int]] = {}
-    safed: dict[tuple[ViewId, ProcId], list[tuple[Any, ProcId]]] = {}
-    safed_index: dict[tuple[ViewId, ProcId], list[int]] = {}
-    report = VSTraceReport(ok=True)
-
-    def fail(reason: str) -> VSTraceReport:
-        return VSTraceReport(ok=False, reason=reason)
-
-    for index, action in enumerate(trace):
-        name = action.name
-        if name == "newview":
-            view, p = action.args
-            if p not in view.set:
-                return fail(f"newview {view} at {p!r}: not a member (self-inclusion)")
-            prior = current[p]
-            if prior is not BOTTOM and not view_id_less(prior.id, view.id):
-                return fail(
-                    f"newview {view} at {p!r}: id not above current {prior.id!r} "
-                    f"(local monotonicity)"
-                )
-            known = membership_of.get(view.id)
-            if known is not None and known != view.set:
-                return fail(f"view id {view.id!r} seen with two memberships")
-            membership_of[view.id] = view.set
-            current[p] = view
-            report.views_seen.setdefault(view.id, view)
-        elif name == "gpsnd":
-            m, p = action.args
-            view = current[p]
-            if view is BOTTOM:
-                continue  # sent before any view: ignored, never delivered
-            sent.setdefault((view.id, p), []).append(m)
-            sent_index.setdefault((view.id, p), []).append(index)
-        elif name == "gprcv":
-            m, p, q = action.args
-            view = current[q]
-            if view is BOTTOM:
-                return fail(f"gprcv at {q!r} with no current view")
-            received.setdefault((view.id, q), []).append((m, p))
-            received_index.setdefault((view.id, q), []).append(index)
-        elif name == "safe":
-            m, p, q = action.args
-            view = current[q]
-            if view is BOTTOM:
-                return fail(f"safe at {q!r} with no current view")
-            safed.setdefault((view.id, q), []).append((m, p))
-            safed_index.setdefault((view.id, q), []).append(index)
-        elif name in VS_INTERNALS or name in FAILURE_STATUS_NAMES:
-            continue
-        else:
-            return fail(f"unexpected action {action}")
-
-    view_ids = {g for (g, _q) in received} | {g for (g, _q) in safed} | {
-        g for (g, _p) in sent
-    }
-    for g in view_ids:
-        # 1. prefix-consistency of receive sequences; compute the lub.
-        common: list[tuple[Any, ProcId]] = []
-        for q in processors:
-            seq = received.get((g, q), [])
-            limit = min(len(seq), len(common))
-            if seq[:limit] != common[:limit]:
-                return fail(
-                    f"view {g!r}: receive order at {q!r} inconsistent with "
-                    f"other members (prefix property)"
-                )
-            if len(seq) > len(common):
-                common = list(seq)
-        report.per_view_order[g] = common
-
-        # 2. the common order restricted to sender p must be a prefix of
-        # p's send sequence in g (no dup / no reorder / no loss).
-        for p in processors:
-            from_p = [m for (m, src) in common if src == p]
-            sent_by_p = sent.get((g, p), [])
-            if from_p != sent_by_p[: len(from_p)]:
-                return fail(
-                    f"view {g!r}: delivered sequence from {p!r} is not a "
-                    f"prefix of its sends"
-                )
-
-        # 3. causality: the j-th delivery of p's messages in g follows
-        # p's j-th send in g.
-        for q in processors:
-            seq = received.get((g, q), [])
-            indices = received_index.get((g, q), [])
-            per_sender_rank: dict[ProcId, int] = {}
-            for (m, p), recv_at in zip(seq, indices):
-                rank = per_sender_rank.get(p, 0)
-                per_sender_rank[p] = rank + 1
-                send_at = sent_index[(g, p)][rank]
-                if send_at >= recv_at:
-                    return fail(
-                        f"view {g!r}: receive of {m!r} at {q!r} precedes "
-                        f"its send by {p!r}"
-                    )
-
-        # 4. safe discipline.
-        members = membership_of.get(g)
-        for q in processors:
-            sseq = safed.get((g, q), [])
-            if not sseq:
+    views_seen: dict[ViewId, View] = {}
+    for action in trace:
+        feed = feeds.get(action.name)
+        if feed is None:
+            if action.name in VS_INTERNALS or action.name in FAILURE_STATUS_NAMES:
                 continue
-            if members is None:
-                return fail(f"safe events in unknown view {g!r}")
-            if sseq != common[: len(sseq)]:
-                return fail(
-                    f"view {g!r}: safe sequence at {q!r} is not a prefix of "
-                    f"the common order"
-                )
-            sidx = safed_index[(g, q)]
-            for k, safe_at in enumerate(sidx, start=1):
-                for r in members:
-                    ridx = received_index.get((g, r), [])
-                    if len(ridx) < k or ridx[k - 1] >= safe_at:
-                        return fail(
-                            f"view {g!r}: {k}-th safe at {q!r} precedes the "
-                            f"{k}-th receive at member {r!r}"
-                        )
-    return report
+            return VSTraceReport(ok=False, reason=f"unexpected action {action}")
+        feed(*action.args)
+        if monitor.violations:
+            return VSTraceReport(ok=False, reason=monitor.violations[0])
+        if action.name == "newview":
+            view = action.args[0]
+            views_seen.setdefault(view.id, view)
+    return VSTraceReport(
+        ok=True,
+        per_view_order={g: state.common_order for g, state in monitor.views.items()},
+        views_seen=views_seen,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -478,9 +374,6 @@ class VSPropertyReport:
     max_safe_latency: float = 0.0
     obligations: int = 0
     fulfilled: int = 0
-
-
-from repro.core.to_spec import find_stabilization_point  # noqa: E402  (shared premise logic)
 
 
 class VSPropertyChecker:

@@ -22,8 +22,9 @@ number went over which line.
 
 Timing parameters come from the driver's ``config`` timeline mark when
 present (the driver records the δ it launched the nodes with);
-otherwise the :func:`~repro.rt.node.default_ring_config` scaling from
-the default δ = 0.05 s is assumed.
+otherwise :func:`~repro.rt.node.default_ring_config`, default δ
+included, is assumed.  That function is the one statement of the live
+timing scaling; this module reads π and μ from it.
 """
 
 from __future__ import annotations
@@ -46,11 +47,6 @@ from repro.obs.live.slo import (
 )
 from repro.obs.live.stitch import StitchedRun, stitch_log_dir
 from repro.rt.trace import ONE_GROUP, group_event_logs, group_tag
-
-#: The assumed one-hop bound when the run recorded no config (matches
-#: the live node's default).
-DEFAULT_DELTA = 0.05
-
 
 #: The wire-metric families synced by the live transport (see
 #: ``LiveNetwork._sync_wire_metrics``), mapped to summary keys.
@@ -93,25 +89,28 @@ def wire_summary(timeline: ClusterTimeline) -> dict[str, dict[str, float]]:
     return {k: totals[k] for k in sorted(totals)}
 
 
-def bounds_for_delta(delta: float) -> VSBounds:
-    """π and μ scaled from δ exactly as the live node scales them."""
-    return VSBounds(delta=delta, pi=4 * delta, mu=20 * delta)
+def bounds_for_delta(delta: float | None = None) -> VSBounds:
+    """The live node's timing at δ (its default δ when None), read from
+    :func:`~repro.rt.node.default_ring_config`."""
+    # Imported here: repro.rt.node imports this package.
+    from repro.rt.node import default_ring_config
+
+    config = default_ring_config() if delta is None else default_ring_config(float(delta))
+    return VSBounds(delta=config.delta, pi=config.pi, mu=config.mu)
 
 
-def bounds_from_timeline(
-    marks: Any, default_delta: float = DEFAULT_DELTA
-) -> VSBounds:
+def bounds_from_timeline(marks: Any) -> VSBounds:
     """The run's timing parameters: the driver's ``config`` mark when
-    recorded, the default scaling otherwise."""
+    recorded, the live node's defaults otherwise."""
     for mark in marks or ():
         if isinstance(mark, dict) and mark.get("event") == "config":
-            delta = float(mark.get("delta", default_delta))
+            scaled = bounds_for_delta(mark.get("delta"))
             return VSBounds(
-                delta=delta,
-                pi=float(mark.get("pi", 4 * delta)),
-                mu=float(mark.get("mu", 20 * delta)),
+                delta=scaled.delta,
+                pi=float(mark.get("pi", scaled.pi)),
+                mu=float(mark.get("mu", scaled.mu)),
             )
-    return bounds_for_delta(default_delta)
+    return bounds_for_delta()
 
 
 @dataclass

@@ -55,7 +55,7 @@ from repro.rt.faults import (
     single_partition_window,
     windows_from_scenario,
 )
-from repro.rt.node import initial_view_for
+from repro.rt.node import default_ring_config, initial_view_for
 from repro.rt.trace import (
     VerifyReport,
     group_event_logs,
@@ -216,6 +216,19 @@ class LiveCluster:
     def _mark(self, what: str, **extra: Any) -> None:
         self.timeline.append({"t": time.time(), "event": what, **extra})
 
+    def mark_config(self) -> None:
+        """Record the timing the nodes were launched with (``--delta``
+        through :func:`default_ring_config`), so the post-run report
+        instantiates the Section 8 bounds with the same δ/π/μ."""
+        config = default_ring_config(self.delta)
+        self._mark(
+            "config",
+            delta=config.delta,
+            pi=config.pi,
+            mu=config.mu,
+            nodes=len(self.processors),
+        )
+
     def peer_spec(self) -> str:
         return ",".join(
             f"{p}=127.0.0.1:{self.ports[p]}" for p in self.processors
@@ -257,16 +270,7 @@ class LiveCluster:
             out.close()
             self.procs[p] = popen
         self._mark("spawned", nodes=len(self.processors))
-        # Record the timing parameters the nodes were launched with, so
-        # the post-run report instantiates the Section 8 bounds with
-        # the same δ/π/μ (default_ring_config's scaling).
-        self._mark(
-            "config",
-            delta=self.delta,
-            pi=4 * self.delta,
-            mu=20 * self.delta,
-            nodes=len(self.processors),
-        )
+        self.mark_config()
         for p in self.processors:
             client = NodeClient(p, "127.0.0.1", self.ports[p], flush_after=0.0)
             await client.connect()

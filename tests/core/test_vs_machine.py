@@ -269,6 +269,30 @@ class TestTraceChecker:
         ]
         assert not check_vs_trace(trace, PROCS, self.V0).ok
 
+    def test_rejects_receive_from_sender_outside_p(self):
+        """A receive whose sender is not in P is a violation, not a
+        crash.  (An event *at* a processor outside P still raises
+        ``KeyError``: callers filter such events out first, as
+        ``verify_events`` does.)"""
+        trace = [act("gpsnd", "a", "p"), act("gprcv", "a", "zz", "q")]
+        report = check_vs_trace(trace, PROCS, self.V0)
+        assert not report.ok
+        assert "'zz'" in report.reason
+
+    def test_skips_internal_and_status_actions(self):
+        trace = [
+            act("gpsnd", "a", "p"),
+            act("vs-order", "a", "p", 0),
+            act("bad", "q"),
+            act("gprcv", "a", "p", "p"),
+        ]
+        assert check_vs_trace(trace, PROCS, self.V0).ok
+
+    def test_rejects_unexpected_action(self):
+        report = check_vs_trace([act("brcv", "a", "p", "q")], PROCS, self.V0)
+        assert not report.ok
+        assert "unexpected action" in report.reason
+
     def test_accepts_clean_exchange(self):
         trace = [
             act("gpsnd", "a", "p"),

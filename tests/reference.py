@@ -24,21 +24,29 @@ a recursive second pass over the document — is kept as
 :func:`decode_value`, :func:`decode_message` and
 :func:`load_event_logs`; ``tests/rt/test_decode_once.py`` holds
 :class:`~repro.rt.framing.TaggedDecoder` and the loader to them.
+
+:func:`check_vs_trace` is the batch VS trace checker ``src/`` replaced
+with a feed of :class:`~repro.core.monitor.OnlineVSMonitor`.  It is a
+reference, not a second oracle: ``tests/core/test_vs_oracle.py`` holds
+the feed to it on generated traces and their single-edit mutants.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 from typing import Any
 from unittest import mock
 
-from repro.core.types import BOTTOM, Label, View
+from repro.core.to_spec import FAILURE_STATUS_NAMES
+from repro.core.types import BOTTOM, Label, View, ViewId, view_id_less
+from repro.core.vs_spec import VS_INTERNALS, ProcId, VSTraceReport
 from repro.core.vstoto import runtime as _runtime_mod
 from repro.core.vstoto.process import VStoTOProcess
 from repro.core.vstoto.summary import Summary
+from repro.ioa.actions import Action
 from repro.membership.messages import Token
 from repro.membership.ring import RingMember
 from repro.rt.framing import FrameError, lookup_wire_type
@@ -180,3 +188,157 @@ def load_event_logs(paths: Iterable[str | Path]) -> list[dict[str, Any]]:
                 events.append(entry)
     events.sort(key=lambda e: (e["ts"], str(e["node"]), e["seq"]))
     return events
+
+
+def check_vs_trace(
+    trace: Sequence[Action],
+    processors: Iterable[ProcId],
+    initial_view: View,
+) -> VSTraceReport:
+    """``repro.core.vs_spec.check_vs_trace`` as a batch pass: decide
+    whether an external action sequence could be a trace of VS-machine,
+    by checking the properties that characterise its traces:
+
+    - view discipline: per-location monotone view ids, self-inclusion,
+      consistent membership per view id;
+    - all receive/safe events occur in the sender's sending view
+      (message integrity, Lemma 4.2(1));
+    - per view, receive sequences at all destinations are prefixes of a
+      common total order (the prefix property), and that order restricted
+      to one sender is a prefix of that sender's send sequence in the
+      view (no duplication, no reordering, no losses — Lemma 4.2(2-4));
+    - safe events at q within a view form a prefix of the common order,
+      and the k-th safe event happens only after every member's k-th
+      receive (the safe precondition);
+    - causality: the j-th receive of (m, p) in a view follows the j-th
+      send by p in that view.
+    """
+    processors = tuple(processors)
+    current: dict[ProcId, Any] = {
+        p: (initial_view if p in initial_view.set else BOTTOM) for p in processors
+    }
+    membership_of: dict[ViewId, frozenset] = {initial_view.id: initial_view.set}
+
+    sent: dict[tuple[ViewId, ProcId], list[Any]] = {}
+    sent_index: dict[tuple[ViewId, ProcId], list[int]] = {}
+    received: dict[tuple[ViewId, ProcId], list[tuple[Any, ProcId]]] = {}
+    received_index: dict[tuple[ViewId, ProcId], list[int]] = {}
+    safed: dict[tuple[ViewId, ProcId], list[tuple[Any, ProcId]]] = {}
+    safed_index: dict[tuple[ViewId, ProcId], list[int]] = {}
+    report = VSTraceReport(ok=True)
+
+    def fail(reason: str) -> VSTraceReport:
+        return VSTraceReport(ok=False, reason=reason)
+
+    for index, action in enumerate(trace):
+        name = action.name
+        if name == "newview":
+            view, p = action.args
+            if p not in view.set:
+                return fail(f"newview {view} at {p!r}: not a member (self-inclusion)")
+            prior = current[p]
+            if prior is not BOTTOM and not view_id_less(prior.id, view.id):
+                return fail(
+                    f"newview {view} at {p!r}: id not above current {prior.id!r} "
+                    f"(local monotonicity)"
+                )
+            known = membership_of.get(view.id)
+            if known is not None and known != view.set:
+                return fail(f"view id {view.id!r} seen with two memberships")
+            membership_of[view.id] = view.set
+            current[p] = view
+            report.views_seen.setdefault(view.id, view)
+        elif name == "gpsnd":
+            m, p = action.args
+            view = current[p]
+            if view is BOTTOM:
+                continue  # sent before any view: ignored, never delivered
+            sent.setdefault((view.id, p), []).append(m)
+            sent_index.setdefault((view.id, p), []).append(index)
+        elif name == "gprcv":
+            m, p, q = action.args
+            view = current[q]
+            if view is BOTTOM:
+                return fail(f"gprcv at {q!r} with no current view")
+            received.setdefault((view.id, q), []).append((m, p))
+            received_index.setdefault((view.id, q), []).append(index)
+        elif name == "safe":
+            m, p, q = action.args
+            view = current[q]
+            if view is BOTTOM:
+                return fail(f"safe at {q!r} with no current view")
+            safed.setdefault((view.id, q), []).append((m, p))
+            safed_index.setdefault((view.id, q), []).append(index)
+        elif name in VS_INTERNALS or name in FAILURE_STATUS_NAMES:
+            continue
+        else:
+            return fail(f"unexpected action {action}")
+
+    view_ids = {g for (g, _q) in received} | {g for (g, _q) in safed} | {
+        g for (g, _p) in sent
+    }
+    for g in view_ids:
+        # 1. prefix-consistency of receive sequences; compute the lub.
+        common: list[tuple[Any, ProcId]] = []
+        for q in processors:
+            seq = received.get((g, q), [])
+            limit = min(len(seq), len(common))
+            if seq[:limit] != common[:limit]:
+                return fail(
+                    f"view {g!r}: receive order at {q!r} inconsistent with "
+                    f"other members (prefix property)"
+                )
+            if len(seq) > len(common):
+                common = list(seq)
+        report.per_view_order[g] = common
+
+        # 2. the common order restricted to sender p must be a prefix of
+        # p's send sequence in g (no dup / no reorder / no loss).
+        for p in processors:
+            from_p = [m for (m, src) in common if src == p]
+            sent_by_p = sent.get((g, p), [])
+            if from_p != sent_by_p[: len(from_p)]:
+                return fail(
+                    f"view {g!r}: delivered sequence from {p!r} is not a "
+                    f"prefix of its sends"
+                )
+
+        # 3. causality: the j-th delivery of p's messages in g follows
+        # p's j-th send in g.
+        for q in processors:
+            seq = received.get((g, q), [])
+            indices = received_index.get((g, q), [])
+            per_sender_rank: dict[ProcId, int] = {}
+            for (m, p), recv_at in zip(seq, indices):
+                rank = per_sender_rank.get(p, 0)
+                per_sender_rank[p] = rank + 1
+                send_at = sent_index[(g, p)][rank]
+                if send_at >= recv_at:
+                    return fail(
+                        f"view {g!r}: receive of {m!r} at {q!r} precedes "
+                        f"its send by {p!r}"
+                    )
+
+        # 4. safe discipline.
+        members = membership_of.get(g)
+        for q in processors:
+            sseq = safed.get((g, q), [])
+            if not sseq:
+                continue
+            if members is None:
+                return fail(f"safe events in unknown view {g!r}")
+            if sseq != common[: len(sseq)]:
+                return fail(
+                    f"view {g!r}: safe sequence at {q!r} is not a prefix of "
+                    f"the common order"
+                )
+            sidx = safed_index[(g, q)]
+            for k, safe_at in enumerate(sidx, start=1):
+                for r in members:
+                    ridx = received_index.get((g, r), [])
+                    if len(ridx) < k or ridx[k - 1] >= safe_at:
+                        return fail(
+                            f"view {g!r}: {k}-th safe at {q!r} precedes the "
+                            f"{k}-th receive at member {r!r}"
+                        )
+    return report

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from repro.obs.live.report import bounds_for_delta, bounds_from_timeline
 from repro.rt.cluster import LiveCluster, free_port, run_cluster
 from repro.rt.clock import LiveScheduler
 from repro.rt.node import (
@@ -149,6 +150,23 @@ class TestClusterHelpers:
         assert config.pi == pytest.approx(0.4)
         assert config.mu == pytest.approx(2.0)
         assert config.work_conserving
+
+    @pytest.mark.parametrize("delta", [0.02, 0.05, 0.1])
+    def test_one_timing_scaling(self, delta, tmp_path):
+        """The driver's ``config`` mark and the report's bounds both
+        come from what the nodes run."""
+        config = default_ring_config(delta)
+        cluster = LiveCluster(3, tmp_path, delta=delta)
+        cluster.mark_config()
+        mark = cluster.timeline[-1]
+        assert mark["event"] == "config"
+        for bounds in (
+            bounds_for_delta(delta),
+            bounds_from_timeline(cluster.timeline),
+        ):
+            assert (bounds.delta, bounds.pi, bounds.mu) == (delta, config.pi, config.mu)
+        assert (mark["pi"], mark["mu"]) == (config.pi, config.mu)
+        assert bounds_for_delta() == bounds_for_delta(default_ring_config().delta)
 
     def test_initial_view_matches_simulated_default(self):
         view = initial_view_for(("p2", "p1", "p3"))

@@ -100,82 +100,8 @@ class VStoTORuntime:
         self._last_status: dict[ProcId, Status] = {
             p: proc.status for p, proc in self.procs.items()
         }
-        # Observability slots (bound by attach_obs; `is None` guarded).
-        self._m_views = None
-        self._m_pending_delay = None
-        self._m_pending_buffer = None
-        self._m_residency = None
-        self._mode: dict[ProcId, str] = {}
-        self._mode_since: dict[ProcId, float] = {}
-        obs = getattr(service, "obs", None)
-        if obs is not None:
-            self.attach_obs(obs)
         # Drain deferred work as soon as a processor stops being bad.
         service.network.oracle.add_listener(self._on_status_change)
-
-    # ------------------------------------------------------------------
-    def attach_obs(self, obs: Any) -> None:
-        """Bind TO-layer metrics: views installed, pending-queue depths
-        after each drain, and primary/non-primary residency time (how
-        much virtual time each processor spends able to confirm an
-        order).  Inherited automatically from ``service.obs``."""
-        if obs is None:
-            return
-        metrics = obs.metrics
-        views = metrics.counter(
-            "vstoto_views_installed_total",
-            "newview inputs applied per processor",
-            labels=("proc",),
-        )
-        delay = metrics.gauge(
-            "vstoto_pending_delay",
-            "client values awaiting a label (no current view)",
-            labels=("proc",),
-        )
-        buffer = metrics.gauge(
-            "vstoto_pending_buffer",
-            "labelled values awaiting gpsnd",
-            labels=("proc",),
-        )
-        residency = metrics.counter(
-            "vstoto_residency_time",
-            "virtual time spent in primary vs non-primary views",
-            labels=("proc", "mode"),
-        )
-        self._m_views = {p: views.labels(str(p)) for p in self.processors}
-        self._m_pending_delay = {
-            p: delay.labels(str(p)) for p in self.processors
-        }
-        self._m_pending_buffer = {
-            p: buffer.labels(str(p)) for p in self.processors
-        }
-        self._m_residency = {
-            (p, mode): residency.labels(str(p), mode)
-            for p in self.processors
-            for mode in ("primary", "non_primary")
-        }
-        now = self.service.simulator.now
-        for p in self.processors:
-            self._mode[p] = self._mode_of(p)
-            self._mode_since[p] = now
-
-    def _mode_of(self, p: ProcId) -> str:
-        return "primary" if self.procs[p].primary else "non_primary"
-
-    def _flush_residency(self, p: ProcId, now: float) -> None:
-        elapsed = now - self._mode_since[p]
-        if elapsed > 0:
-            self._m_residency[(p, self._mode[p])].inc(elapsed)
-        self._mode_since[p] = now
-
-    def finalize_obs(self) -> None:
-        """Flush residency accumulators up to the current virtual time
-        (call once after the run, before reading the metrics)."""
-        if self._m_residency is None:
-            return
-        now = self.service.simulator.now
-        for p in self.processors:
-            self._flush_residency(p, now)
 
     def _on_status_change(self, event: Any) -> None:
         target = event.target
@@ -253,10 +179,6 @@ class VStoTORuntime:
 
     def _on_newview(self, view: View, p: ProcId) -> None:
         self.procs[p].step(act("newview", view, p))
-        if self._m_views is not None:
-            self._m_views[p].inc()
-            self._flush_residency(p, self.service.simulator.now)
-            self._mode[p] = self._mode_of(p)
         self._emit_status_edge(p)
         self._drain(p)
 
@@ -280,9 +202,6 @@ class VStoTORuntime:
             raise RuntimeError(f"drain limit exceeded at {p!r}")
         finally:
             self._draining.discard(p)
-            if self._m_pending_delay is not None:
-                self._m_pending_delay[p].set(len(proc.delay))
-                self._m_pending_buffer[p].set(len(proc.buffer))
 
     def _after_local_action(self, p: ProcId, action: Action) -> None:
         if action.name == "gpsnd":

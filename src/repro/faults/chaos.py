@@ -42,7 +42,6 @@ from repro.membership.service import TokenRingVS
 from repro.net.scenarios import stable_partition
 
 if TYPE_CHECKING:
-    from repro.obs import Observability
     from repro.parallel import RunEnvelope
 
 ProcId = Hashable
@@ -112,9 +111,6 @@ class ChaosRunner:
         Client values submitted at seeded times before the horizon.
     settle:
         Extra virtual time after stabilisation for recovery.
-    obs:
-        Optional :class:`repro.obs.Observability` hub threaded through
-        the whole stack (service, simulator, channels, ring, runtime).
     """
 
     def __init__(
@@ -127,7 +123,6 @@ class ChaosRunner:
         quorums: QuorumSystem | None = None,
         sends: int = 20,
         settle: float = 600.0,
-        obs: Observability | None = None,
     ) -> None:
         self.processors: tuple[ProcId, ...] = tuple(processors)
         self.schedule = schedule
@@ -141,9 +136,7 @@ class ChaosRunner:
         )
         self.sends = sends
         self.settle = settle
-        self.service = TokenRingVS(
-            self.processors, self.config, seed=seed, obs=obs
-        )
+        self.service = TokenRingVS(self.processors, self.config, seed=seed)
         self.runtime = VStoTORuntime(
             self.service,
             quorums if quorums is not None else MajorityQuorumSystem(
@@ -272,7 +265,6 @@ def run_chaos(
     sends: int = 20,
     settle: float = 600.0,
     config: RingConfig | None = None,
-    obs: Observability | None = None,
 ) -> ChaosReport:
     """One-call convenience: random schedule + runner + run."""
     processors = tuple(processors)
@@ -286,7 +278,6 @@ def run_chaos(
         sends=sends,
         settle=settle,
         config=config,
-        obs=obs,
     )
     return runner.run()
 

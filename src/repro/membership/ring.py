@@ -47,8 +47,8 @@ a nemesis run one member's timers fast or slow.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Hashable
-from typing import TYPE_CHECKING, Any, Protocol
+from collections.abc import Callable, Hashable, Sequence
+from typing import Any, Protocol
 
 from repro.core.types import View
 from repro.membership.messages import (
@@ -63,10 +63,6 @@ from repro.membership.messages import (
 )
 from repro.net.network import Network, NetworkNode
 from repro.sim.timers import PeriodicTimer, WatchdogTimer
-
-if TYPE_CHECKING:
-    from repro.obs import Observability
-    from repro.obs.metrics import Counter, Histogram
 
 ProcId = Hashable
 
@@ -178,6 +174,19 @@ class RingService(Protocol):
         (``formation``, ``createview``, ``established``)."""
 
 
+def fold_counters(counters: Sequence[dict[str, Any]]) -> dict[str, Any]:
+    """Fold several :meth:`RingMember.counters` dicts into one: ``max``
+    for a ``*_max`` key, ``sum`` for every other, sub-dicts key by key."""
+    folded: dict[str, Any] = {}
+    for key, value in counters[0].items():
+        values = [c[key] for c in counters]
+        if isinstance(value, dict):
+            folded[key] = fold_counters(values)
+        else:
+            folded[key] = max(values) if key.endswith("_max") else sum(values)
+    return folded
+
+
 class RingMember(NetworkNode):
     """The protocol endpoint for one processor."""
 
@@ -265,15 +274,6 @@ class RingMember(NetworkNode):
         self.token_append_batches = 0
         self.token_append_max = 0
 
-        # Observability slots (bound by attach_obs; `is None` guarded).
-        self._m_tokens: Counter | None = None
-        self._m_rotations: Counter | None = None
-        self._m_round_hist: Histogram | None = None
-        self._m_dedup: Counter | None = None
-        self._m_retrans: Counter | None = None
-        self._m_formations: Counter | None = None
-        self._round_started: float | None = None
-
         # Timers.
         self._watchdog = WatchdogTimer(self._sim, self._on_token_timeout)
         self._join_watchdog = WatchdogTimer(self._sim, self._on_join_timeout)
@@ -281,42 +281,26 @@ class RingMember(NetworkNode):
         self._probe_timer = PeriodicTimer(self._sim, config.mu, self._on_probe_tick)
 
     # ------------------------------------------------------------------
-    def attach_obs(self, obs: Observability | None) -> None:
-        """Bind per-processor ring metrics (token flow, round durations,
-        dedup, retransmissions, formations)."""
-        if obs is None:
-            return
-        metrics = obs.metrics
-        proc = str(self.proc_id)
-        self._m_tokens = metrics.counter(
-            "ring_tokens_processed_total", "token visits per member",
-            labels=("proc",),
-        ).labels(proc)
-        self._m_rotations = metrics.counter(
-            "ring_rotations_total",
-            "full token circulations observed by the leader",
-            labels=("proc",),
-        ).labels(proc)
-        self._m_round_hist = metrics.histogram(
-            "ring_round_duration",
-            "virtual-time length of one token circulation",
-            labels=("proc",),
-        ).labels(proc)
-        self._m_dedup = metrics.counter(
-            "ring_duplicates_suppressed_total",
-            "packets rejected by per-sender dedup",
-            labels=("proc",),
-        ).labels(proc)
-        self._m_retrans = metrics.counter(
-            "ring_retransmissions_total",
-            "blind retransmissions actually sent",
-            labels=("proc",),
-        ).labels(proc)
-        self._m_formations = metrics.counter(
-            "ring_formations_initiated_total",
-            "view formations this member started",
-            labels=("proc",),
-        ).labels(proc)
+    def counters(self) -> dict[str, Any]:
+        """This member's ring counters, named as every ``stats()``
+        names them; :func:`fold_counters` folds several members'."""
+        return {
+            "formations": self.formations_initiated,
+            "tokens_processed": self.tokens_processed,
+            "duplicates_suppressed": self.duplicates_suppressed,
+            "retransmissions": self.retransmissions,
+            "restarts": self.restarts,
+            "token": {
+                "forwards": self.token_forwards,
+                "entries_sent": self.token_entries_sent,
+                "entries_max": self.token_entries_max,
+                "resyncs": self.token_resyncs,
+                "entries_appended": self.token_entries_appended,
+                "append_batches": self.token_append_batches,
+                "append_max": self.token_append_max,
+                "wakes": self.wakes_sent,
+            },
+        }
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -385,8 +369,6 @@ class RingMember(NetworkNode):
         def fire() -> None:
             if self._alive() and relevant():
                 self.retransmissions += 1
-                if self._m_retrans is not None:
-                    self._m_retrans.inc()
                 transmit()
 
         offset = 0.0
@@ -541,8 +523,6 @@ class RingMember(NetworkNode):
         if isinstance(message, Sequenced):
             if not self._accept_packet(src, message.seq):
                 self.duplicates_suppressed += 1
-                if self._m_dedup is not None:
-                    self._m_dedup.inc()
                 return
             message = message.body
         self.last_heard[src] = self._sim.now
@@ -573,8 +553,6 @@ class RingMember(NetworkNode):
         viewid: RingViewId = (self.max_epoch, self.proc_id)
         self.committed = viewid
         self.formations_initiated += 1
-        if self._m_formations is not None:
-            self._m_formations.inc()
         self.service.record_view_event("formation", viewid, self.proc_id)
         self._join_watchdog.disarm()
         if self.config.one_round:
@@ -737,19 +715,11 @@ class RingMember(NetworkNode):
         self._arm_watchdog()
         self._process_token(token)
         if self.is_leader:
-            # The token is home: one full circulation completed.
-            if self._m_rotations is not None:
-                self._m_rotations.inc()
-                if self._round_started is not None:
-                    self._m_round_hist.observe(
-                        self._sim.now - self._round_started
-                    )
+            # The token is home: one full circulation completed.  It goes
+            # straight on if it has work, else waits for the launch tick.
             if self.config.work_conserving and self._token_has_work(token):
-                self._round_started = self._sim.now
                 self._forward(token)
             else:
-                # The token is home; hold it until the next launch tick.
-                self._round_started = None
                 self.held_token = token
         else:
             self._forward(token)
@@ -770,7 +740,6 @@ class RingMember(NetworkNode):
         if len(token.members) == 1:
             self.held_token = token  # singleton ring: token never leaves
         else:
-            self._round_started = self._sim.now
             self._forward(token)
 
     def _on_wake(self, message: Wake) -> None:
@@ -804,8 +773,6 @@ class RingMember(NetworkNode):
         """
         self.tokens_processed += 1
         self._wake_armed = True
-        if self._m_tokens is not None:
-            self._m_tokens.inc()
         assert self.view is not None
         viewid = self.view.id
         # The trail is fresh liveness evidence for everyone it names.

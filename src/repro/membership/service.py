@@ -15,20 +15,17 @@ This is the implementation whose traces are checked against VS-machine
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.core.types import View
 from repro.ioa.actions import act
 from repro.ioa.timed import IncrementalStatusMerger, TimedEvent, TimedTrace
-from repro.membership.ring import RingConfig, RingMember
+from repro.membership.ring import RingConfig, RingMember, fold_counters
 from repro.net.channel import ChannelConfig
 from repro.net.network import Network
 from repro.net.scenarios import PartitionScenario
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
-
-if TYPE_CHECKING:
-    from repro.obs import Observability
 
 ProcId = Hashable
 
@@ -54,12 +51,6 @@ class TokenRingVS:
     initial_members:
         P0 for the hybrid initial view; defaults to all processors.
         Processors outside P0 start with no view and join via probes.
-    obs:
-        Optional :class:`repro.obs.Observability` hub; when given, every
-        layer (simulator, channels, ring members, and — via
-        :class:`~repro.core.vstoto.runtime.VStoTORuntime` — the VS-to-TO
-        automata) instruments itself against it.  Attaching a hub never
-        perturbs the execution (no RNG draws, no scheduled events).
     """
 
     def __init__(
@@ -68,7 +59,6 @@ class TokenRingVS:
         config: RingConfig | None = None,
         seed: int = 0,
         initial_members: Iterable[ProcId] | None = None,
-        obs: Observability | None = None,
     ) -> None:
         self.processors: tuple[ProcId, ...] = tuple(processors)
         self.config = config if config is not None else RingConfig()
@@ -113,21 +103,6 @@ class TokenRingVS:
         self.on_newview: ViewCallback | None = None
         self._started = False
         self._vs_listeners: list[VSEventListener] = []
-        self.obs: Observability | None = None
-        if obs is not None:
-            self.attach_obs(obs)
-
-    # ------------------------------------------------------------------
-    def attach_obs(self, obs: Observability | None) -> None:
-        """Thread an observability hub through every layer this service
-        owns.  Call before :meth:`start` to catch the whole execution."""
-        if obs is None:
-            return
-        self.obs = obs
-        self.simulator.attach_obs(obs)
-        self.network.attach_obs(obs)
-        for member in self.members.values():
-            member.attach_obs(obs)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -223,32 +198,7 @@ class TokenRingVS:
         return {
             "messages_sent": self.network.messages_sent,
             "messages_delivered": self.network.messages_delivered,
-            "formations": sum(
-                m.formations_initiated for m in self.members.values()
-            ),
-            "tokens_processed": sum(
-                m.tokens_processed for m in self.members.values()
-            ),
-            "duplicates_suppressed": sum(
-                m.duplicates_suppressed for m in self.members.values()
-            ),
-            "retransmissions": sum(
-                m.retransmissions for m in self.members.values()
-            ),
-            "restarts": sum(m.restarts for m in self.members.values()),
-            "token_forwards": sum(
-                m.token_forwards for m in self.members.values()
-            ),
-            "token_entries_sent": sum(
-                m.token_entries_sent for m in self.members.values()
-            ),
-            "token_entries_max": max(
-                (m.token_entries_max for m in self.members.values()),
-                default=0,
-            ),
-            "token_resyncs": sum(
-                m.token_resyncs for m in self.members.values()
-            ),
+            **fold_counters([m.counters() for m in self.members.values()]),
             "drops": self.network.drop_stats(),
             "events_processed": self.simulator.events_processed,
         }

@@ -128,51 +128,11 @@ class Channel:
         self.sent_count = 0
         self.delivered_count = 0
         self.drops: dict[str, int] = {reason: 0 for reason in DROP_REASONS}
-        # Observability slots (pre-bound by attach_obs; one `is None`
-        # branch per send/arrival when no hub is attached).
-        self._m_sent = None
-        self._m_delivered = None
-        self._m_drops: dict[str, Any] | None = None
-        self._m_in_flight = None
 
     @property
     def dropped_count(self) -> int:
         """Total drops across all reasons (legacy aggregate view)."""
         return sum(self.drops.values())
-
-    # ------------------------------------------------------------------
-    def attach_obs(self, obs) -> None:
-        """Bind per-link metric children: sends, deliveries, per-reason
-        drops and an in-flight depth gauge, all labelled by the directed
-        link."""
-        if obs is None:
-            return
-        metrics = obs.metrics
-        link = f"{self.src}->{self.dst}"
-        self._m_sent = metrics.counter(
-            "net_packets_sent_total", "packets submitted per link",
-            labels=("link",),
-        ).labels(link)
-        self._m_delivered = metrics.counter(
-            "net_packets_delivered_total", "packets handed to the network",
-            labels=("link",),
-        ).labels(link)
-        drops = metrics.counter(
-            "net_drops_total", "drops per link and reason",
-            labels=("link", "reason"),
-        )
-        self._m_drops = {
-            reason: drops.labels(link, reason) for reason in DROP_REASONS
-        }
-        self._m_in_flight = metrics.gauge(
-            "net_in_flight", "scheduled deliveries not yet arrived",
-            labels=("link",),
-        ).labels(link)
-
-    def _count_drop(self, reason: str) -> None:
-        self.drops[reason] += 1
-        if self._m_drops is not None:
-            self._m_drops[reason].inc()
 
     # ------------------------------------------------------------------
     # Interception middleware
@@ -188,11 +148,9 @@ class Channel:
     def send(self, message: Any) -> None:
         """Submit a packet; schedules delivery per the link status."""
         self.sent_count += 1
-        if self._m_sent is not None:
-            self._m_sent.inc()
         status = self._oracle.link_status(self.src, self.dst)
         if status is FailureStatus.BAD:
-            self._count_drop("bad_at_send")
+            self.drops["bad_at_send"] += 1
             return
         if status is FailureStatus.GOOD:
             delay = self._rng.uniform(
@@ -200,7 +158,7 @@ class Channel:
             )
         else:  # UGLY
             if self._rng.random() < self._config.ugly_loss:
-                self._count_drop("ugly_loss")
+                self.drops["ugly_loss"] += 1
                 return
             delay = self._rng.uniform(0.0, self._config.ugly_max_delay)
         fate = PacketFate((delay,))
@@ -216,23 +174,17 @@ class Channel:
                 if fate.dropped:
                     break
         if fate.dropped:
-            self._count_drop(fate.drop_reason or "injected")
+            self.drops[fate.drop_reason or "injected"] += 1
             return
         for copy_delay in fate.delays:
             self._sim.schedule(max(0.0, copy_delay), lambda: self._arrive(message))
-            if self._m_in_flight is not None:
-                self._m_in_flight.inc()
 
     def _arrive(self, message: Any) -> None:
-        if self._m_in_flight is not None:
-            self._m_in_flight.dec()
         # A packet is lost if the link has gone bad while it was in
         # flight: the good-link guarantee covers only packets whose whole
         # flight happens while the link is good.
         if self._oracle.link_status(self.src, self.dst) is FailureStatus.BAD:
-            self._count_drop("bad_in_flight")
+            self.drops["bad_in_flight"] += 1
             return
         self.delivered_count += 1
-        if self._m_delivered is not None:
-            self._m_delivered.inc()
         self._deliver(self.src, self.dst, message)

@@ -142,15 +142,6 @@ class Network:
         return sum(c.dropped_count for c in self._channels.values())
 
     # ------------------------------------------------------------------
-    def attach_obs(self, obs) -> None:
-        """Propagate an observability hub to every channel (per-link
-        send/drop/in-flight metrics)."""
-        if obs is None:
-            return
-        for channel in self._channels.values():
-            channel.attach_obs(obs)
-
-    # ------------------------------------------------------------------
     def send(self, src: ProcId, dst: ProcId, message: Any) -> None:
         """Send a unicast packet.  A bad source sends nothing (a bad
         processor takes no steps); protocol code normally checks its own

@@ -1,50 +1,34 @@
-"""Unified observability: metrics in the run, spans from its events.
+"""Watching a run: counters from ``stats()``, spans from its events.
 
-One :class:`Observability` hub holds the run's metrics and is attached
-to a running stack in one call::
-
-    from repro.obs import Observability
-    from repro.obs.live.stitch import stitch_sim
-
-    obs = Observability()
-    vs = TokenRingVS(processors, config, seed=0, obs=obs)
-    ...
-    print(obs.metrics.render_text())
-    write_chrome_trace(stitch_sim(vs).tracer, "run.trace.json")
+Counters are plain attributes of the layers that keep them, reported by
+their ``stats()`` methods — :meth:`TokenRingVS.stats
+<repro.membership.service.TokenRingVS.stats>` in a simulated run,
+:meth:`LiveNode.stats <repro.rt.node.LiveNode.stats>` in a live one,
+with the ring's counters named the same way in both
+(:meth:`~repro.membership.ring.RingMember.counters`).  A live node's
+stats stream is what the cluster driver writes to ``metrics.jsonl``
+(:mod:`repro.obs.live.snapshot`).
 
 Spans are not built in the run: :func:`repro.obs.live.stitch.stitch_sim`
 rebuilds them afterwards from the service's recorded events, the way
 :func:`~repro.obs.live.stitch.stitch_log_dir` rebuilds a live run's
-from its event logs.
+from its event logs::
 
-Design contract (asserted by ``benchmarks/bench_observability.py``):
+    from repro.obs.export import write_chrome_trace
+    from repro.obs.live.stitch import stitch_sim
 
-- **Zero perturbation.**  The hub never draws randomness, schedules
-  simulator events or mutates protocol state; an execution with
-  observability attached is event-for-event identical (same RNG stream
-  positions, same event order) to the same seed without it.
-- **Near-zero cost when absent.**  Instrumented hot paths guard on a
-  single pre-bound ``is None`` slot; with no hub attached they pay one
-  branch.
+    vs = TokenRingVS(processors, config, seed=0)
+    ...
+    print(vs.stats())
+    write_chrome_trace(stitch_sim(vs).tracer, "run.trace.json")
 
-Layers instrument themselves when the hub reaches them:
-:class:`~repro.sim.engine.Simulator` (event counts, queue depth),
-:class:`~repro.net.channel.Channel` (per-link sends/drops/in-flight),
-:class:`~repro.membership.ring.RingMember` (tokens, rounds, dedup,
-retransmissions, formations), and
-:class:`~repro.core.vstoto.runtime.VStoTORuntime` (pending queues, views
-installed, primary residency).
+Watching never perturbs a run: reading counters and replaying events
+draws no randomness and schedules nothing.
 """
 
 from __future__ import annotations
 
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from repro.obs.tracing import (
     FaultAnnotation,
     LifecycleTracer,
@@ -53,20 +37,8 @@ from repro.obs.tracing import (
 )
 
 __all__ = [
-    "Observability",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "LifecycleTracer",
     "MessageSpan",
     "ViewSpan",
     "FaultAnnotation",
 ]
-
-
-class Observability:
-    """The per-execution observability hub: one metrics registry."""
-
-    def __init__(self) -> None:
-        self.metrics = MetricsRegistry()

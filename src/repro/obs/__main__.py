@@ -1,4 +1,4 @@
-"""Observability CLI: ``python -m repro.obs report <logdir>``.
+"""The run-report CLI: ``python -m repro.obs report <logdir>``.
 
 The ``report`` subcommand judges one live cluster run from its archived
 log directory (see :mod:`repro.obs.live.report`), one section per VS
@@ -21,7 +21,7 @@ from repro.obs.live.stitch import StitchError
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs",
-        description="Observability tooling over archived run artifacts.",
+        description="Run-report tooling over archived run artifacts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     report = sub.add_parser(

@@ -1,9 +1,9 @@
-"""Stable digests of an execution, for perturbation-freedom checks.
+"""Stable digests of an execution, for determinism checks.
 
-The zero-perturbation contract ("attaching observability changes
-nothing") is asserted two ways:
+A seed fixes a simulated execution; two checks hold the simulator to
+that:
 
-- **In-process**: run the same seed with and without a hub and compare
+- **In-process**: run the same seed twice and compare
   :func:`trace_full_digest` — the full ``repr`` of every timed event.
   This is the strongest check, but full reprs are *not* stable across
   interpreter processes (frozensets of labels render in

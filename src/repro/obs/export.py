@@ -2,8 +2,8 @@
 
 Two output formats for one execution:
 
-- **JSONL** — one JSON object per line (spans, fault annotations,
-  metric samples); grep/jq-friendly, the post-mortem artifact CI
+- **JSONL** — one JSON object per line (spans and fault
+  annotations); grep/jq-friendly, the post-mortem artifact CI
   uploads for failed tests;
 - **Chrome trace-event format** — the ``{"traceEvents": [...]}`` JSON
   consumed by ``chrome://tracing`` and by Perfetto's legacy importer
@@ -20,12 +20,9 @@ from __future__ import annotations
 
 import json
 from collections.abc import Hashable, Iterable
-from typing import TYPE_CHECKING, Any, TextIO
+from typing import Any, TextIO
 
 from repro.obs.tracing import LifecycleTracer
-
-if TYPE_CHECKING:
-    from repro.obs.metrics import MetricsRegistry
 
 ProcId = Hashable
 
@@ -226,12 +223,9 @@ def write_chrome_trace(tracer: LifecycleTracer, path: str) -> None:
 # ----------------------------------------------------------------------
 # JSONL
 # ----------------------------------------------------------------------
-def jsonl_records(
-    tracer: LifecycleTracer | None = None,
-    metrics: MetricsRegistry | None = None,
-) -> Iterable[dict]:
+def jsonl_records(tracer: LifecycleTracer | None = None) -> Iterable[dict]:
     """Structured-event records for JSONL export, in a stable order:
-    spans, fault annotations, metric families."""
+    message spans, view spans, fault annotations."""
     if tracer is not None:
         for span in tracer.message_spans:
             yield {
@@ -269,9 +263,6 @@ def jsonl_records(
                 "start": annotation.start,
                 "stop": annotation.stop,
             }
-    if metrics is not None:
-        for name, family in metrics.as_dict().items():
-            yield {"type": "metric", "name": name, **family}
 
 
 def write_jsonl(path_or_handle: str | TextIO, **kwargs: Any) -> int:

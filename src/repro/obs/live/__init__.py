@@ -1,14 +1,14 @@
 """Cluster-wide live observability (E24).
 
 The live runtime (:mod:`repro.rt`) runs the protocol stack across real
-OS processes; each node observes *itself* (a per-process
-:class:`~repro.obs.Observability` hub, a per-node event log).  This
-package assembles those per-node views into one cluster-wide picture:
+OS processes; each node observes *itself* (its ``stats()`` counters, a
+per-node event log).  This package assembles those per-node views into
+one cluster-wide picture:
 
-- :mod:`repro.obs.live.snapshot` — typed metrics snapshot frames
-  shipped over the driver control plane, and the
-  :class:`~repro.obs.live.snapshot.ClusterTimeline` that aggregates the
-  per-node series into ``metrics.jsonl``;
+- :mod:`repro.obs.live.snapshot` — the nodes' stats stream: one
+  :class:`~repro.obs.live.snapshot.MetricsSnapshot` per ``stats``
+  reply, and the :class:`~repro.obs.live.snapshot.ClusterTimeline`
+  that aggregates the per-node series into ``metrics.jsonl``;
 - :mod:`repro.obs.live.stitch` — the post-run stitcher: merges one
   group's per-node event logs and reconstructs *distributed* spans
   (bcast→gpsnd→per-node gprcv/safe→brcv message spans, view-formation

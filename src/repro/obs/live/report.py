@@ -48,43 +48,42 @@ from repro.obs.live.slo import (
 from repro.obs.live.stitch import StitchedRun, stitch_log_dir
 from repro.rt.trace import ONE_GROUP, group_event_logs, group_tag
 
-#: The wire-metric families synced by the live transport (see
-#: ``LiveNetwork._sync_wire_metrics``), mapped to summary keys.
-_WIRE_FAMILIES = {
-    "rt_wire_frames": "frames",
-    "rt_wire_bytes": "bytes",
-    "rt_wire_entries": "entries",
-    "rt_wire_flushes": "flushes",
-    "rt_wire_codec_seconds": "seconds",
+#: ``(stats direction, summary axis, codec-time axis)`` per direction.
+_WIRE_DIRECTIONS = (("tx", "out", "encode"), ("rx", "in", "decode"))
+#: Summary key -> ``WriterStats``/``ReaderStats`` field.
+_WIRE_FIELDS = {
+    "frames": "frames",
+    "bytes": "bytes_on_wire",
+    "entries": "entries",
+    "flushes": "flushes",
 }
 
 
 def wire_summary(timeline: ClusterTimeline) -> dict[str, dict[str, float]]:
     """Cluster-wide wire totals per codec, from each node's latest
-    snapshot.
+    ``stats()`` (``transport.wire.tx``/``rx``).
 
     Keys look like ``"out/binary"`` (direction/codec) mapping to the
-    summed frames/bytes/entries; codec time lands under
-    ``"encode/binary"``/``"decode/json"``.  Empty when the run predates
-    wire metrics — the report renders nothing rather than zeros.
+    summed frames/bytes/entries (and flushes, a tx-side count); codec
+    time lands under ``"encode/binary"``/``"decode/binary"``.  Empty
+    when no snapshot carries wire counters — the report renders nothing
+    rather than zeros.
     """
     totals: dict[str, dict[str, float]] = {}
     for node in timeline.nodes():
         snapshot = timeline.latest(node)
         if snapshot is None:
             continue
-        for family_name, key in _WIRE_FAMILIES.items():
-            family = snapshot.metrics.get(family_name)
-            if family is None:
-                continue
-            for sample in family.get("samples", ()):
-                labels = sample.get("labels", {})
-                codec = labels.get("codec", "?")
-                # Flushes carry no dir label; they are a tx-side count.
-                axis = labels.get("dir") or labels.get("op") or "out"
+        wire = snapshot.metrics.get("transport", {}).get("wire", {})
+        for direction, axis, codec_axis in _WIRE_DIRECTIONS:
+            for codec, stats in wire.get(direction, {}).items():
                 bucket = totals.setdefault(f"{axis}/{codec}", {})
-                bucket[key] = bucket.get(key, 0.0) + float(
-                    sample.get("value", 0.0)
+                for key, field in _WIRE_FIELDS.items():
+                    if field in stats:
+                        bucket[key] = bucket.get(key, 0.0) + float(stats[field])
+                timing = totals.setdefault(f"{codec_axis}/{codec}", {})
+                timing["seconds"] = timing.get("seconds", 0.0) + float(
+                    stats.get(f"{codec_axis}_seconds", 0.0)
                 )
     return {k: totals[k] for k in sorted(totals)}
 

@@ -45,7 +45,6 @@ from collections.abc import Iterable, Sequence
 
 from repro.membership.bounds import VSBounds
 from repro.obs.live.stitch import StitchedRun
-from repro.obs.metrics import bound_key
 
 #: One fixed bucket ladder for every latency summary (seconds) — runs
 #: are comparable because the ladder never adapts to the data.
@@ -53,6 +52,12 @@ DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0, inf,
 )
+
+
+def bound_key(bound: float) -> str:
+    """The key of one bucket upper bound: ``repr`` of the bound, which
+    round-trips every float exactly, or ``"+Inf"`` for the overflow."""
+    return "+Inf" if bound == inf else repr(bound)
 
 
 def quantile(samples: Sequence[float], q: float) -> float:

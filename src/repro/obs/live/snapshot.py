@@ -1,14 +1,13 @@
-"""Typed metrics snapshot frames and the cluster metrics timeline.
+"""Stats snapshot frames and the cluster metrics timeline.
 
-Each live node hosts its own :class:`~repro.obs.metrics.MetricsRegistry`
-(transport frames, ring counters, firewall drops).  The cluster driver
-polls the control plane; every ``stats`` reply carries one
-:class:`MetricsSnapshot` — the node's registry rendered through
-:meth:`~repro.obs.metrics.MetricsRegistry.to_dict`, stamped with the
-node's wall clock and a per-node sequence number.  The driver feeds the
-frames into a :class:`ClusterTimeline`, which keeps the per-node series
-in arrival-independent order and writes the whole run out as
-``metrics.jsonl`` (one snapshot per line, grep/jq-friendly).
+A live node's counters are plain attributes, reported by its
+:meth:`~repro.rt.node.LiveNode.stats`.  The cluster driver polls the
+control plane; every ``stats`` reply is that dict stamped with a
+per-node sequence number, the node's wall clock and its uptime, and
+becomes one :class:`MetricsSnapshot` (:meth:`MetricsSnapshot.from_stats`).
+The driver feeds the frames into a :class:`ClusterTimeline`, which keeps
+the per-node series in arrival-independent order and writes the whole
+run out as ``metrics.jsonl`` (one snapshot per line, grep/jq-friendly).
 
 This module is pure data: it never reads a clock (the *node* stamps
 ``ts``, over in the :mod:`repro.rt` wall-clock carve-out) and never
@@ -23,12 +22,13 @@ from pathlib import Path
 from typing import Any
 from collections.abc import Iterator, Sequence
 
-from repro.obs.metrics import MetricsRegistry
+#: The keys a ``stats`` reply adds to the node's ``stats()`` dict.
+STAMP_KEYS = ("seq", "ts", "uptime")
 
 
 @dataclass(frozen=True)
 class MetricsSnapshot:
-    """One node's metrics registry at one control-plane poll.
+    """One node's ``stats()`` at one control-plane poll.
 
     ``ts`` is the node's wall clock (epoch seconds, same clock as its
     event log, so snapshots and stitched spans share a time base);
@@ -62,23 +62,19 @@ class MetricsSnapshot:
             metrics=dict(data["metrics"]),
         )
 
-    def registry(self) -> MetricsRegistry:
-        """The snapshot's registry, reconstructed (exact round-trip)."""
-        return MetricsRegistry.from_dict(self.metrics)
-
-    def value(self, name: str, *label_values: object) -> float:
-        """One counter/gauge child's value inside this snapshot (0.0
-        when the family or child is absent) — the polling-side analogue
-        of :meth:`MetricsRegistry.value`, without reconstruction cost."""
-        family = self.metrics.get(name)
-        if family is None:
-            return 0.0
-        wanted = [str(v) for v in label_values]
-        names = list(family.get("labels", ()))
-        for sample in family["samples"]:
-            if [sample["labels"].get(k, "") for k in names] == wanted:
-                return float(sample.get("value", 0.0))
-        return 0.0
+    @classmethod
+    def from_stats(cls, stats: dict[str, Any]) -> MetricsSnapshot:
+        """One frame of a node's stats stream: a ``stats`` reply, whose
+        stamp keys become the frame's and whose rest is ``metrics``."""
+        return cls(
+            node=str(stats["node"]),
+            seq=int(stats["seq"]),
+            ts=float(stats["ts"]),
+            uptime=float(stats["uptime"]),
+            metrics={
+                k: v for k, v in stats.items() if k not in STAMP_KEYS
+            },
+        )
 
 
 class ClusterTimeline:
@@ -114,25 +110,6 @@ class ClusterTimeline:
             if n == node and (best is None or snapshot.seq > best.seq):
                 best = snapshot
         return best
-
-    def series(
-        self, node: str, name: str, *label_values: object
-    ) -> list[tuple[float, float]]:
-        """One node's ``(ts, value)`` series for one metric child."""
-        return [
-            (snapshot.ts, snapshot.value(name, *label_values))
-            for snapshot in self.snapshots()
-            if snapshot.node == node
-        ]
-
-    def cluster_total(self, name: str, *label_values: object) -> float:
-        """Sum of the latest value of one metric child across nodes."""
-        total = 0.0
-        for node in self.nodes():
-            latest = self.latest(node)
-            if latest is not None:
-                total += latest.value(name, *label_values)
-        return total
 
     # ------------------------------------------------------------------
     def write_jsonl(self, path: str | Path) -> int:

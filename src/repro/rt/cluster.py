@@ -205,7 +205,7 @@ class LiveCluster:
         self.clients: dict[str, NodeClient] = {}
         self.killed: set[str] = set()
         self.timeline: list[dict[str, Any]] = []
-        #: every metrics snapshot frame seen on any stats reply
+        #: every stats reply, one frame of its node's stats stream
         self.metrics = ClusterTimeline()
         #: handed the data of every stats reply (the load's completion
         #: feedback)
@@ -292,9 +292,9 @@ class LiveCluster:
     # ------------------------------------------------------------------
     async def poll_stats(self) -> dict[str, dict[str, Any]]:
         """One ``Ctl("stats")`` round over the survivors.  Every
-        reply's snapshot frame lands in :attr:`metrics` and its data
-        goes to :attr:`on_stats`; a node mid-kill or napping is left
-        out of the returned ``{node: data}``."""
+        reply lands in :attr:`metrics` as one snapshot and goes to
+        :attr:`on_stats`; a node mid-kill or napping is left out of
+        the returned ``{node: data}``."""
         replies: dict[str, dict[str, Any]] = {}
         for p in self.alive():
             try:
@@ -304,12 +304,10 @@ class LiveCluster:
             if not isinstance(reply.data, dict):
                 continue
             replies[p] = reply.data
-            frame = reply.data.get("snapshot")
-            if isinstance(frame, dict):
-                try:
-                    self.metrics.add(MetricsSnapshot.from_dict(frame))
-                except (KeyError, TypeError, ValueError):
-                    pass  # malformed frame: drop, never fail the run
+            try:
+                self.metrics.add(MetricsSnapshot.from_stats(reply.data))
+            except (KeyError, TypeError, ValueError):
+                pass  # malformed frame: drop, never fail the run
             if self.on_stats is not None:
                 self.on_stats(reply.data)
         return replies
@@ -324,8 +322,8 @@ class LiveCluster:
             await asyncio.sleep(self.metrics_interval)
 
     def start_metrics_stream(self) -> None:
-        """Begin periodic stats polling; every reply's snapshot frame
-        lands in :attr:`metrics`."""
+        """Begin periodic stats polling; every reply lands in
+        :attr:`metrics`."""
         if self._metrics_task is None:
             self._metrics_task = asyncio.get_running_loop().create_task(
                 self._poll_metrics_loop()
@@ -399,7 +397,7 @@ class LiveCluster:
     async def stop(self) -> None:
         """Graceful shutdown: flush logs, reap processes."""
         await self.stop_metrics_stream()
-        # Final counters: one last snapshot frame per survivor, so even
+        # Final counters: one last stats frame per survivor, so even
         # a run with streaming off gets a complete timeline.
         await self.poll_stats()
         for p in self.alive():
@@ -682,7 +680,7 @@ async def run_cluster(
     key set, routed by :class:`LiveShardLoad` with a per-group
     ``window``; each key enters at its session node, and keys whose
     session node was killed are no longer drawn.  One stats poller,
-    every ``metrics_interval`` seconds, streams the metrics snapshots
+    every ``metrics_interval`` seconds, streams the nodes' stats
     and feeds the router its completions.  The run's observability
     artifacts — ``metrics.jsonl``, ``cluster.timeline.json`` and, per
     group, ``cluster.spans.jsonl`` (stitched spans) and
@@ -828,7 +826,7 @@ def write_obs_artifacts(cluster: LiveCluster) -> dict[str, Any]:
     and return the summary dict embedded in the episode report.
 
     Written: ``cluster.timeline.json`` (driver marks, the stitcher's
-    fault/config source), ``metrics.jsonl`` (every streamed snapshot)
+    fault/config source), ``metrics.jsonl`` (every streamed stats frame)
     and, for each group (named like its event logs: a lone group adds
     nothing, several add ``@<group>`` after ``cluster``),
     ``cluster.spans.jsonl`` (stitched distributed spans, canonical
@@ -928,7 +926,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--metrics-interval",
         type=float,
         default=0.25,
-        help="seconds between metrics snapshot polls (streamed into "
+        help="seconds between stats polls (streamed into "
         "metrics.jsonl)",
     )
     parser.add_argument(

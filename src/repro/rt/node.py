@@ -16,19 +16,19 @@ The node exposes a small control plane to the cluster driver:
 - ``send`` — submit one client value (the TO ``bcast`` input) to a
   group: ``{"g": group, "v": value}``, or a bare value for the first;
 - ``block`` / ``unblock`` — firewall peers (partition injection);
-- ``stats`` — reply with live protocol/transport counters (totals,
-  and each group's own under ``groups``);
+- ``stats`` — reply with :meth:`LiveNode.stats` (totals, and each
+  group's own under ``groups``) stamped with ``seq``, ``ts`` and
+  ``uptime``: the node's stats stream;
 - ``stop`` — flush the event logs, write the final report, exit.
 
 Every VS and TO external event, and every view-formation attempt,
 membership fix and establishment, is appended to the group's event log
 under ``<log-dir>`` (``<id>.events.jsonl`` for one group; see
 :func:`repro.rt.trace.event_log_path`); on stop a ``<id>.report.json``
-records transport counters, ring statistics and the rendered
-``repro.obs`` metrics so live runs are observable with the same
-vocabulary as simulated ones.  The node keeps metrics only: spans are
-rebuilt after the run, per group, from the event logs
-(:mod:`repro.obs.live.stitch`).
+records the final ``stats()``, whose ring counters carry the names a
+simulated :meth:`~repro.membership.service.TokenRingVS.stats` gives
+them.  The node keeps counters only: spans are rebuilt after the run,
+per group, from the event logs (:mod:`repro.obs.live.stitch`).
 
 Usage::
 
@@ -55,9 +55,7 @@ if TYPE_CHECKING:  # structural stand-in: the runtime only uses the
 from repro.core.quorums import MajorityQuorumSystem
 from repro.core.types import View
 from repro.core.vstoto.runtime import VStoTORuntime
-from repro.membership.ring import RingConfig, RingMember
-from repro.obs import Observability
-from repro.obs.live.snapshot import MetricsSnapshot
+from repro.membership.ring import RingConfig, RingMember, fold_counters
 from repro.rt.clock import LiveScheduler
 from repro.rt.trace import EventLog, event_log_path
 from repro.rt.transport import Ctl, LiveNetwork
@@ -95,7 +93,6 @@ class LiveNodeService:
         proc_id: str,
         network: LiveNetwork,
         log: EventLog | None = None,
-        obs: Observability | None = None,
     ) -> None:
         self.proc_id = proc_id
         self.network = network
@@ -103,7 +100,6 @@ class LiveNodeService:
         self.processors: tuple[str, ...] = network.processors
         self.initial_view = initial_view_for(self.processors)
         self.log = log
-        self.obs = obs
         self.member: RingMember | None = None
         self.on_gprcv: DeliveryCallback | None = None
         self.on_safe: DeliveryCallback | None = None
@@ -200,10 +196,6 @@ class LiveNode:
         )
         self.log_dir = Path(log_dir)
         self.log_dir.mkdir(parents=True, exist_ok=True)
-        # The hub holds metrics; spans are rebuilt offline, per group,
-        # from the event logs.
-        self.obs = Observability()
-        self.network.attach_obs(self.obs)
         names = group_names(self.shards)
         self._stacks = {name: self._build_stack(name) for name in names}
         self.network.register(
@@ -217,7 +209,7 @@ class LiveNode:
         self.started = False
         self.sends_accepted = 0
         self.sends_rejected = 0
-        self._snapshot_seq = 0
+        self._stats_seq = 0
         self._stopping: asyncio.Future[None] = loop.create_future()
 
     def _build_stack(self, group: str) -> _GroupStack:
@@ -231,12 +223,10 @@ class LiveNode:
             self.proc_id,
             cast(LiveNetwork, GroupNet(group, self.network)),
             log,
-            self.obs,
         )
         member = RingMember(
             self.proc_id, service, self.config, service.initial_view
         )
-        member.attach_obs(self.obs)
         service.member = member
         runtime = VStoTORuntime(
             cast("TokenRingVS", service),
@@ -286,7 +276,15 @@ class LiveNode:
             self.network.unblock(ctl.data)
             reply(Ctl("ok", {"op": "unblock", "blocked": sorted(self.network.blocked)}))
         elif ctl.op == "stats":
-            reply(Ctl("stats", {**self.stats(), "snapshot": self.snapshot()}))
+            # One frame of the stats stream: ``ts`` is the clock the
+            # event log stamps, so frames and stitched spans share it.
+            self._stats_seq += 1
+            reply(Ctl("stats", {
+                **self.stats(),
+                "seq": self._stats_seq,
+                "ts": time.time(),
+                "uptime": self.scheduler.now,
+            }))
         elif ctl.op == "ping":
             reply(Ctl("ok", {"op": "ping", "node": self.proc_id}))
         elif ctl.op == "stop":
@@ -311,84 +309,39 @@ class LiveNode:
     # ------------------------------------------------------------------
     def _stack_stats(self, stack: _GroupStack) -> dict[str, Any]:
         """One group stack's counters."""
-        member = stack.member
-        view = member.view
+        view = stack.member.view
         return {
             "view": list(view.id) if view is not None else None,
             "view_size": len(view.set) if view is not None else 0,
             "delivered": len(stack.runtime.deliveries),
             "events_recorded": stack.log.events_recorded,
-            "formations": member.formations_initiated,
-            "tokens_processed": member.tokens_processed,
-            "duplicates_suppressed": member.duplicates_suppressed,
-            "token": {
-                "forwards": member.token_forwards,
-                "entries_sent": member.token_entries_sent,
-                "entries_max": member.token_entries_max,
-                "resyncs": member.token_resyncs,
-                "entries_appended": member.token_entries_appended,
-                "append_batches": member.token_append_batches,
-                "append_max": member.token_append_max,
-                "wakes": member.wakes_sent,
-            },
+            **stack.member.counters(),
         }
 
     def stats(self) -> dict[str, Any]:
         """Live counters: ring, TO deliveries, transport, event log.
-        Counts are totals over the hosted groups (``view`` is the first
-        group's), with each group's own under ``"groups"``; for one
-        group the totals are that group's numbers."""
+        Counts are folded over the hosted groups by
+        :func:`~repro.membership.ring.fold_counters` (``view`` is the
+        first group's), with each group's own under ``"groups"``; for
+        one group the totals are that group's numbers."""
         per = {name: self._stack_stats(s) for name, s in self._stacks.items()}
         first = per[self.first_group]
-        token = {
-            key: sum(g["token"][key] for g in per.values())
-            for key in first["token"]
-        }
-        for counters in (token, *(g["token"] for g in per.values())):
-            batches = counters["append_batches"]
-            counters["entries_per_batch"] = (
-                counters["entries_appended"] / batches if batches else 0.0
-            )
-        out: dict[str, Any] = {
+        return {
             "node": self.proc_id,
             "sends_accepted": self.sends_accepted,
             "sends_rejected": self.sends_rejected,
             "shards": self.shards,
             "view": first["view"],
             "view_size": first["view_size"],
-            "token": token,
+            "delivered": sum(g["delivered"] for g in per.values()),
+            "events_recorded": sum(g["events_recorded"] for g in per.values()),
+            **fold_counters([s.member.counters() for s in self._stacks.values()]),
             "groups": per,
             "transport": self.network.stats(),
         }
-        for key in (
-            "delivered",
-            "events_recorded",
-            "formations",
-            "tokens_processed",
-            "duplicates_suppressed",
-        ):
-            out[key] = sum(g[key] for g in per.values())
-        return out
-
-    def snapshot(self) -> dict[str, Any]:
-        """One typed metrics snapshot frame: the full registry plus a
-        per-node sequence number and this node's clocks.  ``ts`` is the
-        same wall clock the event log stamps, so the driver's metrics
-        timeline and the stitched spans share one time base."""
-        self._snapshot_seq += 1
-        return MetricsSnapshot(
-            node=self.proc_id,
-            seq=self._snapshot_seq,
-            ts=time.time(),
-            uptime=self.scheduler.now,
-            metrics=self.obs.metrics.to_dict(),
-        ).to_dict()
 
     def _write_report(self) -> None:
-        report = {
-            "stats": self.stats(),
-            "metrics": self.obs.metrics.render_text(),
-        }
+        report = {"stats": self.stats()}
         path = self.log_dir / f"{self.proc_id}.report.json"
         path.write_text(json.dumps(report, indent=2), encoding="utf-8")
 

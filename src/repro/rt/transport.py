@@ -20,8 +20,7 @@ Partition injection is *firewall-style*: :meth:`LiveNetwork.block`
 drops frames to and from the named peers at this node while leaving
 TCP connections alone — exactly a ``bad`` link pair in the paper's
 failure model, driven from :mod:`repro.rt.faults` windows.  Loss is
-accounted per direction in :attr:`LiveNetwork.counters` and in
-``repro.obs`` metrics when a hub is attached.
+accounted per direction in :attr:`LiveNetwork.counters`.
 
 Delivery semantics match the model's *fair lossy* channels: a frame
 written while the peer is connected is delivered unless the connection
@@ -184,12 +183,6 @@ class LiveNetwork:
         self.counters: dict[str, int] = {key: 0 for key in COUNTER_KEYS}
         self.messages_sent = 0
         self.messages_delivered = 0
-        # Observability slots (bound by attach_obs; `is None` guarded).
-        self._m_sent = None
-        self._m_received = None
-        self._m_blocked = None
-        self._m_connected = None
-        self._m_wire: Any = None
 
     # ------------------------------------------------------------------
     # Wire plumbing
@@ -220,77 +213,8 @@ class LiveNetwork:
                 return
             self.counters["frames_sent"] += 1
             self.counters["bytes_sent"] += len(frame)
-            if self._m_sent is not None:
-                self._m_sent.inc()
 
         return sink
-
-    # ------------------------------------------------------------------
-    def attach_obs(self, obs: Any) -> None:
-        """Bind transport metrics: frames in/out, firewall drops, and a
-        connected-peer gauge, all labelled by this node."""
-        if obs is None:
-            return
-        metrics = obs.metrics
-        proc = str(self.proc_id)
-        self._m_sent = metrics.counter(
-            "rt_frames_sent_total", "frames written to peer streams",
-            labels=("proc",),
-        ).labels(proc)
-        self._m_received = metrics.counter(
-            "rt_frames_received_total", "frames dispatched from peer streams",
-            labels=("proc",),
-        ).labels(proc)
-        self._m_blocked = metrics.counter(
-            "rt_firewall_drops_total", "frames dropped by the partition firewall",
-            labels=("proc", "direction"),
-        )
-        self._m_connected = metrics.gauge(
-            "rt_peers_connected", "outbound streams currently established",
-            labels=("proc",),
-        ).labels(proc)
-        # Wire-level families, synced from the per-direction aggregates
-        # on every stats()/snapshot pass (zero hot-path cost).
-        self._m_wire = {
-            "frames": metrics.gauge(
-                "rt_wire_frames", "frames on the wire, by direction and codec",
-                labels=("proc", "dir", "codec"),
-            ),
-            "bytes": metrics.gauge(
-                "rt_wire_bytes", "bytes on the wire, by direction and codec",
-                labels=("proc", "dir", "codec"),
-            ),
-            "entries": metrics.gauge(
-                "rt_wire_entries",
-                "message payloads carried, by direction and codec",
-                labels=("proc", "dir", "codec"),
-            ),
-            "flushes": metrics.gauge(
-                "rt_wire_flushes", "batch-queue flushes, by codec",
-                labels=("proc", "codec"),
-            ),
-            "seconds": metrics.gauge(
-                "rt_wire_codec_seconds",
-                "cumulative encode/decode wall seconds, by codec",
-                labels=("proc", "op", "codec"),
-            ),
-        }
-
-    def _sync_wire_metrics(self) -> None:
-        """Publish the wire aggregates into the registry."""
-        if self._m_wire is None:
-            return
-        proc, codec = str(self.proc_id), BinaryWire.name
-        tx, rx = self.tx_stats, self.rx_stats
-        self._m_wire["frames"].labels(proc, "out", codec).set(tx.frames)
-        self._m_wire["bytes"].labels(proc, "out", codec).set(tx.bytes_on_wire)
-        self._m_wire["entries"].labels(proc, "out", codec).set(tx.entries)
-        self._m_wire["flushes"].labels(proc, codec).set(tx.flushes)
-        self._m_wire["seconds"].labels(proc, "encode", codec).set(tx.encode_seconds)
-        self._m_wire["frames"].labels(proc, "in", codec).set(rx.frames)
-        self._m_wire["bytes"].labels(proc, "in", codec).set(rx.bytes_on_wire)
-        self._m_wire["entries"].labels(proc, "in", codec).set(rx.entries)
-        self._m_wire["seconds"].labels(proc, "decode", codec).set(rx.decode_seconds)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -369,8 +293,6 @@ class LiveNetwork:
             peer.sender.send_now(Hello(src=self.proc_id))
             peer.writer = writer
             self.counters["connects"] += 1
-            if self._m_connected is not None:
-                self._m_connected.inc()
             try:
                 # The outbound stream is write-only; reading it just
                 # detects peer closure (EOF) so we can reconnect.
@@ -381,8 +303,6 @@ class LiveNetwork:
             finally:
                 peer.writer = None
                 peer.sender.detach()
-                if self._m_connected is not None:
-                    self._m_connected.dec()
                 writer.close()
             if not self._closing:
                 await asyncio.sleep(self._reconnect_delay)
@@ -399,8 +319,6 @@ class LiveNetwork:
         self.messages_sent += 1
         if dst in self.blocked:
             self.counters["blocked_out"] += 1
-            if self._m_blocked is not None:
-                self._m_blocked.labels(str(self.proc_id), "out").inc()
             return
         peer = self._peers.get(dst)
         if peer is None or peer.sender is None or not peer.sender.connected:
@@ -473,8 +391,6 @@ class LiveNetwork:
                         self.counters["frame_errors"] += 1
                         continue
                     self.counters["frames_received"] += 1
-                    if self._m_received is not None:
-                        self._m_received.inc()
                     if isinstance(message, Ctl):
                         if self._on_ctl is not None:
                             if replier is None:
@@ -506,8 +422,6 @@ class LiveNetwork:
     def _dispatch(self, src: str, message: Any) -> None:
         if src in self.blocked:
             self.counters["blocked_in"] += 1
-            if self._m_blocked is not None:
-                self._m_blocked.labels(str(self.proc_id), "in").inc()
             return
         if self._node is not None:
             self.messages_delivered += 1
@@ -522,7 +436,6 @@ class LiveNetwork:
 
     def stats(self) -> dict[str, Any]:
         """Transport counters plus connection state (diagnostics)."""
-        self._sync_wire_metrics()
         return {
             **self.counters,
             "messages_sent": self.messages_sent,

@@ -44,7 +44,7 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from collections.abc import Callable, Hashable, Sequence
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.faults import (
     CrashRestartInjector,
@@ -56,9 +56,6 @@ from repro.faults import (
     TriggerSpec,
 )
 from repro.faults.chaos import ChaosReport, ChaosRunner
-
-if TYPE_CHECKING:
-    from repro.obs import Observability
 
 ProcId = Hashable
 
@@ -163,9 +160,7 @@ def verdict_of(report: ChaosReport) -> str:
     return "ok"
 
 
-def run_scenario(
-    spec: ScenarioSpec, *, obs: Observability | None = None
-) -> ScenarioOutcome:
+def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
     """Execute one scenario end-to-end under the full chaos harness
     (online VS monitor, TO trace check, coverage tracking)."""
     runner = ChaosRunner(
@@ -174,7 +169,6 @@ def run_scenario(
         seed=spec.seed,
         sends=spec.sends,
         settle=spec.settle,
-        obs=obs,
     )
     return ScenarioOutcome(spec=spec, report=runner.run())
 

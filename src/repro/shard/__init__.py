@@ -16,7 +16,7 @@ The pieces:
 - :mod:`repro.shard.router` — the client-facing front end: fans
   requests out to per-group backends with a bounded in-flight window
   per shard (backpressure: saturated shards queue, never drop) and
-  queue-depth metrics via :mod:`repro.obs`;
+  per-group queue counters in its ``stats()``;
 - :mod:`repro.shard.sim` — the DES substrate adapter: one
   :class:`~repro.apps.totalorder.TotalOrderBroadcast` per group, with
   continuous per-group :class:`~repro.core.monitor.OnlineVSMonitor`

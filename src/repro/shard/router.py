@@ -15,10 +15,8 @@ the other shards' windows keep cycling (the isolation property
 ``tests/shard/test_sim_service.py`` asserts under a seeded one-shard
 partition).
 
-Queue depths, in-flight counts and routed/queued totals are published
-per group through :mod:`repro.obs` when a hub is attached, in the same
-pre-bound-child style the rest of the tree uses (no hub: one ``is
-None`` branch per event).
+Queue depths, in-flight counts and routed/queued totals per group are
+plain counters, reported by :meth:`ShardRouter.stats`.
 """
 
 from __future__ import annotations
@@ -70,9 +68,6 @@ class ShardRouter:
     window:
         In-flight ceiling per group; ``None`` disables backpressure
         (requests always dispatch immediately).
-    obs:
-        Optional :class:`repro.obs.Observability` hub for the queue
-        metrics.
     """
 
     def __init__(
@@ -80,7 +75,6 @@ class ShardRouter:
         ring: HashRing,
         backends: Mapping[str, ShardBackend] | None = None,
         window: int | None = 32,
-        obs: Any = None,
     ) -> None:
         if window is not None and window < 1:
             raise ValueError(f"window must be >= 1 or None, got {window}")
@@ -88,49 +82,9 @@ class ShardRouter:
         self.window = window
         self._backends: dict[str, ShardBackend] = {}
         self._channels: dict[str, _GroupChannel] = {}
-        # Observability slots (bound by attach_obs; `is None` guarded).
-        self._m_routed: Any = None
-        self._m_queued: Any = None
-        self._m_inflight: Any = None
-        self._m_depth: Any = None
         if backends:
             for group, backend in backends.items():
                 self.add_backend(group, backend)
-        if obs is not None:
-            self.attach_obs(obs)
-
-    # ------------------------------------------------------------------
-    def attach_obs(self, obs: Any) -> None:
-        """Bind per-group routing metrics: requests routed/queued
-        (counters) and the live in-flight/queue-depth gauges."""
-        if obs is None:
-            return
-        metrics = obs.metrics
-        self._m_routed = metrics.counter(
-            "shard_routed_total",
-            "client requests dispatched to a group backend",
-            labels=("group",),
-        )
-        self._m_queued = metrics.counter(
-            "shard_queued_total",
-            "client requests parked behind a full window",
-            labels=("group",),
-        )
-        self._m_inflight = metrics.gauge(
-            "shard_inflight",
-            "requests dispatched and not yet completed, per group",
-            labels=("group",),
-        )
-        self._m_depth = metrics.gauge(
-            "shard_queue_depth",
-            "requests waiting behind the window, per group",
-            labels=("group",),
-        )
-
-    def _publish(self, group: str, channel: _GroupChannel) -> None:
-        if self._m_inflight is not None:
-            self._m_inflight.labels(group).set(channel.inflight)
-            self._m_depth.labels(group).set(len(channel.queue))
 
     # ------------------------------------------------------------------
     def add_backend(self, group: str, backend: ShardBackend) -> None:
@@ -166,9 +120,6 @@ class ShardRouter:
             channel.queue.append((key, value))
             channel.queued += 1
             channel.queue_peak = max(channel.queue_peak, len(channel.queue))
-            if self._m_queued is not None:
-                self._m_queued.labels(group).inc()
-            self._publish(group, channel)
         else:
             self._dispatch(group, channel, key, value)
         return group
@@ -178,9 +129,6 @@ class ShardRouter:
     ) -> None:
         channel.inflight += 1
         channel.routed += 1
-        if self._m_routed is not None:
-            self._m_routed.labels(group).inc()
-        self._publish(group, channel)
         self._backends[group].submit(key, value)
 
     def complete(self, group: str, n: int = 1) -> None:
@@ -194,7 +142,6 @@ class ShardRouter:
                 f"complete({group!r}, {n}): only {channel.inflight} in flight"
             )
         channel.inflight -= n
-        self._publish(group, channel)
         while channel.queue and (
             self.window is None or channel.inflight < self.window
         ):

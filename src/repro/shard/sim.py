@@ -28,7 +28,6 @@ from repro.core.to_spec import TO_EXTERNAL
 from repro.ioa.actions import Action
 from repro.membership.ring import RingConfig
 from repro.net.scenarios import PartitionScenario
-from repro.obs import Observability
 from repro.shard.router import ShardRouter
 from repro.shard.routing import HashRing, group_names, point_for_key
 from repro.shard.verify import (
@@ -201,9 +200,6 @@ class ShardedSimService:
         Ring points per group.
     config:
         Ring timing parameters shared by every shard.
-    obs:
-        Optional :class:`repro.obs.Observability` hub for router
-        metrics.
     """
 
     def __init__(
@@ -214,12 +210,11 @@ class ShardedSimService:
         window: int | None = 32,
         vnodes: int = 64,
         config: RingConfig | None = None,
-        obs: Observability | None = None,
     ) -> None:
         self.group_names = group_names(n_groups)
         self.seed = seed
         self.ring = HashRing(self.group_names, seed=seed, vnodes=vnodes)
-        self.router = ShardRouter(self.ring, window=window, obs=obs)
+        self.router = ShardRouter(self.ring, window=window)
         self.groups: dict[str, SimShardGroup] = {}
         for name in self.group_names:
             shard = SimShardGroup(

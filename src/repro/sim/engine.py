@@ -20,7 +20,6 @@ import itertools
 from dataclasses import dataclass, field
 from math import inf
 from collections.abc import Callable
-from typing import Any
 
 
 @dataclass(order=True)
@@ -78,34 +77,6 @@ class Simulator:
         self._cancelled_in_queue = 0
         self._compactions = 0
         self._trace_hook: Callable[[float], None] | None = None
-        # Observability slots, pre-bound by attach_obs; with no hub
-        # attached each instrumented path pays one `is None` branch.
-        self._m_scheduled = None
-        self._m_fired = None
-        self._m_cancelled = None
-        self._m_queue_depth = None
-
-    # ------------------------------------------------------------------
-    def attach_obs(self, obs: Any) -> None:
-        """Bind an :class:`~repro.obs.Observability` hub: event-flow
-        counters and a queue-depth gauge.  Purely additive — no RNG
-        draws, no event scheduling, virtual time untouched."""
-        if obs is None:
-            return
-        metrics = obs.metrics
-        self._m_scheduled = metrics.counter(
-            "sim_events_scheduled_total", "events entered the queue"
-        ).labels()
-        self._m_fired = metrics.counter(
-            "sim_events_fired_total", "events whose callback ran"
-        ).labels()
-        self._m_cancelled = metrics.counter(
-            "sim_events_cancelled_total",
-            "cancelled events discarded at pop time",
-        ).labels()
-        self._m_queue_depth = metrics.gauge(
-            "sim_queue_depth", "queued events after the last fire"
-        ).labels()
 
     # ------------------------------------------------------------------
     @property
@@ -149,8 +120,6 @@ class Simulator:
                 event.done = True
         self._queue = [e for e in self._queue if not e.cancelled]
         heapq.heapify(self._queue)
-        if self._m_cancelled is not None:
-            self._m_cancelled.inc(self._cancelled_in_queue)
         self._cancelled_in_queue = 0
         self._compactions += 1
 
@@ -172,8 +141,6 @@ class Simulator:
         event = _QueuedEvent(time=time, seq=next(self._seq), callback=callback)
         heapq.heappush(self._queue, event)
         self._pending += 1
-        if self._m_scheduled is not None:
-            self._m_scheduled.inc()
         return EventHandle(event, self)
 
     # ------------------------------------------------------------------
@@ -184,8 +151,6 @@ class Simulator:
             event.done = True
             if event.cancelled:
                 self._cancelled_in_queue -= 1
-                if self._m_cancelled is not None:
-                    self._m_cancelled.inc()
                 continue
             self._pending -= 1
             if event.time > self._now and self._trace_hook is not None:
@@ -193,9 +158,6 @@ class Simulator:
             self._now = max(self._now, event.time)
             event.callback()
             self._events_processed += 1
-            if self._m_fired is not None:
-                self._m_fired.inc()
-                self._m_queue_depth.set(len(self._queue))
             return True
         return False
 
@@ -207,8 +169,6 @@ class Simulator:
                 heapq.heappop(self._queue)
                 head.done = True
                 self._cancelled_in_queue -= 1
-                if self._m_cancelled is not None:
-                    self._m_cancelled.inc()
                 continue
             if head.time > time:
                 break
@@ -227,8 +187,6 @@ class Simulator:
                 heapq.heappop(self._queue)
                 head.done = True
                 self._cancelled_in_queue -= 1
-                if self._m_cancelled is not None:
-                    self._m_cancelled.inc()
                 continue
             if head.time > until:
                 break

@@ -48,13 +48,13 @@ def test_delta_and_legacy_encodings_produce_identical_traces():
 def test_delta_payload_smaller_than_legacy():
     delta = _stable_service(delta_token=True, sends=12, horizon=200.0)
     legacy = _stable_service(delta_token=False, sends=12, horizon=200.0)
-    assert delta.stats()["token_entries_max"] < legacy.stats()["token_entries_max"]
-    assert delta.stats()["token_entries_sent"] < legacy.stats()["token_entries_sent"]
+    assert delta.stats()["token"]["entries_max"] < legacy.stats()["token"]["entries_max"]
+    assert delta.stats()["token"]["entries_sent"] < legacy.stats()["token"]["entries_sent"]
 
 
 def test_honest_circulations_never_resync():
     vs = _stable_service(delta_token=True, sends=12, horizon=200.0)
-    assert vs.stats()["token_resyncs"] == 0
+    assert vs.stats()["token"]["resyncs"] == 0
 
 
 def test_token_total_accounts_for_base():

@@ -13,7 +13,6 @@ from repro.core.vstoto.runtime import VStoTORuntime
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
 from repro.net.scenarios import PartitionScenario
-from repro.obs import Observability
 from repro.obs.export import (
     TS_SCALE,
     chrome_trace,
@@ -29,14 +28,12 @@ PROCS = (1, 2, 3)
 
 @pytest.fixture(scope="module")
 def observed_run():
-    """One small healthy execution with a hub attached: its metrics,
-    and the spans stitched from its events."""
-    obs = Observability()
+    """One small healthy execution and the spans stitched from its
+    events."""
     service = TokenRingVS(
         PROCS,
         RingConfig(delta=1.0, pi=10.0, mu=30.0, work_conserving=True),
         seed=3,
-        obs=obs,
     )
     runtime = VStoTORuntime(service, MajorityQuorumSystem(PROCS))
     service.install_scenario(
@@ -48,7 +45,7 @@ def observed_run():
     runtime.run_until(400.0)
     tracer = stitch_sim(service).tracer
     tracer.on_fault_window("loss", "loss(1->2)", 40.0, 60.0)
-    return SimpleNamespace(metrics=obs.metrics, tracer=tracer), service, runtime
+    return SimpleNamespace(tracer=tracer), service, runtime
 
 
 class TestChromeTrace:
@@ -113,9 +110,9 @@ class TestChromeTrace:
 class TestJsonl:
     def test_record_types(self, observed_run):
         obs, _, _ = observed_run
-        records = list(jsonl_records(tracer=obs.tracer, metrics=obs.metrics))
+        records = list(jsonl_records(tracer=obs.tracer))
         kinds = {r["type"] for r in records}
-        assert kinds == {"message_span", "view_span", "fault_window", "metric"}
+        assert kinds == {"message_span", "view_span", "fault_window"}
         for record in records:
             json.dumps(record)
 

@@ -9,7 +9,9 @@ from repro.obs.live.report import (
     bounds_from_timeline,
     build_report,
     render_text,
+    wire_summary,
 )
+from repro.obs.live.snapshot import ClusterTimeline, MetricsSnapshot
 
 PROCS = ("p1", "p2", "p3")
 
@@ -106,6 +108,44 @@ class TestBuildReport:
         report = build_report(tmp_path)
         assert report.bounds.delta == 0.05
         assert bounds_from_timeline(()).pi == 0.2
+
+
+def wire_stats(node, seq, frames, in_frames):
+    """A hand-built ``stats`` reply carrying only wire counters."""
+    tx = {"frames": frames, "entries": 3 * frames, "batches": 1,
+          "flushes": frames, "bytes_on_wire": 100 * frames,
+          "encode_seconds": 0.5, "entries_per_frame": 3.0}
+    rx = {"frames": in_frames, "entries": in_frames, "batches": 0,
+          "bytes_on_wire": 10 * in_frames, "decode_seconds": 0.25,
+          "entries_per_frame": 1.0}
+    return {"node": node, "seq": seq, "ts": float(seq), "uptime": 0.0,
+            "transport": {"wire": {"flush_after": 0.0,
+                                   "tx": {"binary": tx},
+                                   "rx": {"binary": rx}}}}
+
+
+class TestWireSummary:
+    def test_totals_per_key_over_latest_frames(self):
+        timeline = ClusterTimeline.from_snapshots([
+            MetricsSnapshot.from_stats(wire_stats("p1", 1, 1, 1)),
+            MetricsSnapshot.from_stats(wire_stats("p1", 2, 4, 2)),
+            MetricsSnapshot.from_stats(wire_stats("p2", 1, 6, 5)),
+        ])
+        assert wire_summary(timeline) == {
+            "decode/binary": {"seconds": 0.5},
+            "encode/binary": {"seconds": 1.0},
+            "in/binary": {"frames": 7.0, "bytes": 70.0, "entries": 7.0},
+            "out/binary": {"frames": 10.0, "bytes": 1000.0,
+                           "entries": 30.0, "flushes": 10.0},
+        }
+
+    def test_no_wire_counters_renders_nothing(self):
+        timeline = ClusterTimeline.from_snapshots([
+            MetricsSnapshot.from_stats(
+                {"node": "p1", "seq": 1, "ts": 0.0, "uptime": 0.0}
+            )
+        ])
+        assert wire_summary(timeline) == {}
 
 
 class TestReportCLI:

@@ -8,6 +8,7 @@ from repro.core.types import View
 from repro.membership.bounds import VSBounds
 from repro.obs.live.slo import (
     LatencySummary,
+    bound_key,
     SLOSpec,
     check_bounds,
     default_slos,
@@ -74,6 +75,12 @@ class TestLatencySummary:
         assert summary.max == 0.2
         assert summary.buckets["0.005"] == 1
         assert summary.buckets["+Inf"] == 3
+
+    def test_bound_key_matches_exposition_inf_label(self):
+        assert bound_key(float("inf")) == "+Inf"
+        assert bound_key(1.0) == "1.0"
+        # repr keys are lossless where %g would truncate
+        assert float(bound_key(0.123456789)) == 0.123456789
 
     def test_stat_lookup(self):
         summary = LatencySummary.from_samples("x", [1.0])

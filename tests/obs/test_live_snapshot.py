@@ -1,58 +1,28 @@
-"""Metrics snapshot frames and the cluster timeline (repro.obs.live)."""
+"""The nodes' stats stream: snapshot frames and the cluster timeline
+(repro.obs.live)."""
 
 from __future__ import annotations
 
 import json
 
 from repro.obs.live.snapshot import ClusterTimeline, MetricsSnapshot
-from repro.obs.metrics import MetricsRegistry, bound_key, parse_bound
 
 
-def make_registry() -> MetricsRegistry:
-    registry = MetricsRegistry()
-    registry.counter("frames_total", labels=("peer",)).labels("p2").inc(7)
-    registry.gauge("depth").labels().set(3)
-    hist = registry.histogram("lat", buckets=(0.123456789, 1.0))
-    hist.labels().observe(0.1)
-    hist.labels().observe(5.0)
-    return registry
+def make_stats(node: str = "p1", seq: int = 1) -> dict:
+    """A hand-built ``stats`` reply: a node's ``stats()`` plus stamps."""
+    return {
+        "node": node,
+        "seq": seq,
+        "ts": 100.0 + seq,
+        "uptime": float(seq),
+        "delivered": 7,
+        "token": {"forwards": 3, "entries_max": 2},
+        "transport": {"frames_sent": 11},
+    }
 
 
 def make_snapshot(node: str = "p1", seq: int = 1) -> MetricsSnapshot:
-    return MetricsSnapshot(
-        node=node, seq=seq, ts=100.0 + seq, uptime=float(seq),
-        metrics=make_registry().to_dict(),
-    )
-
-
-class TestRegistryRoundTrip:
-    def test_to_dict_from_dict_is_exact(self):
-        registry = make_registry()
-        clone = MetricsRegistry.from_dict(registry.to_dict())
-        assert clone.to_dict() == registry.to_dict()
-        assert clone.value("frames_total", "p2") == 7.0
-        assert clone.value("depth") == 3.0
-        assert clone.render_text() == registry.render_text()
-
-    def test_precision_bucket_bound_survives(self):
-        # str()/%g-style keys truncate 0.123456789; repr-based keys are
-        # lossless, so the reconstructed histogram has identical bounds.
-        registry = make_registry()
-        clone = MetricsRegistry.from_dict(registry.to_dict())
-        family = clone.histogram("lat", buckets=(0.123456789, 1.0))
-        assert 0.123456789 in family.buckets
-
-    def test_bound_key_matches_exposition_inf_label(self):
-        assert bound_key(float("inf")) == "+Inf"
-        assert bound_key(1.0) == "1.0"
-        assert parse_bound("0.123456789") == 0.123456789
-        assert parse_bound("+Inf") == float("inf")
-
-    def test_json_round_trip_preserves_samples(self):
-        registry = make_registry()
-        wire = json.loads(json.dumps(registry.to_dict()))
-        clone = MetricsRegistry.from_dict(wire)
-        assert clone.to_dict() == registry.to_dict()
+    return MetricsSnapshot.from_stats(make_stats(node, seq))
 
 
 class TestMetricsSnapshot:
@@ -63,16 +33,15 @@ class TestMetricsSnapshot:
         )
         assert clone == snapshot
 
-    def test_value_reads_without_reconstruction(self):
-        snapshot = make_snapshot()
-        assert snapshot.value("frames_total", "p2") == 7.0
-        assert snapshot.value("depth") == 3.0
-        assert snapshot.value("missing") == 0.0
-        assert snapshot.value("frames_total", "p9") == 0.0
-
-    def test_registry_reconstruction(self):
-        snapshot = make_snapshot()
-        assert snapshot.registry().value("frames_total", "p2") == 7.0
+    def test_from_stats_moves_the_stamps_out_of_metrics(self):
+        stats = make_stats("p2", 4)
+        snapshot = MetricsSnapshot.from_stats(stats)
+        assert (snapshot.node, snapshot.seq) == ("p2", 4)
+        assert (snapshot.ts, snapshot.uptime) == (104.0, 4.0)
+        assert snapshot.metrics == {
+            k: v for k, v in stats.items() if k not in ("seq", "ts", "uptime")
+        }
+        assert snapshot.metrics["token"]["forwards"] == 3
 
 
 class TestClusterTimeline:
@@ -96,16 +65,12 @@ class TestClusterTimeline:
         timeline.add(make_snapshot("p1", 1))
         assert len(timeline) == 1
 
-    def test_latest_and_series_and_total(self):
+    def test_latest(self):
         timeline = self.make_timeline()
         latest = timeline.latest("p1")
         assert latest is not None and latest.seq == 3
+        assert latest.ts == 103.0
         assert timeline.latest("p9") is None
-        series = timeline.series("p1", "depth")
-        assert [ts for ts, _value in series] == [101.0, 102.0, 103.0]
-        assert all(value == 3.0 for _ts, value in series)
-        # one latest frame per node: 7 + 7
-        assert timeline.cluster_total("frames_total", "p2") == 14.0
 
     def test_jsonl_round_trip_and_arrival_independence(self, tmp_path):
         timeline = self.make_timeline()

@@ -10,7 +10,12 @@ import time
 
 import pytest
 
-from repro.obs.live.report import bounds_for_delta, bounds_from_timeline
+from repro.membership.service import TokenRingVS
+from repro.obs.live.report import (
+    bounds_for_delta,
+    bounds_from_timeline,
+    build_report,
+)
 from repro.rt.cluster import LiveCluster, free_port, run_cluster
 from repro.rt.clock import LiveScheduler
 from repro.rt.node import (
@@ -194,7 +199,7 @@ class TestOneNodeShape:
             demux = node.network._node
             assert isinstance(demux, GroupDemux)
             assert list(demux.handlers) == ["g0"] and demux.default == "g0"
-            assert vars(node.obs) == {"metrics": node.obs.metrics}
+            assert not hasattr(node, "obs")
 
         self.on_node(tmp_path, 1, body)
 
@@ -249,6 +254,24 @@ class TestOneNodeShape:
         # For one group the totals are that group's numbers.
         group = one["groups"]["g0"]
         assert {k: one[k] for k in group} == group
+
+    def test_maxima_fold_by_max_across_groups(self, tmp_path):
+        async def body(node):
+            for n, stack in enumerate(node._stacks.values(), 1):
+                stack.member.token_entries_max = 4 * n
+                stack.member.token_append_max = 3 * n
+                stack.member.token_forwards = n
+            return node.stats()
+
+        stats = self.on_node(tmp_path, 2, body)
+        assert stats["token"]["entries_max"] == 8
+        assert stats["token"]["append_max"] == 6
+        assert stats["token"]["forwards"] == 3
+        # The DES names every ring counter the same way.
+        sim = TokenRingVS(("p1", "p2", "p3")).stats()
+        assert sim["token"].keys() == stats["token"].keys()
+        ring_keys = sim.keys() & stats.keys()
+        assert {"formations", "tokens_processed", "token"} <= ring_keys
 
 
 class TestClosedNode:
@@ -332,6 +355,19 @@ class TestLiveClusterSmoke:
         assert obs["message_spans"] >= 6
         assert obs["cross_node_spans"] > 0
         assert obs["slo_ok"] and obs["bounds_ok"]
+        # The report's wire section totals the nodes' last streamed
+        # stats frames.
+        last: dict[str, dict] = {}
+        for line in (tmp_path / "metrics.jsonl").read_text().splitlines():
+            frame = json.loads(line)
+            if frame["seq"] > last.get(frame["node"], {"seq": 0})["seq"]:
+                last[frame["node"]] = frame
+        tx_frames = sum(
+            frame["metrics"]["transport"]["wire"]["tx"]["binary"]["frames"]
+            for frame in last.values()
+        )
+        wire = build_report(tmp_path).to_dict()["wire"]
+        assert wire["out/binary"]["frames"] == tx_frames > 0
 
     def test_report_cli_judges_live_run_clean(self, tmp_path):
         from repro.obs.__main__ import main as obs_main

@@ -1,11 +1,10 @@
 """Shard router: key-routed dispatch, per-group backpressure windows
-(queued, never dropped), completion promotion, ring swaps, metrics."""
+(queued, never dropped), completion promotion, ring swaps, stats."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.obs import Observability
 from repro.shard.router import ShardRouter
 from repro.shard.routing import HashRing, group_names
 
@@ -25,10 +24,10 @@ class RecordingBackend:
         self.received.append((key, value))
 
 
-def make_router(n_groups=2, window=2, obs=None):
+def make_router(n_groups=2, window=2):
     ring = HashRing(group_names(n_groups), seed=0)
     backends = {g: RecordingBackend(g) for g in ring.groups}
-    router = ShardRouter(ring, backends=backends, window=window, obs=obs)
+    router = ShardRouter(ring, backends=backends, window=window)
     return ring, backends, router
 
 
@@ -134,16 +133,16 @@ class TestRingSwap:
 
 class TestMetrics:
     def test_per_group_counters_and_gauges(self):
-        obs = Observability()
-        ring, _, router = make_router(1, window=2, obs=obs)
+        ring, _, router = make_router(1, window=2)
         keys = keys_owned_by(ring, "g0", 1)
         for i in range(5):
             router.submit(keys[0], i)
-        metrics = obs.metrics
-        assert metrics.value("shard_routed_total", "g0") == 2.0
-        assert metrics.value("shard_queued_total", "g0") == 3.0
-        assert metrics.value("shard_inflight", "g0") == 2.0
-        assert metrics.value("shard_queue_depth", "g0") == 3.0
+        stats = router.stats()["groups"]["g0"]
+        assert stats["routed"] == 2
+        assert stats["queued"] == 3
+        assert stats["inflight"] == 2
+        assert stats["queue_depth"] == 3
         router.complete("g0", 2)
-        assert metrics.value("shard_routed_total", "g0") == 4.0
-        assert metrics.value("shard_queue_depth", "g0") == 1.0
+        stats = router.stats()["groups"]["g0"]
+        assert stats["routed"] == 4
+        assert stats["queue_depth"] == 1

@@ -13,7 +13,7 @@ from benchmarks.conftest import build_stack
 from repro.analysis.stats import format_table, summarize
 from repro.core.to_spec import TOPropertyChecker
 from repro.membership.bounds import VSBounds
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 from repro.obs.live.stitch import stitch_sim
 
 DELTA, PI, MU = 1.0, 10.0, 30.0
@@ -31,10 +31,11 @@ def run_heal_scenario(n, seed, work_conserving=True, heal_at=300.0):
         work_conserving=work_conserving,
     )
     half = n // 2 or 1
-    service.install_scenario(
-        PartitionScenario()
-        .add(40.0, [list(processors[:half]), list(processors[half:])])
-        .add(heal_at, [list(processors)])
+    (
+        FaultSchedule()
+        .add_layout(40.0, [list(processors[:half]), list(processors[half:])])
+        .add_layout(heal_at, [list(processors)])
+        .install(service)
     )
     for i in range(18):
         runtime.schedule_broadcast(
@@ -77,9 +78,7 @@ def test_e7_to_property_for_partition_side():
     service, runtime = build_stack(
         processors, seed=4, delta=DELTA, pi=PI, mu=MU, work_conserving=True
     )
-    service.install_scenario(
-        PartitionScenario().add(40.0, [[1, 2, 3], [4, 5]])
-    )
+    FaultSchedule().add_layout(40.0, [[1, 2, 3], [4, 5]]).install(service)
     for i in range(10):
         runtime.schedule_broadcast(60.0 + 15 * i, (i % 3) + 1, f"q{i}")
     runtime.start()

@@ -30,7 +30,6 @@ from repro.faults.chaos import ChaosRunner
 from repro.faults.schedule import FaultSchedule
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
 from repro.obs.live.stitch import stitch_sim
 from repro.obs.digest import rng_digest, trace_shape_digest
 from repro.obs.export import TS_SCALE, chrome_trace
@@ -106,10 +105,11 @@ def test_e19_spans_agree_with_measurement():
             seed=seed,
         )
         runtime = VStoTORuntime(service, MajorityQuorumSystem(PROCS))
-        service.install_scenario(
-            PartitionScenario()
-            .add(40.0, [[1, 2, 3], [4, 5]])
-            .add(300.0, [[1, 2, 3, 4, 5]])
+        (
+            FaultSchedule()
+            .add_layout(40.0, [[1, 2, 3], [4, 5]])
+            .add_layout(300.0, [[1, 2, 3, 4, 5]])
+            .install(service)
         )
         for i in range(10):
             runtime.schedule_broadcast(10.0 + 23.0 * i, PROCS[i % 5], i)

@@ -16,7 +16,7 @@ from repro.analysis.stats import format_table
 from repro.core.vs_spec import VS_EXTERNAL, check_vs_trace
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 from repro.obs.live.stitch import stitch_sim
 
 PROCS = (1, 2, 3, 4, 5)
@@ -29,9 +29,7 @@ def measure_split(one_round, seed, split_at=200.0):
         RingConfig(delta=DELTA, pi=PI, mu=MU, one_round=one_round),
         seed=seed,
     )
-    vs.install_scenario(
-        PartitionScenario().add(split_at, [[1, 2, 3], [4, 5]])
-    )
+    FaultSchedule().add_layout(split_at, [[1, 2, 3], [4, 5]]).install(vs)
     vs.run_until(split_at + 1200.0)
     # safety holds in both variants
     actions = [
@@ -64,10 +62,11 @@ def test_e16_one_round_still_safe_and_converges_on_merge():
         RingConfig(delta=DELTA, pi=PI, mu=MU, one_round=True),
         seed=5,
     )
-    vs.install_scenario(
-        PartitionScenario()
-        .add(100.0, [[1, 2, 3], [4, 5]])
-        .add(600.0, [[1, 2, 3, 4, 5]])
+    (
+        FaultSchedule()
+        .add_layout(100.0, [[1, 2, 3], [4, 5]])
+        .add_layout(600.0, [[1, 2, 3, 4, 5]])
+        .install(vs)
     )
     vs.run_until(2000.0)
     views = {vs.current_view(p) for p in PROCS}

@@ -14,7 +14,7 @@ from benchmarks.conftest import build_stack
 from repro.analysis.stats import format_table
 from repro.core.quorums import ExplicitQuorumSystem, MajorityQuorumSystem
 from repro.core.vstoto.process import is_summary
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 
 PROCS = (1, 2, 3, 4, 5)
 
@@ -23,10 +23,11 @@ def run_split_heal(seed, quorums=None, heal_at=300.0, sends=15):
     service, runtime = build_stack(
         PROCS, seed=seed, work_conserving=True, quorums=quorums
     )
-    service.install_scenario(
-        PartitionScenario()
-        .add(40.0, [[1, 2, 3], [4, 5]])
-        .add(heal_at, [[1, 2, 3, 4, 5]])
+    (
+        FaultSchedule()
+        .add_layout(40.0, [[1, 2, 3], [4, 5]])
+        .add_layout(heal_at, [[1, 2, 3, 4, 5]])
+        .install(service)
     )
     for i in range(sends):
         runtime.schedule_broadcast(10.0 + 17.0 * i, PROCS[i % 5], f"r{i}")
@@ -114,12 +115,12 @@ def test_e11_quorum_ablation():
 
 def test_e11_repeated_cycles_converge():
     service, runtime = build_stack(PROCS, seed=6, work_conserving=True)
-    scenario = PartitionScenario()
-    scenario.add(40.0, [[1, 2, 3], [4, 5]])
-    scenario.add(200.0, [[1, 2, 3, 4, 5]])
-    scenario.add(360.0, [[1, 2], [3, 4, 5]])
-    scenario.add(520.0, [[1, 2, 3, 4, 5]])
-    service.install_scenario(scenario)
+    scenario = FaultSchedule()
+    scenario.add_layout(40.0, [[1, 2, 3], [4, 5]])
+    scenario.add_layout(200.0, [[1, 2, 3, 4, 5]])
+    scenario.add_layout(360.0, [[1, 2], [3, 4, 5]])
+    scenario.add_layout(520.0, [[1, 2, 3, 4, 5]])
+    scenario.install(service)
     for i in range(20):
         runtime.schedule_broadcast(10.0 + 30.0 * i, PROCS[i % 5], f"c{i}")
     runtime.start()

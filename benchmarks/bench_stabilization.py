@@ -16,7 +16,7 @@ from repro.analysis.stats import format_table
 from repro.membership.bounds import VSBounds
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 from repro.obs.live.stitch import stitch_sim
 
 SLACK = 5.0
@@ -31,9 +31,7 @@ def measure_split(n, delta, pi, mu, seed, split_at=60.0):
     vs = TokenRingVS(
         processors, RingConfig(delta=delta, pi=pi, mu=mu), seed=seed
     )
-    vs.install_scenario(
-        PartitionScenario().add(split_at, [list(group), list(rest)])
-    )
+    FaultSchedule().add_layout(split_at, [list(group), list(rest)]).install(vs)
     vs.run_until(split_at + 30 * max(pi, mu))
     l_prime = stitch_sim(vs).tracer.timeline(group, split_at).alpha1_length
     assert math.isfinite(l_prime), f"group {group} never stabilised"
@@ -49,10 +47,11 @@ def measure_merge(n, delta, pi, mu, seed, heal_at=311.0):
     vs = TokenRingVS(
         processors, RingConfig(delta=delta, pi=pi, mu=mu), seed=seed
     )
-    vs.install_scenario(
-        PartitionScenario()
-        .add(60.0, [list(processors[:half]), list(processors[half:])])
-        .add(heal_at, [list(processors)])
+    (
+        FaultSchedule()
+        .add_layout(60.0, [list(processors[:half]), list(processors[half:])])
+        .add_layout(heal_at, [list(processors)])
+        .install(vs)
     )
     vs.run_until(heal_at + 30 * max(pi, mu))
     l_prime = stitch_sim(vs).tracer.timeline(processors, heal_at).alpha1_length

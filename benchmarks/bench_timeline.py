@@ -14,7 +14,7 @@ from benchmarks.conftest import build_stack
 from repro.analysis.stats import format_table
 from repro.core.vstoto.process import is_summary
 from repro.membership.bounds import VSBounds
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 from repro.obs.live.stitch import stitch_sim
 
 PROCS = (1, 2, 3, 4, 5)
@@ -31,10 +31,11 @@ def run_and_decompose(seed, heal_at=300.0, work_conserving=True):
         mu=MU,
         work_conserving=work_conserving,
     )
-    service.install_scenario(
-        PartitionScenario()
-        .add(40.0, [[1, 2, 3], [4, 5]])
-        .add(heal_at, [[1, 2, 3, 4, 5]])
+    (
+        FaultSchedule()
+        .add_layout(40.0, [[1, 2, 3], [4, 5]])
+        .add_layout(heal_at, [[1, 2, 3, 4, 5]])
+        .install(service)
     )
     for i in range(10):
         runtime.schedule_broadcast(10.0 + 23.0 * i, PROCS[i % 5], f"t{i}")

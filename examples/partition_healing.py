@@ -14,7 +14,7 @@ Run with::
 """
 
 from repro.apps import TotalOrderBroadcast
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 
 SPLIT_AT = 50.0
 HEAL_AT = 350.0
@@ -25,11 +25,11 @@ def main() -> None:
     tob = TotalOrderBroadcast(processors, seed=7)
 
     scenario = (
-        PartitionScenario()
-        .add(SPLIT_AT, [[1, 2, 3], [4, 5]])
-        .add(HEAL_AT, [[1, 2, 3, 4, 5]])
+        FaultSchedule()
+        .add_layout(SPLIT_AT, [[1, 2, 3], [4, 5]])
+        .add_layout(HEAL_AT, [[1, 2, 3, 4, 5]])
     )
-    tob.install_scenario(scenario)
+    scenario.install(tob.vs)
 
     # Messages from both sides, before and during the partition.
     for i in range(6):

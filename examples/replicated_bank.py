@@ -19,7 +19,7 @@ from repro.apps import (
     TotalOrderBroadcast,
     check_sequential_consistency,
 )
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 
 BRANCHES = ["london", "nyc", "tokyo"]
 ACCOUNTS = ["acct-100", "acct-200", "acct-300"]
@@ -30,10 +30,11 @@ def main() -> None:
     ledger = SequentiallyConsistentMemory(tob)
 
     # A mid-day partition separates tokyo from the others.
-    tob.install_scenario(
-        PartitionScenario()
-        .add(100.0, [["london", "nyc"], ["tokyo"]])
-        .add(250.0, [BRANCHES])
+    (
+        FaultSchedule()
+        .add_layout(100.0, [["london", "nyc"], ["tokyo"]])
+        .add_layout(250.0, [BRANCHES])
+        .install(tob.vs)
     )
 
     rng = random.Random(4)

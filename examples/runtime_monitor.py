@@ -22,7 +22,7 @@ from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
 from repro.membership.shadow import WeakVSShadow
 from repro.membership.bounds import VSBounds
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 from repro.obs.live.stitch import stitch_sim
 
 PROCS = [1, 2, 3, 4]
@@ -41,11 +41,11 @@ def main() -> None:
     monitor.attach(vs)
 
     scenario = (
-        PartitionScenario()
-        .add(40.0, [[1, 2], [3, 4]])
-        .add(160.0, [[1, 2, 3, 4]])
+        FaultSchedule()
+        .add_layout(40.0, [[1, 2], [3, 4]])
+        .add_layout(160.0, [[1, 2, 3, 4]])
     )
-    vs.install_scenario(scenario)
+    scenario.install(vs)
     for i in range(10):
         vs.schedule_send(5.0 + 20.0 * i, PROCS[i % 4], f"msg-{i}")
 

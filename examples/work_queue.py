@@ -17,7 +17,7 @@ Run with::
 from repro.apps import LoadBalancedWorkers, owner_of
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 
 WORKERS = [1, 2, 3, 4]
 CRASH_AT = 120.0
@@ -40,9 +40,7 @@ def main() -> None:
         pool.schedule_submit(submit_time, WORKERS[i % 3], f"job-{i:02d}")
 
     # Worker 4 crashes at CRASH_AT and never comes back.
-    service.install_scenario(
-        PartitionScenario().add(CRASH_AT, [[1, 2, 3]])
-    )
+    FaultSchedule().add_layout(CRASH_AT, [[1, 2, 3]]).install(service)
 
     pool.run_until(800.0)
 

@@ -26,7 +26,7 @@ from repro.core.vstoto.runtime import VStoTORuntime
 from repro.membership.bounds import VSBounds
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
+from repro.faults.schedule import FaultSchedule
 from repro.obs.live.stitch import stitch_sim
 
 Row = Sequence[object]
@@ -51,9 +51,7 @@ def _stabilization_cell(item: tuple) -> float:
     vs = TokenRingVS(
         processors, RingConfig(delta=delta, pi=pi, mu=mu), seed=seed
     )
-    vs.install_scenario(
-        PartitionScenario().add(60.0, [list(group), list(processors[n:])])
-    )
+    FaultSchedule().add_layout(60.0, [list(group), list(processors[n:])]).install(vs)
     vs.run_until(60.0 + 30 * max(pi, mu))
     return stitch_sim(vs).tracer.timeline(group, 60.0).alpha1_length
 
@@ -138,10 +136,11 @@ def _full_stack(
 def _split_heal_run(seed: int) -> tuple[tuple[int, ...], TokenRingVS]:
     """n = 5 under load, split {1,2,3}|{4,5} at 40 and healed at 300."""
     processors, service, runtime = _full_stack(5, seed)
-    service.install_scenario(
-        PartitionScenario()
-        .add(40.0, [[1, 2, 3], [4, 5]])
-        .add(300.0, [[1, 2, 3, 4, 5]])
+    (
+        FaultSchedule()
+        .add_layout(40.0, [[1, 2, 3], [4, 5]])
+        .add_layout(300.0, [[1, 2, 3, 4, 5]])
+        .install(service)
     )
     for i in range(10):
         runtime.schedule_broadcast(10.0 + 23.0 * i, processors[i % 5], i)

@@ -21,7 +21,6 @@ from repro.core.vstoto.runtime import Delivery, VStoTORuntime
 from repro.ioa.timed import TimedTrace
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
 
 ProcId = Hashable
 DeliverCallback = Callable[[Any, ProcId, ProcId], None]
@@ -104,10 +103,6 @@ class TotalOrderBroadcast:
         """Advance virtual time (starting the service on first call)."""
         self.runtime.start()
         self.runtime.run_until(time)
-
-    def install_scenario(self, scenario: PartitionScenario) -> None:
-        """Script partitions/merges/failures over virtual time."""
-        self.vs.install_scenario(scenario)
 
     # ------------------------------------------------------------------
     def delivered(self, p: ProcId) -> list[Any]:

@@ -237,10 +237,6 @@ class VStoTOProcess(Automaton):
             self._summary_key = key
         return self._summary_cache
 
-    def content_lookup(self, label: Label) -> Any | None:
-        """The value paired with ``label`` in content, if any."""
-        return self._content_index().get(label)
-
     def _record_buildorder(self) -> None:
         if self.current is not BOTTOM:
             # O(1): share the live list as an immutable prefix instead of

@@ -10,7 +10,8 @@ express at packet granularity.  This package supplies:
   :class:`repro.net.channel.Channel` and on membership-layer hooks
   (crash-restart, timer skew);
 - :mod:`~repro.faults.schedule` — :class:`FaultSchedule`, timed windows
-  of injector activity, plus a seeded random adversarial generator;
+  of injector activity and time-ordered partition layouts, plus a
+  seeded random adversarial generator;
 - :mod:`~repro.faults.chaos` — :class:`ChaosRunner`, which runs the
   full VStoTO-over-token-ring stack under a schedule with the online VS
   monitor and TO trace checker attached, and reports safety violations
@@ -37,12 +38,14 @@ from repro.faults.injectors import (
     PartitionInjector,
     TimerSkewInjector,
     TokenLossInjector,
+    majority_split,
 )
 from repro.faults.schedule import (
     ALL_FAULT_KINDS,
     SPEC_KINDS,
     FaultSchedule,
     FaultWindow,
+    Layout,
     injector_from_spec,
     injector_to_spec,
 )
@@ -64,6 +67,7 @@ __all__ = [
     "FaultSchedule",
     "FaultWindow",
     "ForcedViolationInjector",
+    "Layout",
     "PacketDelayInjector",
     "PacketDuplicateInjector",
     "PacketInjector",
@@ -78,6 +82,7 @@ __all__ = [
     "TriggeredFault",
     "injector_from_spec",
     "injector_to_spec",
+    "majority_split",
     "run_chaos",
     "run_chaos_many",
     "run_chaos_sweep",

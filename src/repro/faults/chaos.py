@@ -39,7 +39,6 @@ from repro.faults.triggers import ProtocolEventHub
 from repro.membership.bounds import VSBounds
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import stable_partition
 
 if TYPE_CHECKING:
     from repro.parallel import RunEnvelope
@@ -174,8 +173,8 @@ class ChaosRunner:
         # The conditional properties quantify over executions that
         # stabilise: end with a stable whole-group layout.  (This also
         # clears any lingering ugly/bad statuses the nemesis left.)
-        self.service.install_scenario(
-            stable_partition(self.processors, at=stabilization)
+        FaultSchedule().add_layout(stabilization, [self.processors]).install(
+            self.service
         )
         traffic = self.service.rngs.stream("chaos:traffic")
         values = []
@@ -189,21 +188,6 @@ class ChaosRunner:
         self.runtime.start()
         self.runtime.run_until(stabilization + self.settle)
         return self._report(stabilization, values)
-
-    @classmethod
-    def run_many(
-        cls,
-        processors: Iterable[ProcId],
-        seeds: Sequence[int],
-        *,
-        workers: int = 1,
-        **kwargs: Any,
-    ) -> list[ChaosReport]:
-        """Run one randomly-scheduled chaos soak per seed, fanned out
-        over ``workers`` processes, merged in seed order.  The merged
-        reports are identical to a sequential loop regardless of worker
-        count; keyword knobs are those of :func:`run_chaos`."""
-        return run_chaos_many(processors, seeds, workers=workers, **kwargs)
 
     # ------------------------------------------------------------------
     def _report(

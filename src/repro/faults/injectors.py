@@ -31,7 +31,7 @@ from typing import Any
 
 from repro.membership.messages import Sequenced, Token
 from repro.net.channel import Packet, PacketFate
-from repro.net.status import FailureStatus
+from repro.net.status import FailureStatus, disjoint_groups
 
 if TYPE_CHECKING:
     from repro.membership.service import TokenRingVS
@@ -468,10 +468,10 @@ class PartitionInjector(FaultInjector):
     composes instead of being overwritten.  Processors not mentioned in
     any group keep their current connectivity.
 
-    This is the journey-level partition shape: unlike the oracle-wide
-    :class:`repro.net.scenarios.PartitionScenario` it is windowed,
-    serializable, and shrinkable, and its ``groups`` survive into live
-    replay (:func:`repro.rt.faults.windows_from_scenario`).
+    Unlike an oracle-wide layout (:meth:`repro.faults.schedule.
+    FaultSchedule.add_layout`) it is windowed and shrinkable, and it is
+    the one kind a live cluster can enact (:func:`repro.rt.faults.
+    live_windows`).
     """
 
     SPEC_KIND = "partition"
@@ -480,15 +480,7 @@ class PartitionInjector(FaultInjector):
         self, name: str, groups: Sequence[Sequence[ProcId]]
     ) -> None:
         super().__init__(name)
-        self.groups: tuple[tuple[ProcId, ...], ...] = tuple(
-            tuple(g) for g in groups
-        )
-        seen: set[ProcId] = set()
-        for group in self.groups:
-            for p in group:
-                if p in seen:
-                    raise ValueError(f"processor {p!r} in two groups")
-                seen.add(p)
+        self.groups = disjoint_groups(groups)
         self._cut: list[tuple[ProcId, ProcId]] = []
 
     def params(self) -> dict[str, Any]:
@@ -503,6 +495,14 @@ class PartitionInjector(FaultInjector):
             if p in group:
                 return index
         return -1
+
+    def blocked_for(self, p: ProcId) -> tuple[ProcId, ...]:
+        """Everyone outside ``p``'s component (what a live node ``p``
+        firewalls while the window is open)."""
+        index = self._component_of(p)
+        own = self.groups[index] if index >= 0 else ()
+        outside = (q for group in self.groups for q in group if q not in own and q != p)
+        return tuple(sorted(outside, key=str))
 
     def _start(self, stop_time: float) -> None:
         now = self.ctx.simulator.now
@@ -519,6 +519,15 @@ class PartitionInjector(FaultInjector):
         for p, q in self._cut:
             self.ctx.oracle.set_link(p, q, FailureStatus.GOOD, time=now)
         self._cut = []
+
+
+def majority_split(processors: Iterable[Any]) -> tuple[tuple[Any, ...], ...]:
+    """The canonical two-component split: the ⌊n/2⌋+1 lowest ids against
+    the rest (the majority side keeps a primary quorum, so TO delivery
+    continues there through the partition)."""
+    ordered = tuple(sorted(processors))
+    cut = len(ordered) // 2 + 1
+    return (ordered[:cut], ordered[cut:])
 
 
 class ForcedViolationInjector(FaultInjector):

@@ -9,6 +9,13 @@ appear in several windows; different injectors freely overlap, which is
 what *composed* fault types means — e.g. token loss while a processor is
 crashed and another's clock runs fast.
 
+A schedule also carries time-ordered *layouts*
+(:meth:`FaultSchedule.add_layout`): at its time a layout installs a
+consistent partition on the whole failure oracle (processors in no
+group become bad), then turns the listed links and processors ugly.
+The conditional properties quantify over executions that *stabilise*
+to such a layout, so a run's last layout is its stable epoch.
+
 Beyond timed windows a schedule can carry *triggered* windows
 (:meth:`FaultSchedule.add_triggered`): windows keyed to protocol events
 — "when any member enters state exchange, drop the token" — which fire
@@ -32,7 +39,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 from typing import TYPE_CHECKING, Any
 
 from repro.faults.injectors import (
@@ -53,6 +60,7 @@ from repro.faults.triggers import (
     TriggeredFault,
     TriggerSpec,
 )
+from repro.net.status import FailureStatus, disjoint_groups
 
 if TYPE_CHECKING:
     from repro.membership.service import TokenRingVS
@@ -138,8 +146,33 @@ class FaultWindow:
             )
 
 
+@dataclass(frozen=True)
+class Layout:
+    """At ``time``, install ``groups`` as a consistent partition of the
+    whole oracle (processors in no group become bad), then make
+    ``ugly_links`` and ``ugly_processors`` ugly (an unstable period)."""
+
+    time: float
+    groups: tuple[tuple[ProcId, ...], ...]
+    ugly_links: tuple[tuple[ProcId, ProcId], ...] = ()
+    ugly_processors: tuple[ProcId, ...] = ()
+
+    def __post_init__(self) -> None:
+        # Refused at construction, not mid-run inside a simulator
+        # callback far from the code that built the schedule.
+        disjoint_groups(self.groups)
+
+    def apply(self, ctx: ChaosContext) -> None:
+        now = ctx.simulator.now
+        ctx.oracle.apply_partition(self.groups, time=now)
+        for src, dst in self.ugly_links:
+            ctx.oracle.set_link(src, dst, FailureStatus.UGLY, time=now)
+        for p in self.ugly_processors:
+            ctx.oracle.set_processor(p, FailureStatus.UGLY, time=now)
+
+
 class FaultSchedule:
-    """An installable collection of fault windows.
+    """An installable collection of fault windows and layouts.
 
     ``horizon`` optionally pins the stabilisation point explicitly —
     required when the schedule contains *only* triggered windows (whose
@@ -152,12 +185,32 @@ class FaultSchedule:
             raise ValueError(f"explicit horizon must be > 0, got {horizon}")
         self.windows: list[FaultWindow] = []
         self.triggered: list[TriggeredFault] = []
+        self.layouts: list[Layout] = []
         self.explicit_horizon = horizon
 
     def add(
         self, injector: FaultInjector, start: float, stop: float
     ) -> FaultSchedule:
         self.windows.append(FaultWindow(start, stop, injector))
+        return self
+
+    def add_layout(
+        self,
+        time: float,
+        groups: Sequence[Sequence[ProcId]],
+        ugly_links: Iterable[tuple[ProcId, ProcId]] = (),
+        ugly_processors: Iterable[ProcId] = (),
+    ) -> FaultSchedule:
+        """Append a layout (see :class:`Layout`); layouts are in time order."""
+        layout = Layout(
+            time,
+            tuple(tuple(g) for g in groups),
+            tuple(ugly_links),
+            tuple(ugly_processors),
+        )
+        if self.layouts and time < self.layouts[-1].time:
+            raise ValueError("layouts must be added in time order")
+        self.layouts.append(layout)
         return self
 
     def add_triggered(
@@ -175,9 +228,13 @@ class FaultSchedule:
 
     @property
     def horizon(self) -> float:
-        """When the last window closes — after this the nemesis is done
-        and (given a final stable layout) the system must recover."""
-        latest = max((w.stop for w in self.windows), default=0.0)
+        """When the last window closes or the last layout applies —
+        after this the nemesis is done and (given a final stable layout)
+        the system must recover."""
+        latest = max(
+            [w.stop for w in self.windows] + [x.time for x in self.layouts],
+            default=0.0,
+        )
         if self.explicit_horizon is not None:
             latest = max(latest, self.explicit_horizon)
         return latest
@@ -201,7 +258,8 @@ class FaultSchedule:
     def install(
         self, service: TokenRingVS, hub: ProtocolEventHub | None = None
     ) -> ChaosContext:
-        """Bind injectors to ``service`` and schedule every window.
+        """Bind injectors to ``service``, schedule every window, then one
+        event per layout in insertion order.
 
         Triggered windows need a :class:`ProtocolEventHub` to observe
         protocol events; installing a schedule that has them without one
@@ -223,6 +281,10 @@ class FaultSchedule:
             service.simulator.schedule_at(
                 window.stop, lambda w=window: w.injector.stop()
             )
+        for layout in self.layouts:
+            service.simulator.schedule_at(
+                layout.time, lambda x=layout: x.apply(ctx)
+            )
         if hub is not None:
             horizon = self.horizon if (self.windows or self.explicit_horizon) else None
             for fault in self.triggered:
@@ -237,7 +299,8 @@ class FaultSchedule:
 
         Injector *sharing* is preserved: two windows driven by the same
         instance reference one spec (keyed by kind+name), so activation
-        semantics survive the round trip.
+        semantics survive the round trip.  Layouts are not written: no
+        scenario file carries one.
         """
         return {
             "horizon": self.explicit_horizon,

@@ -70,13 +70,6 @@ class ExplorationResult:
         return self.violation is None
 
 
-def restore_composition(composition: Any, snapshot: dict[str, Any]) -> None:
-    """Restore hook for :class:`repro.ioa.composition.Composition`
-    snapshots ({component name: component snapshot})."""
-    for component in composition.components:
-        restore_snapshot(component, snapshot[component.name])
-
-
 def explore(
     automaton: Automaton,
     inputs_for: Callable[[Automaton], Iterable[Action]] = lambda a: (),

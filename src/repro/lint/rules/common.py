@@ -97,10 +97,3 @@ def walk_functions(
                 yield from visit(child, cls)
 
     return visit(tree, None)
-
-
-def literal_strings(node: ast.AST) -> Iterator[ast.Constant]:
-    """Yield every string-literal Constant node under ``node``."""
-    for child in ast.walk(node):
-        if isinstance(child, ast.Constant) and isinstance(child.value, str):
-            yield child

@@ -23,7 +23,6 @@ from repro.ioa.timed import IncrementalStatusMerger, TimedEvent, TimedTrace
 from repro.membership.ring import RingConfig, RingMember, fold_counters
 from repro.net.channel import ChannelConfig
 from repro.net.network import Network
-from repro.net.scenarios import PartitionScenario
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 
@@ -116,9 +115,6 @@ class TokenRingVS:
     def run_until(self, time: float) -> None:
         self.start()
         self.simulator.run_until(time)
-
-    def install_scenario(self, scenario: PartitionScenario) -> None:
-        scenario.install(self.network)
 
     def restart_processor(self, p: ProcId) -> None:
         """Crash-restart the ring member at ``p`` (fresh volatile state;

@@ -12,16 +12,15 @@ Implements the physical-system model under the Section 8 analysis:
 - a good processor takes enabled steps immediately, a bad processor takes
   no steps, an ugly one runs at nondeterministic speed.
 
-:class:`PartitionScenario` scripts failure-status changes over virtual
-time — in particular the "stabilise to a consistently partitioned
-system" shape that the conditional properties TO-property and
-VS-property quantify over.
+Failure-status changes over virtual time — in particular the
+"stabilise to a consistently partitioned system" shape that the
+conditional properties TO-property and VS-property quantify over — are
+scripted by :class:`repro.faults.FaultSchedule` layouts.
 """
 
 from repro.net.status import FailureStatus, FailureOracle, StatusEvent
 from repro.net.channel import Channel, ChannelConfig
 from repro.net.network import Network, NetworkNode
-from repro.net.scenarios import PartitionScenario, ScenarioEvent, stable_partition
 
 __all__ = [
     "FailureStatus",
@@ -31,7 +30,4 @@ __all__ = [
     "ChannelConfig",
     "Network",
     "NetworkNode",
-    "PartitionScenario",
-    "ScenarioEvent",
-    "stable_partition",
 ]

@@ -17,6 +17,26 @@ from collections.abc import Hashable, Iterable
 ProcId = Hashable
 
 
+def disjoint_groups(
+    groups: Iterable[Iterable[ProcId]],
+) -> tuple[tuple[ProcId, ...], ...]:
+    """``groups`` as tuples, refused unless no processor appears twice
+    (within one group or across two) — the one check behind every
+    partition shape: the oracle's layouts, schedule layouts and
+    :class:`~repro.faults.injectors.PartitionInjector`."""
+    out = tuple(tuple(group) for group in groups)
+    seen: set[ProcId] = set()
+    for group in out:
+        for p in group:
+            if p in seen:
+                raise ValueError(
+                    f"groups are not pairwise disjoint: processor {p!r} "
+                    f"in two groups of {out!r}"
+                )
+            seen.add(p)
+    return out
+
+
 class FailureStatus(enum.Enum):
     """good: prompt and reliable; bad: stopped/dead; ugly: erratic."""
 
@@ -142,13 +162,11 @@ class FailureOracle:
         exactly the premise shape of TO-property / VS-property clause 2:
         all of Q good internally, (p, q) bad whenever p in Q, q outside.
         """
-        group_list = [tuple(g) for g in groups]
-        member_of: dict[ProcId, int] = {}
-        for index, group in enumerate(group_list):
-            for p in group:
-                if p in member_of:
-                    raise ValueError(f"processor {p!r} in two groups")
-                member_of[p] = index
+        member_of = {
+            p: index
+            for index, group in enumerate(disjoint_groups(groups))
+            for p in group
+        }
         for p in self.processors:
             if p in member_of:
                 self.set_processor(p, FailureStatus.GOOD, time)

@@ -44,17 +44,15 @@ import tempfile
 import time
 from pathlib import Path
 from collections.abc import Callable, Mapping, Sequence
-from typing import Any
+from typing import Any, cast
 
 from repro.obs.export import write_chrome_trace
 from repro.obs.live.report import build_report
 from repro.obs.live.snapshot import ClusterTimeline, MetricsSnapshot
 from repro.obs.live.stitch import stitched_jsonl
-from repro.rt.faults import (
-    FirewallWindow,
-    single_partition_window,
-    windows_from_scenario,
-)
+from repro.faults.injectors import PartitionInjector
+from repro.faults.schedule import FaultWindow
+from repro.rt.faults import live_windows, single_partition_window
 from repro.rt.node import default_ring_config, initial_view_for
 from repro.rt.trace import (
     VerifyReport,
@@ -115,13 +113,20 @@ class NodeClient:
         last: OSError | None = None
         while asyncio.get_running_loop().time() < deadline:
             try:
-                self._reader, self._writer = await asyncio.open_connection(
-                    self.host, self.port
-                )
-                break
+                reader, writer = await asyncio.open_connection(self.host, self.port)
             except OSError as exc:
                 last = exc
                 await asyncio.sleep(0.05)
+                continue
+            if writer.get_extra_info("sockname") != writer.get_extra_info("peername"):
+                self._reader, self._writer = reader, writer
+                break
+            # The kernel picked the node's port as our ephemeral one
+            # before the node listened: a self-connect, which would also
+            # hold the port the node is about to bind.
+            writer.close()
+            last = OSError(f"self-connect on port {self.port}")
+            await asyncio.sleep(0.05)
         else:
             raise ConnectionError(
                 f"cannot reach node {self.proc_id} at {self.host}:{self.port}: {last}"
@@ -349,12 +354,12 @@ class LiveCluster:
         return tuple(p for p in self.processors if p not in self.killed)
 
     # ------------------------------------------------------------------
-    async def apply_partition(self, window: FirewallWindow) -> None:
+    async def apply_partition(self, partition: PartitionInjector) -> None:
         """Install the firewall on every side of the split."""
         for p in self.alive():
-            blocked = list(window.blocked_for(p))
+            blocked = list(partition.blocked_for(p))
             await self.clients[p].request(Ctl("block", blocked))
-        self._mark("partition", groups=[list(g) for g in window.groups])
+        self._mark("partition", groups=[list(g) for g in partition.groups])
 
     async def heal(self) -> None:
         for p in self.alive():
@@ -464,7 +469,7 @@ class LiveCluster:
 
 
 async def replay_scenario_windows(
-    cluster: LiveCluster, windows: Sequence[FirewallWindow]
+    cluster: LiveCluster, windows: Sequence[FaultWindow]
 ) -> None:
     """Apply a scenario's partition episodes at their (scaled) offsets.
 
@@ -479,7 +484,8 @@ async def replay_scenario_windows(
         now = loop.time() - origin
         if window.start > now:
             await asyncio.sleep(window.start - now)
-        await cluster.apply_partition(window)
+        # live_windows admits partition windows only.
+        await cluster.apply_partition(cast(PartitionInjector, window.injector))
         now = loop.time() - origin
         if window.stop > now:
             await asyncio.sleep(window.stop - now)
@@ -488,13 +494,13 @@ async def replay_scenario_windows(
 
 def scenario_windows_for(
     scenario: str | Path, processors: Sequence[str], time_scale: float
-) -> tuple[FirewallWindow, ...]:
+) -> tuple[FaultWindow, ...]:
     """Load a scenario file and map its partition windows onto a live
-    processor set (see :func:`repro.rt.faults.windows_from_scenario`)."""
+    processor set (see :func:`repro.rt.faults.live_windows`)."""
     from repro.scenarios import ScenarioSpec
 
     spec = ScenarioSpec.load(scenario)
-    return windows_from_scenario(
+    return live_windows(
         spec.build_schedule(),
         spec.proc_ids,
         tuple(processors),
@@ -702,7 +708,7 @@ async def run_cluster(
     ring = HashRing(names, seed=seed)
     load = LiveShardLoad(cluster, ring, window=window)
     cluster.on_stats = load.absorb_stats
-    scenario_windows: tuple[FirewallWindow, ...] = ()
+    scenario_windows: tuple[FaultWindow, ...] = ()
     if scenario is not None:
         scenario_windows = scenario_windows_for(
             scenario, cluster.processors, time_scale

@@ -1,154 +1,88 @@
-"""Partition injection for live clusters.
+"""The live interpreter of a fault schedule's partition subset.
 
 The simulator's nemesis (:mod:`repro.faults`) perturbs packets inside
 the process; live nodes are separate OS processes, so the lever is the
-socket-layer firewall on :class:`~repro.rt.transport.LiveNetwork`.  A
-:class:`FirewallWindow` says *when* (offsets from traffic start) and
-*how* (a grouping of the processors into components); the cluster
-driver turns it into ``block``/``unblock`` control messages so that
-during the window each node drops frames to and from everything
-outside its own component — the live counterpart of the paper's
-transitional partition scenarios.
+socket-layer firewall on :class:`~repro.rt.transport.LiveNetwork`.  Of
+a :class:`~repro.faults.schedule.FaultSchedule` a live cluster can
+enact exactly the timed :class:`~repro.faults.injectors.PartitionInjector`
+windows: the cluster driver turns each into ``block``/``unblock``
+control messages, so that during the window each node drops frames to
+and from everything outside its own component
+(:meth:`PartitionInjector.blocked_for`).  Everything else is refused
+with :class:`UnenactableFault`.
 
-:func:`windows_from_schedule` reuses :class:`~repro.faults.schedule.
-FaultSchedule` as the timing source: each of the schedule's windows
-becomes a firewall window (scaled from virtual to wall seconds), so
-the same seeded adversarial timing that drives E18 chaos soaks can
-drive a live cluster's partitions.
+This closes half of the live→sim loop: the same scenario file that
+reproduces a failure in the simulator drives the firewall on a real
+cluster (``python -m repro.rt.cluster --scenario``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Hashable, Iterable, Sequence
 
-from repro.faults.injectors import PartitionInjector
-from repro.faults.schedule import FaultSchedule
-
-Groups = tuple[tuple[str, ...], ...]
+from repro.faults.injectors import PartitionInjector, majority_split
+from repro.faults.schedule import FaultSchedule, FaultWindow
 
 
-@dataclass(frozen=True)
-class FirewallWindow:
-    """One timed partition episode.
-
-    ``start``/``stop`` are seconds relative to the start of traffic;
-    ``groups`` are the connectivity components (every processor must
-    appear in exactly one).
-    """
-
-    start: float
-    stop: float
-    groups: Groups
-
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.stop <= self.start:
-            raise ValueError(
-                f"need 0 <= start < stop, got [{self.start}, {self.stop})"
-            )
-        seen: set[str] = set()
-        for group in self.groups:
-            for p in group:
-                if p in seen:
-                    raise ValueError(f"processor {p!r} in two components")
-                seen.add(p)
-
-    def blocked_for(self, p: str) -> tuple[str, ...]:
-        """Everyone outside ``p``'s component (what ``p`` firewalls)."""
-        component: tuple[str, ...] = ()
-        for group in self.groups:
-            if p in group:
-                component = group
-                break
-        members = set(component)
-        all_procs = {q for group in self.groups for q in group}
-        return tuple(sorted(all_procs - members - {p}))
+class UnenactableFault(ValueError):
+    """A schedule entry the live firewall cannot enact."""
 
 
-def majority_split(processors: Sequence[str]) -> Groups:
-    """The canonical two-component split: a majority of ⌈(n+1)/2⌉ lowest
-    ids against the rest (the majority side keeps a primary quorum, so
-    TO delivery continues there through the partition)."""
-    ordered = tuple(sorted(processors))
-    cut = len(ordered) // 2 + 1
-    return (ordered[:cut], ordered[cut:])
-
-
-def windows_from_schedule(
-    schedule: FaultSchedule,
-    groups: Groups,
-    time_scale: float = 1.0,
-) -> tuple[FirewallWindow, ...]:
-    """Map a fault schedule's activation windows onto firewall windows.
-
-    Every ``(start, stop)`` in the schedule becomes one partition
-    episode with the given ``groups``; ``time_scale`` converts the
-    schedule's virtual time units into wall seconds (a schedule built
-    for δ=1 virtual units drives a live cluster running δ=0.05 s with
-    ``time_scale=0.05``).
-    """
-    return tuple(
-        FirewallWindow(
-            start=window.start * time_scale,
-            stop=window.stop * time_scale,
-            groups=groups,
-        )
-        for window in sorted(schedule.windows, key=lambda w: (w.start, w.stop))
-    )
-
-
-def single_partition_window(
-    processors: Iterable[str], start: float, stop: float
-) -> FirewallWindow:
-    """The default cluster-driver episode: one majority/minority split."""
-    return FirewallWindow(start=start, stop=stop, groups=majority_split(tuple(processors)))
-
-
-def windows_from_scenario(
+def live_windows(
     schedule: FaultSchedule,
     sim_processors: Sequence[Hashable],
     live_processors: Sequence[str],
     time_scale: float = 1.0,
-) -> tuple[FirewallWindow, ...]:
-    """Replay a sim scenario's partition windows on a live cluster.
+) -> tuple[FaultWindow, ...]:
+    """The schedule's partition windows on a live cluster, in time order.
 
-    Windows driven by a :class:`~repro.faults.injectors.PartitionInjector`
-    carry explicit connectivity groups; each simulated processor id maps
-    onto a live node id by sorted position (``sorted(..., key=str)``, a
-    deterministic bijection).  A schedule with no partition windows —
-    e.g. a shrunk scenario whose minimal reproduction was packet-level —
-    falls back to :func:`windows_from_schedule` with the canonical
-    majority split, so its *timing* still replays.
-
-    This closes half of the live→sim loop: the same shrunk scenario
-    file that reproduces a failure in the simulator drives the firewall
-    on a real cluster (``python -m repro.rt.cluster --scenario``).
+    Each simulated processor id maps onto a live node id by sorted
+    position (``sorted(..., key=str)``, a deterministic bijection), and
+    ``time_scale`` converts virtual time units into wall seconds (a
+    schedule built for δ=1 drives a cluster running δ=0.05 s with
+    ``time_scale=0.05``).
     """
     if len(set(sim_processors)) != len(live_processors):
         raise ValueError(
             f"scenario has {len(set(sim_processors))} processors, "
             f"cluster has {len(live_processors)}"
         )
-    mapping = dict(
-        zip(sorted(sim_processors, key=str), live_processors)
-    )
-    windows: list[FirewallWindow] = []
-    for window in sorted(schedule.windows, key=lambda w: (w.start, w.stop)):
-        if not isinstance(window.injector, PartitionInjector):
-            continue
-        groups = tuple(
-            tuple(mapping[p] for p in group)
-            for group in window.injector.groups
+    if schedule.triggered:
+        raise UnenactableFault(
+            f"triggered window {schedule.triggered[0].injector.name!r}: "
+            f"the live firewall has no protocol-event hook"
         )
+    if schedule.layouts:
+        raise UnenactableFault(
+            f"layout at t={schedule.layouts[0].time:g}: the live firewall "
+            f"cannot set processor or ugly statuses"
+        )
+    mapping = dict(zip(sorted(sim_processors, key=str), live_processors))
+    windows: list[FaultWindow] = []
+    for window in sorted(schedule.windows, key=lambda w: (w.start, w.stop)):
+        injector = window.injector
+        if not isinstance(injector, PartitionInjector):
+            raise UnenactableFault(
+                f"window {injector.name!r} ({injector.SPEC_KIND}): the live "
+                f"firewall enacts only partition windows"
+            )
+        groups = [[mapping[p] for p in group] for group in injector.groups]
         windows.append(
-            FirewallWindow(
-                start=window.start * time_scale,
-                stop=window.stop * time_scale,
-                groups=groups,
+            FaultWindow(
+                window.start * time_scale,
+                window.stop * time_scale,
+                PartitionInjector(injector.name, groups),
             )
         )
-    if not windows:
-        return windows_from_schedule(
-            schedule, majority_split(live_processors), time_scale
-        )
     return tuple(windows)
+
+
+def single_partition_window(
+    processors: Iterable[str], start: float, stop: float
+) -> PartitionInjector:
+    """The default cluster-driver episode: one majority/minority split.
+
+    The cluster driver times the episode itself; ``start`` and ``stop``
+    are not read.
+    """
+    return PartitionInjector("partition", majority_split(processors))

@@ -178,6 +178,8 @@ class LiveNetwork:
         self._write_ahead: list[Callable[[], None]] = []
         self._server: asyncio.AbstractServer | None = None
         self._inbound: dict[str, asyncio.StreamWriter] = {}
+        #: every running connection handler, with its stream's writer
+        self._handlers: dict[asyncio.Task[Any], asyncio.StreamWriter] = {}
         self._closing = False
         self.blocked: set[str] = set()
         self.counters: dict[str, int] = {key: 0 for key in COUNTER_KEYS}
@@ -267,9 +269,16 @@ class LiveNetwork:
             if peer.writer is not None:
                 peer.writer.close()
                 peer.writer = None
-        for writer in list(self._inbound.values()):
+        # Close every inbound stream and let its handler read EOF and
+        # return.  A handler still pending when the loop shuts down is
+        # cancelled, which Python 3.11's stream callback reports as an
+        # "Exception in callback".
+        handlers = list(self._handlers)
+        for writer in self._handlers.values():
             writer.close()
         self._inbound.clear()
+        if handlers:
+            await asyncio.wait(handlers, timeout=1.0)
 
     # ------------------------------------------------------------------
     # Outbound
@@ -368,6 +377,9 @@ class LiveNetwork:
         # control reply never sits behind a flush window.
         replier: Callable[[Ctl], None] | None = None
         src: str | None = None
+        task = asyncio.current_task()
+        if task is not None:
+            self._handlers[task] = writer
         try:
             while True:
                 data = await reader.read(65536)
@@ -408,6 +420,8 @@ class LiveNetwork:
         finally:
             if src is not None and self._inbound.get(src) is writer:
                 del self._inbound[src]
+            if task is not None:
+                del self._handlers[task]
             writer.close()
 
     def _replier(self, writer: asyncio.StreamWriter) -> Callable[[Ctl], None]:

@@ -54,6 +54,7 @@ from repro.faults import (
     TimerSkewInjector,
     TokenLossInjector,
     TriggerSpec,
+    majority_split,
 )
 from repro.faults.chaos import ChaosReport, ChaosRunner
 
@@ -196,12 +197,9 @@ def _spec(
 
 
 def _majority_split(procs: tuple[int, ...], seed: int) -> ScenarioSpec:
-    half = len(procs) // 2 + 1
     schedule = FaultSchedule(horizon=200.0)
     schedule.add(
-        PartitionInjector(
-            "split", groups=[list(procs[:half]), list(procs[half:])]
-        ),
+        PartitionInjector("split", groups=majority_split(procs)),
         40.0,
         120.0,
     )
@@ -256,12 +254,9 @@ def _cascade(procs: tuple[int, ...], seed: int) -> ScenarioSpec:
 def _crash_during_state_exchange(
     procs: tuple[int, ...], seed: int
 ) -> ScenarioSpec:
-    half = len(procs) // 2 + 1
     schedule = FaultSchedule(horizon=200.0)
     schedule.add(
-        PartitionInjector(
-            "warm-split", groups=[list(procs[:half]), list(procs[half:])]
-        ),
+        PartitionInjector("warm-split", groups=majority_split(procs)),
         40.0,
         80.0,
     )
@@ -286,12 +281,9 @@ def _crash_during_state_exchange(
 def _token_loss_during_view_change(
     procs: tuple[int, ...], seed: int
 ) -> ScenarioSpec:
-    half = len(procs) // 2 + 1
     schedule = FaultSchedule(horizon=200.0)
     schedule.add(
-        PartitionInjector(
-            "vc-split", groups=[list(procs[:half]), list(procs[half:])]
-        ),
+        PartitionInjector("vc-split", groups=majority_split(procs)),
         40.0,
         80.0,
     )

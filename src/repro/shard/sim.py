@@ -27,7 +27,6 @@ from repro.core.monitor import OnlineVSMonitor
 from repro.core.to_spec import TO_EXTERNAL
 from repro.ioa.actions import Action
 from repro.membership.ring import RingConfig
-from repro.net.scenarios import PartitionScenario
 from repro.shard.router import ShardRouter
 from repro.shard.routing import HashRing, group_names, point_for_key
 from repro.shard.verify import (
@@ -131,11 +130,6 @@ class SimShardGroup:
 
     def run_until(self, time: float) -> None:
         self.service.run_until(time)
-
-    def install_scenario(self, scenario: PartitionScenario) -> None:
-        """Script partitions/merges for this shard alone (times are on
-        the shared virtual clock — install before running past them)."""
-        self.service.install_scenario(scenario)
 
     # ------------------------------------------------------------------
     def delivered_order(self) -> list[ShardOp]:
@@ -265,10 +259,6 @@ class ShardedSimService:
         for name in self.group_names:
             self.groups[name].run_until(time)
         self.clock = time
-
-    def install_scenario(self, group: str, scenario: PartitionScenario) -> None:
-        """Script a partition for one shard (others are untouched)."""
-        self.groups[group].install_scenario(scenario)
 
     # ------------------------------------------------------------------
     def deliveries(self) -> int:

@@ -13,7 +13,7 @@ from repro.analysis.experiments import (
     stabilization_table,
     timeline_table,
 )
-from repro.membership.service import TokenRingVS
+from repro.faults import FaultSchedule
 from repro.report import main as report_main
 from repro.report import write_report
 
@@ -33,7 +33,7 @@ class TestSweeps:
         max over seeds cannot mistake it for the fastest one (it used
         to read 0.0)."""
         n, delta, pi, mu = 3, 1.0, 10.0, 30.0
-        monkeypatch.setattr(TokenRingVS, "install_scenario", lambda *_: None)
+        monkeypatch.setattr(FaultSchedule, "install", lambda *_: None)
         # Never split: the 3-member side never gets a view of its own.
         assert math.isinf(experiments._stabilization_cell((n, delta, pi, mu, 0)))
         monkeypatch.undo()

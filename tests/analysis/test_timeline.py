@@ -14,7 +14,7 @@ from repro.ioa.actions import act
 from repro.ioa.timed import TimedTrace
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 from repro.obs.live.stitch import stitch_events, stitch_sim
 from repro.rt.trace import sim_entries
 
@@ -86,11 +86,11 @@ class TestFullStackTimeline:
         )
         runtime = VStoTORuntime(service, MajorityQuorumSystem(procs))
         scenario = (
-            PartitionScenario()
-            .add(50.0, [[1, 2, 3], [4, 5]])
-            .add(300.0, [[1, 2, 3, 4, 5]])
+            FaultSchedule()
+            .add_layout(50.0, [[1, 2, 3], [4, 5]])
+            .add_layout(300.0, [[1, 2, 3, 4, 5]])
         )
-        service.install_scenario(scenario)
+        scenario.install(service)
         runtime.start()
         runtime.run_until(700.0)
         timeline = stitch_sim(service).tracer.timeline(

@@ -6,7 +6,7 @@ from repro.ioa.actions import act
 from repro.ioa.timed import TimedTrace
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 
 PROCS = ("p", "q")
 V0 = View(0, frozenset(PROCS))
@@ -36,8 +36,11 @@ class TestFormatViewHistory:
         vs = TokenRingVS(
             (1, 2, 3), RingConfig(delta=1.0, pi=8.0, mu=25.0), seed=2
         )
-        vs.install_scenario(
-            PartitionScenario().add(30.0, [[1, 2], [3]]).add(150.0, [[1, 2, 3]])
+        (
+            FaultSchedule()
+            .add_layout(30.0, [[1, 2], [3]])
+            .add_layout(150.0, [[1, 2, 3]])
+            .install(vs)
         )
         vs.run_until(400.0)
         text = format_view_history(vs.merged_trace(), (1, 2, 3), vs.initial_view)

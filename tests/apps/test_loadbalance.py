@@ -4,7 +4,7 @@ from repro.apps.loadbalance import LoadBalancedWorkers, owner_of
 from repro.core.types import View
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 
 PROCS = (1, 2, 3, 4)
 
@@ -112,9 +112,7 @@ class TestFailover:
         # submit them, then crash member 4 before it can execute
         for index, task in enumerate(victim_tasks):
             pool.schedule_submit(100.0 + index, 1, task)
-        pool.service.install_scenario(
-            PartitionScenario().add(99.0, [[1, 2, 3]])
-        )
+        FaultSchedule().add_layout(99.0, [[1, 2, 3]]).install(pool.service)
         pool.run_until(600.0)
         counts = pool.execution_counts()
         for task in victim_tasks:
@@ -124,10 +122,11 @@ class TestFailover:
 
     def test_partition_sides_both_execute_at_least_once(self):
         pool = workers(seed=7)
-        pool.service.install_scenario(
-            PartitionScenario()
-            .add(50.0, [[1, 2], [3, 4]])
-            .add(250.0, [[1, 2, 3, 4]])
+        (
+            FaultSchedule()
+            .add_layout(50.0, [[1, 2], [3, 4]])
+            .add_layout(250.0, [[1, 2, 3, 4]])
+            .install(pool.service)
         )
         for i in range(10):
             pool.schedule_submit(10.0 + 2.0 * i, PROCS[i % 4], f"p-{i}")

@@ -10,7 +10,7 @@ from repro.apps.seqmem import (
     check_sequential_consistency,
 )
 from repro.apps.totalorder import TotalOrderBroadcast
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 
 PROCS = (1, 2, 3)
 
@@ -88,11 +88,11 @@ class TestSequentialConsistency:
     def test_consistency_holds_across_partition_and_heal(self):
         mem = memory(seed=7)
         scenario = (
-            PartitionScenario()
-            .add(20.0, [[1, 2], [3]])
-            .add(150.0, [[1, 2, 3]])
+            FaultSchedule()
+            .add_layout(20.0, [[1, 2], [3]])
+            .add_layout(150.0, [[1, 2, 3]])
         )
-        mem.tob.install_scenario(scenario)
+        scenario.install(mem.tob.vs)
         rng = random.Random(7)
         t = 5.0
         for i in range(30):

@@ -5,7 +5,7 @@ from repro.core.quorums import ExplicitQuorumSystem
 from repro.core.to_spec import TO_EXTERNAL, check_to_trace
 from repro.core.vs_spec import VS_EXTERNAL, check_vs_trace
 from repro.membership.ring import RingConfig
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 
 PROCS = (1, 2, 3, 4, 5)
 
@@ -75,8 +75,8 @@ class TestQuorumChoice:
         # Only views containing {1, 2} are primary.
         quorums = ExplicitQuorumSystem([[1, 2]])
         tob = TotalOrderBroadcast(PROCS, quorums=quorums, seed=7)
-        scenario = PartitionScenario().add(20.0, [[1, 2], [3, 4, 5]])
-        tob.install_scenario(scenario)
+        scenario = FaultSchedule().add_layout(20.0, [[1, 2], [3, 4, 5]])
+        scenario.install(tob.vs)
         tob.schedule_broadcast(100.0, 1, "small-side")
         tob.schedule_broadcast(100.0, 3, "big-side")
         tob.run_until(400.0)
@@ -89,11 +89,11 @@ class TestPartitionSemantics:
     def test_no_delivery_disagreement_across_partition(self):
         tob = TotalOrderBroadcast(PROCS, seed=8)
         scenario = (
-            PartitionScenario()
-            .add(20.0, [[1, 2, 3], [4, 5]])
-            .add(250.0, [[1, 2, 3, 4, 5]])
+            FaultSchedule()
+            .add_layout(20.0, [[1, 2, 3], [4, 5]])
+            .add_layout(250.0, [[1, 2, 3, 4, 5]])
         )
-        tob.install_scenario(scenario)
+        scenario.install(tob.vs)
         for i in range(12):
             tob.schedule_broadcast(10.0 + 25 * i, PROCS[i % 5], f"w{i}")
         tob.run_until(900.0)

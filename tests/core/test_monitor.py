@@ -6,7 +6,7 @@ from repro.core.monitor import OnlineVSMonitor, VSConformanceError
 from repro.core.types import View
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 
 PROCS = ("p", "q", "r")
 V0 = View(0, frozenset(PROCS))
@@ -172,10 +172,11 @@ class TestAttachedToService:
         )
         mon = OnlineVSMonitor((1, 2, 3, 4), vs.initial_view)
         mon.attach(vs)
-        vs.install_scenario(
-            PartitionScenario()
-            .add(40.0, [[1, 2], [3, 4]])
-            .add(200.0, [[1, 2, 3, 4]])
+        (
+            FaultSchedule()
+            .add_layout(40.0, [[1, 2], [3, 4]])
+            .add_layout(200.0, [[1, 2, 3, 4]])
+            .install(vs)
         )
         for i in range(12):
             vs.schedule_send(5.0 + 13.0 * i, (i % 4) + 1, f"mon{i}")

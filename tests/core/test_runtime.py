@@ -6,7 +6,7 @@ from repro.core.to_spec import TO_EXTERNAL, check_to_trace
 from repro.core.vstoto.runtime import VStoTORuntime
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 from repro.net.status import FailureStatus
 
 PROCS = (1, 2, 3, 4, 5)
@@ -71,8 +71,8 @@ class TestStableOperation:
 class TestPartitionBehaviour:
     def test_minority_stalls_majority_proceeds(self):
         service, runtime = make_stack(seed=5)
-        scenario = PartitionScenario().add(20.0, [[1, 2, 3], [4, 5]])
-        service.install_scenario(scenario)
+        scenario = FaultSchedule().add_layout(20.0, [[1, 2, 3], [4, 5]])
+        scenario.install(service)
         runtime.schedule_broadcast(60.0, 1, "maj")
         runtime.schedule_broadcast(60.0, 4, "min")
         runtime.start()
@@ -87,11 +87,11 @@ class TestPartitionBehaviour:
     def test_heal_reconciles_minority_messages(self):
         service, runtime = make_stack(seed=6)
         scenario = (
-            PartitionScenario()
-            .add(20.0, [[1, 2, 3], [4, 5]])
-            .add(200.0, [[1, 2, 3, 4, 5]])
+            FaultSchedule()
+            .add_layout(20.0, [[1, 2, 3], [4, 5]])
+            .add_layout(200.0, [[1, 2, 3, 4, 5]])
         )
-        service.install_scenario(scenario)
+        scenario.install(service)
         runtime.schedule_broadcast(60.0, 4, "from-minority")
         runtime.start()
         runtime.run_until(600.0)
@@ -101,11 +101,11 @@ class TestPartitionBehaviour:
     def test_agreement_after_heal(self):
         service, runtime = make_stack(seed=7)
         scenario = (
-            PartitionScenario()
-            .add(20.0, [[1, 2], [3, 4, 5]])
-            .add(250.0, [[1, 2, 3, 4, 5]])
+            FaultSchedule()
+            .add_layout(20.0, [[1, 2], [3, 4, 5]])
+            .add_layout(250.0, [[1, 2, 3, 4, 5]])
         )
-        service.install_scenario(scenario)
+        scenario.install(service)
         for i in range(15):
             runtime.schedule_broadcast(10.0 + 18 * i, PROCS[i % 5], f"m{i}")
         runtime.start()
@@ -120,11 +120,11 @@ class TestCrashRecovery:
     def test_crashed_processor_excluded_then_rejoins(self):
         service, runtime = make_stack(seed=8)
         scenario = (
-            PartitionScenario()
-            .add(30.0, [[1, 2, 3, 4]])   # 5 crashes (absent from groups)
-            .add(300.0, [[1, 2, 3, 4, 5]])
+            FaultSchedule()
+            .add_layout(30.0, [[1, 2, 3, 4]])   # 5 crashes (absent from groups)
+            .add_layout(300.0, [[1, 2, 3, 4, 5]])
         )
-        service.install_scenario(scenario)
+        scenario.install(service)
         runtime.schedule_broadcast(100.0, 1, "while-down")
         runtime.start()
         runtime.run_until(800.0)

@@ -40,7 +40,7 @@ from repro.ioa.actions import act
 from repro.ioa.execution import RandomScheduler, run_automaton
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 from tests import reference
 
 KINDS = (
@@ -92,8 +92,11 @@ def ring_trace(seed):
     events (both checkers skip them)."""
     procs = (1, 2, 3, 4)
     vs = TokenRingVS(procs, RingConfig(delta=1.0, pi=10.0, mu=30.0), seed=seed)
-    vs.install_scenario(
-        PartitionScenario().add(60.0, [[1, 2], [3, 4]]).add(250.0, [[1, 2, 3, 4]])
+    (
+        FaultSchedule()
+        .add_layout(60.0, [[1, 2], [3, 4]])
+        .add_layout(250.0, [[1, 2, 3, 4]])
+        .install(vs)
     )
     for i in range(14):
         vs.schedule_send(10.0 + 29.0 * i, procs[i % 4], f"m{i}")

@@ -3,7 +3,7 @@
 from repro.core.vs_spec import VS_EXTERNAL, check_vs_trace
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 
 PROCS = (1, 2, 3, 4)
 
@@ -32,7 +32,7 @@ class TestConnectivityEstimate:
 
     def test_estimate_drops_silent_processors(self):
         vs = service()
-        vs.install_scenario(PartitionScenario().add(20.0, [[1, 2, 3]]))
+        FaultSchedule().add_layout(20.0, [[1, 2, 3]]).install(vs)
         member = vs.members[1]
         # run long past the alive window after 4 went silent
         vs.run_until(20.0 + member.config.alive_window + 60.0)
@@ -59,9 +59,7 @@ class TestOneRoundFormation:
             original(src, dst, message)
 
         vs.network.send = spying_send
-        vs.install_scenario(
-            PartitionScenario().add(30.0, [[1, 2], [3, 4]])
-        )
+        FaultSchedule().add_layout(30.0, [[1, 2], [3, 4]]).install(vs)
         vs.run_until(400.0)
         assert "Join" in seen_types
         assert "NewGroup" not in seen_types
@@ -69,9 +67,7 @@ class TestOneRoundFormation:
 
     def test_split_eventually_stabilizes(self):
         vs = service(seed=3)
-        vs.install_scenario(
-            PartitionScenario().add(50.0, [[1, 2], [3, 4]])
-        )
+        FaultSchedule().add_layout(50.0, [[1, 2], [3, 4]]).install(vs)
         vs.run_until(900.0)
         assert vs.current_view(1) == vs.current_view(2)
         assert vs.current_view(1).set == {1, 2}
@@ -80,11 +76,12 @@ class TestOneRoundFormation:
 
     def test_trace_conformant_under_churn(self):
         vs = service(seed=4)
-        vs.install_scenario(
-            PartitionScenario()
-            .add(40.0, [[1, 2, 3], [4]])
-            .add(250.0, [[1, 2], [3, 4]])
-            .add(500.0, [[1, 2, 3, 4]])
+        (
+            FaultSchedule()
+            .add_layout(40.0, [[1, 2, 3], [4]])
+            .add_layout(250.0, [[1, 2], [3, 4]])
+            .add_layout(500.0, [[1, 2, 3, 4]])
+            .install(vs)
         )
         for i in range(10):
             vs.schedule_send(10.0 + 60.0 * i, PROCS[i % 4], f"or{i}")
@@ -99,9 +96,7 @@ class TestOneRoundFormation:
 
     def test_messages_flow_after_stabilization(self):
         vs = service(seed=5)
-        vs.install_scenario(
-            PartitionScenario().add(50.0, [[1, 2, 3, 4]])
-        )
+        FaultSchedule().add_layout(50.0, [[1, 2, 3, 4]]).install(vs)
         vs.schedule_send(300.0, 2, "late")
         vs.run_until(600.0)
         delivered = {

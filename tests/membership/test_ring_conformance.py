@@ -12,7 +12,7 @@ from repro.core.vs_spec import (
 from repro.membership.bounds import VSBounds
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 
 PROCS = (1, 2, 3, 4, 5)
 DELTA, PI, MU = 1.0, 10.0, 30.0
@@ -25,7 +25,7 @@ def run_scenario(seed, scenario=None, sends=15, until=800.0, **ring_kwargs):
         seed=seed,
     )
     if scenario is not None:
-        vs.install_scenario(scenario)
+        scenario.install(vs)
     for i in range(sends):
         vs.schedule_send(10.0 + 23.0 * i, PROCS[i % 5], f"m{i}")
     vs.run_until(until)
@@ -48,20 +48,20 @@ class TestTraceConformance:
     @pytest.mark.parametrize("seed", range(6))
     def test_split_and_heal(self, seed):
         scenario = (
-            PartitionScenario()
-            .add(50.0, [[1, 2, 3], [4, 5]])
-            .add(400.0, [[1, 2, 3, 4, 5]])
+            FaultSchedule()
+            .add_layout(50.0, [[1, 2, 3], [4, 5]])
+            .add_layout(400.0, [[1, 2, 3, 4, 5]])
         )
         assert_conformant(run_scenario(seed, scenario))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_churny_scenario(self, seed):
         scenario = (
-            PartitionScenario()
-            .add(40.0, [[1, 2], [3, 4, 5]])
-            .add(150.0, [[1], [2, 3], [4, 5]])
-            .add(260.0, [[1, 2, 3, 4], [5]])
-            .add(420.0, [[1, 2, 3, 4, 5]])
+            FaultSchedule()
+            .add_layout(40.0, [[1, 2], [3, 4, 5]])
+            .add_layout(150.0, [[1], [2, 3], [4, 5]])
+            .add_layout(260.0, [[1, 2, 3, 4], [5]])
+            .add_layout(420.0, [[1, 2, 3, 4, 5]])
         )
         assert_conformant(run_scenario(seed, scenario))
 
@@ -70,22 +70,22 @@ class TestTraceConformance:
         """An unstable interval with ugly links may produce capricious
         views, but safety must hold throughout."""
         scenario = (
-            PartitionScenario()
-            .add(
+            FaultSchedule()
+            .add_layout(
                 40.0,
                 [[1, 2, 3, 4, 5]],
                 ugly_links=[(1, 2), (2, 3), (4, 1)],
             )
-            .add(300.0, [[1, 2, 3, 4, 5]])
+            .add_layout(300.0, [[1, 2, 3, 4, 5]])
         )
         assert_conformant(run_scenario(seed, scenario))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_work_conserving_mode(self, seed):
         scenario = (
-            PartitionScenario()
-            .add(50.0, [[1, 2, 3], [4, 5]])
-            .add(400.0, [[1, 2, 3, 4, 5]])
+            FaultSchedule()
+            .add_layout(50.0, [[1, 2, 3], [4, 5]])
+            .add_layout(400.0, [[1, 2, 3, 4, 5]])
         )
         assert_conformant(
             run_scenario(seed, scenario, work_conserving=True)
@@ -94,9 +94,9 @@ class TestTraceConformance:
     @pytest.mark.parametrize("seed", range(3))
     def test_crash_and_recover(self, seed):
         scenario = (
-            PartitionScenario()
-            .add(60.0, [[1, 2, 3, 4]])  # 5 crashes
-            .add(300.0, [[1, 2, 3, 4, 5]])
+            FaultSchedule()
+            .add_layout(60.0, [[1, 2, 3, 4]])  # 5 crashes
+            .add_layout(300.0, [[1, 2, 3, 4, 5]])
         )
         assert_conformant(run_scenario(seed, scenario))
 
@@ -106,9 +106,9 @@ class TestVSPropertyConformance:
     @pytest.mark.parametrize("seed", range(3))
     def test_property_after_heal(self, seed, work_conserving):
         scenario = (
-            PartitionScenario()
-            .add(50.0, [[1, 2, 3], [4, 5]])
-            .add(300.0, [[1, 2, 3, 4, 5]])
+            FaultSchedule()
+            .add_layout(50.0, [[1, 2, 3], [4, 5]])
+            .add_layout(300.0, [[1, 2, 3, 4, 5]])
         )
         vs = run_scenario(
             seed, scenario, work_conserving=work_conserving
@@ -126,7 +126,7 @@ class TestVSPropertyConformance:
     def test_property_for_partition_side(self):
         """VS-property holds with Q = the majority side of a split that
         never heals (per-component guarantee)."""
-        scenario = PartitionScenario().add(50.0, [[1, 2, 3], [4, 5]])
+        scenario = FaultSchedule().add_layout(50.0, [[1, 2, 3], [4, 5]])
         vs = run_scenario(2, scenario, until=600.0)
         bounds = VSBounds(DELTA, PI, MU)
         checker = VSPropertyChecker(

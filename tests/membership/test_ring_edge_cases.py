@@ -5,7 +5,7 @@ from repro.core.vs_spec import VS_EXTERNAL, check_vs_trace
 from repro.membership.messages import Join, NewGroup, Probe, Token
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 
 PROCS = (1, 2, 3, 4)
 
@@ -123,7 +123,7 @@ class TestJoinHandling:
 
     def test_join_below_current_ignored(self):
         vs = service()
-        vs.install_scenario(PartitionScenario().add(20.0, [[1, 2], [3, 4]]))
+        FaultSchedule().add_layout(20.0, [[1, 2], [3, 4]]).install(vs)
         vs.run_until(200.0)
         member = vs.members[1]
         current = member.view

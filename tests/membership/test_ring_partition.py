@@ -5,7 +5,7 @@ import pytest
 from repro.membership.bounds import VSBounds
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 
 PROCS = (1, 2, 3, 4, 5)
 DELTA, PI, MU = 1.0, 10.0, 30.0
@@ -25,9 +25,7 @@ class TestSplit:
     @pytest.mark.parametrize("seed", range(4))
     def test_both_sides_form_matching_views(self, seed):
         vs = service(seed=seed)
-        vs.install_scenario(
-            PartitionScenario().add(50.0, [[1, 2, 3], [4, 5]])
-        )
+        FaultSchedule().add_layout(50.0, [[1, 2, 3], [4, 5]]).install(vs)
         vs.run_until(300.0)
         views = final_views(vs)
         assert views[1].set == {1, 2, 3}
@@ -40,9 +38,7 @@ class TestSplit:
         bounds = VSBounds(DELTA, PI, MU)
         for seed in range(4):
             vs = service(seed=seed)
-            vs.install_scenario(
-                PartitionScenario().add(50.0, [[1, 2, 3], [4, 5]])
-            )
+            FaultSchedule().add_layout(50.0, [[1, 2, 3], [4, 5]]).install(vs)
             vs.run_until(400.0)
             newviews = [
                 e
@@ -55,9 +51,7 @@ class TestSplit:
 
     def test_three_way_split(self):
         vs = service(seed=2)
-        vs.install_scenario(
-            PartitionScenario().add(50.0, [[1, 2], [3, 4], [5]])
-        )
+        FaultSchedule().add_layout(50.0, [[1, 2], [3, 4], [5]]).install(vs)
         vs.run_until(400.0)
         views = final_views(vs)
         assert views[1].set == {1, 2} and views[1] == views[2]
@@ -66,9 +60,7 @@ class TestSplit:
 
     def test_isolated_singleton(self):
         vs = service(seed=3)
-        vs.install_scenario(
-            PartitionScenario().add(50.0, [[1, 2, 3, 4], [5]])
-        )
+        FaultSchedule().add_layout(50.0, [[1, 2, 3, 4], [5]]).install(vs)
         vs.run_until(300.0)
         views = final_views(vs)
         assert views[5].set == {5}
@@ -76,9 +68,7 @@ class TestSplit:
 
     def test_messages_flow_in_each_component_after_split(self):
         vs = service(seed=4)
-        vs.install_scenario(
-            PartitionScenario().add(50.0, [[1, 2, 3], [4, 5]])
-        )
+        FaultSchedule().add_layout(50.0, [[1, 2, 3], [4, 5]]).install(vs)
         vs.schedule_send(200.0, 1, "left")
         vs.schedule_send(200.0, 4, "right")
         vs.run_until(400.0)
@@ -95,10 +85,11 @@ class TestMerge:
     @pytest.mark.parametrize("seed", range(4))
     def test_heal_produces_common_view(self, seed):
         vs = service(seed=seed)
-        vs.install_scenario(
-            PartitionScenario()
-            .add(50.0, [[1, 2, 3], [4, 5]])
-            .add(300.0, [[1, 2, 3, 4, 5]])
+        (
+            FaultSchedule()
+            .add_layout(50.0, [[1, 2, 3], [4, 5]])
+            .add_layout(300.0, [[1, 2, 3, 4, 5]])
+            .install(vs)
         )
         vs.run_until(700.0)
         views = set(final_views(vs).values())
@@ -109,10 +100,11 @@ class TestMerge:
         bounds = VSBounds(DELTA, PI, MU)
         for seed in range(4):
             vs = service(seed=seed)
-            vs.install_scenario(
-                PartitionScenario()
-                .add(50.0, [[1, 2, 3], [4, 5]])
-                .add(300.0, [[1, 2, 3, 4, 5]])
+            (
+                FaultSchedule()
+                .add_layout(50.0, [[1, 2, 3], [4, 5]])
+                .add_layout(300.0, [[1, 2, 3, 4, 5]])
+                .install(vs)
             )
             vs.run_until(700.0)
             post = [
@@ -125,10 +117,11 @@ class TestMerge:
 
     def test_view_ids_monotone_at_each_member(self):
         vs = service(seed=1)
-        vs.install_scenario(
-            PartitionScenario()
-            .add(50.0, [[1, 2], [3, 4, 5]])
-            .add(250.0, [[1, 2, 3, 4, 5]])
+        (
+            FaultSchedule()
+            .add_layout(50.0, [[1, 2], [3, 4, 5]])
+            .add_layout(250.0, [[1, 2, 3, 4, 5]])
+            .install(vs)
         )
         vs.run_until(600.0)
         last_seen = {}
@@ -141,11 +134,12 @@ class TestMerge:
 
     def test_cascaded_reconfigurations(self):
         vs = service(seed=6)
-        vs.install_scenario(
-            PartitionScenario()
-            .add(50.0, [[1, 2, 3, 4], [5]])
-            .add(200.0, [[1, 2], [3, 4], [5]])
-            .add(350.0, [[1, 2, 3, 4, 5]])
+        (
+            FaultSchedule()
+            .add_layout(50.0, [[1, 2, 3, 4], [5]])
+            .add_layout(200.0, [[1, 2], [3, 4], [5]])
+            .add_layout(350.0, [[1, 2, 3, 4, 5]])
+            .install(vs)
         )
         vs.run_until(800.0)
         views = set(final_views(vs).values())

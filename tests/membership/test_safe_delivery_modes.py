@@ -3,7 +3,7 @@
 from repro.core.vs_spec import VS_EXTERNAL, check_vs_trace
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 
 PROCS = (1, 2, 3, 4)
 
@@ -67,10 +67,11 @@ class TestDeliverWhenSafeMode:
 
     def test_trace_conformance_in_totem_mode(self):
         vs = service(True, seed=7)
-        vs.install_scenario(
-            PartitionScenario()
-            .add(40.0, [[1, 2], [3, 4]])
-            .add(200.0, [[1, 2, 3, 4]])
+        (
+            FaultSchedule()
+            .add_layout(40.0, [[1, 2], [3, 4]])
+            .add_layout(200.0, [[1, 2, 3, 4]])
+            .install(vs)
         )
         for i in range(10):
             vs.schedule_send(5.0 + 12.0 * i, PROCS[i % 4], f"t{i}")

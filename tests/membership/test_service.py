@@ -3,7 +3,7 @@
 from repro.ioa.actions import act
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 
 PROCS = (1, 2, 3)
 
@@ -53,14 +53,14 @@ class TestFacade:
         vs = service()
         views = []
         vs.on_newview = lambda view, p: views.append((view, p))
-        vs.install_scenario(PartitionScenario().add(30.0, [[1, 2], [3]]))
+        FaultSchedule().add_layout(30.0, [[1, 2], [3]]).install(vs)
         vs.run_until(200.0)
         assert views
         assert all(p in view.set for view, p in views)
 
     def test_merged_trace_includes_failure_events(self):
         vs = service()
-        vs.install_scenario(PartitionScenario().add(30.0, [[1, 2], [3]]))
+        FaultSchedule().add_layout(30.0, [[1, 2], [3]]).install(vs)
         vs.run_until(100.0)
         merged = vs.merged_trace()
         names = {e.action.name for e in merged.events}
@@ -68,7 +68,7 @@ class TestFacade:
 
     def test_merged_trace_is_time_ordered(self):
         vs = service()
-        vs.install_scenario(PartitionScenario().add(30.0, [[1, 2], [3]]))
+        FaultSchedule().add_layout(30.0, [[1, 2], [3]]).install(vs)
         vs.schedule_send(5.0, 1, "x")
         vs.run_until(200.0)
         merged = vs.merged_trace()

@@ -10,7 +10,7 @@ import pytest
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
 from repro.membership.shadow import WeakVSShadow
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 
 PROCS = (1, 2, 3, 4, 5)
 
@@ -41,10 +41,11 @@ class TestLiveSimulation:
     @pytest.mark.parametrize("seed", range(4))
     def test_split_heal_simulates(self, seed):
         service, shadow = shadowed_service(seed)
-        service.install_scenario(
-            PartitionScenario()
-            .add(40.0, [[1, 2, 3], [4, 5]])
-            .add(250.0, [[1, 2, 3, 4, 5]])
+        (
+            FaultSchedule()
+            .add_layout(40.0, [[1, 2, 3], [4, 5]])
+            .add_layout(250.0, [[1, 2, 3, 4, 5]])
+            .install(service)
         )
         for i in range(10):
             service.simulator.schedule_at(
@@ -62,12 +63,13 @@ class TestLiveSimulation:
     @pytest.mark.parametrize("seed", range(2))
     def test_churny_scenario_simulates(self, seed):
         service, shadow = shadowed_service(seed, work_conserving=True)
-        service.install_scenario(
-            PartitionScenario()
-            .add(40.0, [[1, 2], [3, 4, 5]])
-            .add(160.0, [[1], [2, 3], [4, 5]])
-            .add(300.0, [[1, 2, 3, 4], [5]])
-            .add(450.0, [[1, 2, 3, 4, 5]])
+        (
+            FaultSchedule()
+            .add_layout(40.0, [[1, 2], [3, 4, 5]])
+            .add_layout(160.0, [[1], [2, 3], [4, 5]])
+            .add_layout(300.0, [[1, 2, 3, 4], [5]])
+            .add_layout(450.0, [[1, 2, 3, 4, 5]])
+            .install(service)
         )
         for i in range(12):
             service.simulator.schedule_at(
@@ -79,10 +81,11 @@ class TestLiveSimulation:
 
     def test_one_round_variant_simulates(self, seed=3):
         service, shadow = shadowed_service(seed, one_round=True)
-        service.install_scenario(
-            PartitionScenario()
-            .add(60.0, [[1, 2, 3], [4, 5]])
-            .add(400.0, [[1, 2, 3, 4, 5]])
+        (
+            FaultSchedule()
+            .add_layout(60.0, [[1, 2, 3], [4, 5]])
+            .add_layout(400.0, [[1, 2, 3, 4, 5]])
+            .install(service)
         )
         service.run_until(1500.0)
         shadow.replay_on_strict_machine()

@@ -16,7 +16,7 @@ import pytest
 from repro.membership.messages import Sequenced, Token
 from repro.membership.ring import RingConfig, RingMember
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 from repro.net.status import FailureStatus
 from repro.rt.wire import BinaryWire
 
@@ -112,8 +112,9 @@ def journey(monkeypatch, n, seed, **config):
         procs, RingConfig(delta=1.0, pi=12.0, mu=30.0, **config), seed=seed
     )
     minority, majority = procs[: n // 2], procs[n // 2 :]
-    vs.install_scenario(
-        PartitionScenario().add(120.0, [minority, majority]).add(260.0, [procs])
+    (
+        FaultSchedule().add_layout(120.0, [minority, majority]).add_layout(260.0, [procs])
+        .install(vs)
     )
     sim, oracle, victim = vs.simulator, vs.network.oracle, procs[-1]
     sim.schedule_at(

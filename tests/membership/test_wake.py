@@ -16,7 +16,7 @@ import pytest
 from repro.membership.messages import Probe, Wake
 from repro.membership.ring import RingConfig, RingMember
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 from repro.obs.digest import rng_digest
 
 DELTA = 1.0
@@ -203,8 +203,9 @@ def periodic_run() -> str:
     vs = TokenRingVS(
         range(1, 6), RingConfig(delta=1.0, pi=10.0, mu=30.0), seed=11
     )
-    vs.install_scenario(
-        PartitionScenario().add(100.0, [[1, 2, 3], [4, 5]]).add(300.0, [[1, 2, 3, 4, 5]])
+    (
+        FaultSchedule().add_layout(100.0, [[1, 2, 3], [4, 5]]).add_layout(300.0, [[1, 2, 3, 4, 5]])
+        .install(vs)
     )
     for i in range(60):
         vs.schedule_send(5.0 + 6.5 * i, 1 + i % 5, f"v{i}")

@@ -12,7 +12,7 @@ from repro.core.quorums import MajorityQuorumSystem
 from repro.core.vstoto.runtime import VStoTORuntime
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 from repro.obs.export import (
     TS_SCALE,
     chrome_trace,
@@ -36,8 +36,9 @@ def observed_run():
         seed=3,
     )
     runtime = VStoTORuntime(service, MajorityQuorumSystem(PROCS))
-    service.install_scenario(
-        PartitionScenario().add(40.0, [[1, 2], [3]]).add(150.0, [[1, 2, 3]])
+    (
+        FaultSchedule().add_layout(40.0, [[1, 2], [3]]).add_layout(150.0, [[1, 2, 3]])
+        .install(service)
     )
     for i in range(4):
         runtime.schedule_broadcast(5.0 + 11.0 * i, PROCS[i % 3], f"m{i}")

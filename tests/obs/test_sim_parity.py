@@ -34,7 +34,6 @@ from repro.faults.schedule import FaultSchedule
 from repro.membership.bounds import VSBounds
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
 from repro.obs.export import jsonl_records
 from repro.obs.live.slo import check_bounds
 from repro.obs.live.stitch import stitch_events, stitch_sim
@@ -79,10 +78,11 @@ def split_heal():
     """n = 5, seed 3, split at 100, healed at 300, 60 sends."""
     service = TokenRingVS(PROCS, RingConfig(**CONFIG), seed=3)
     runtime = VStoTORuntime(service, MajorityQuorumSystem(PROCS))
-    service.install_scenario(
-        PartitionScenario()
-        .add(100.0, [[1, 2, 3], [4, 5]])
-        .add(300.0, [list(PROCS)])
+    (
+        FaultSchedule()
+        .add_layout(100.0, [[1, 2, 3], [4, 5]])
+        .add_layout(300.0, [list(PROCS)])
+        .install(service)
     )
     for i in range(60):
         runtime.schedule_broadcast(10.0 + 7.0 * i, PROCS[i % 5], f"v{i}")

@@ -1,38 +1,38 @@
-"""Firewall-window construction and fault-schedule reuse."""
+"""The live firewall's view of a partition, and the canonical split."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.faults.injectors import FaultInjector
-from repro.faults.schedule import FaultSchedule
-from repro.rt.faults import (
-    FirewallWindow,
-    majority_split,
-    single_partition_window,
-    windows_from_schedule,
-)
+from repro.faults import PartitionInjector, majority_split
+from repro.faults.schedule import FaultSchedule, FaultWindow
+from repro.rt.faults import live_windows, single_partition_window
+
+
+class TestBlockedFor:
+    def test_blocked_for_is_everything_outside_own_component(self):
+        partition = PartitionInjector("cut", (("p1", "p2"), ("p3",)))
+        assert partition.blocked_for("p1") == ("p3",)
+        assert partition.blocked_for("p3") == ("p1", "p2")
+
+    def test_unknown_processor_blocks_all_groups(self):
+        partition = PartitionInjector("cut", (("p1",), ("p2",)))
+        assert partition.blocked_for("p9") == ("p1", "p2")
+
+    def test_rejects_processor_in_two_components(self):
+        with pytest.raises(ValueError, match="two groups"):
+            PartitionInjector("cut", (("p1", "p2"), ("p2",)))
 
 
 class TestFirewallWindow:
-    def test_blocked_for_is_everything_outside_own_component(self):
-        window = FirewallWindow(0.0, 1.0, (("p1", "p2"), ("p3",)))
-        assert window.blocked_for("p1") == ("p3",)
-        assert window.blocked_for("p3") == ("p1", "p2")
-
-    def test_unknown_processor_blocks_all_groups(self):
-        window = FirewallWindow(0.0, 1.0, (("p1",), ("p2",)))
-        assert window.blocked_for("p9") == ("p1", "p2")
+    """A live firewall window is a FaultWindow over a PartitionInjector."""
 
     def test_rejects_bad_interval(self):
+        partition = PartitionInjector("cut", (("p1",),))
         with pytest.raises(ValueError):
-            FirewallWindow(1.0, 1.0, (("p1",),))
+            FaultWindow(1.0, 1.0, partition)
         with pytest.raises(ValueError):
-            FirewallWindow(-0.1, 1.0, (("p1",),))
-
-    def test_rejects_processor_in_two_components(self):
-        with pytest.raises(ValueError, match="two components"):
-            FirewallWindow(0.0, 1.0, (("p1", "p2"), ("p2",)))
+            FaultWindow(-0.1, 1.0, partition)
 
 
 class TestMajoritySplit:
@@ -48,25 +48,27 @@ class TestMajoritySplit:
         assert len(big) > n // 2  # a MajorityQuorumSystem quorum
 
     def test_single_partition_window_wraps_split(self):
-        window = single_partition_window(("p3", "p1", "p2"), 0.5, 2.0)
-        assert window.start == 0.5 and window.stop == 2.0
-        assert window.groups == (("p1", "p2"), ("p3",))
+        partition = single_partition_window(("p3", "p1", "p2"), 0.5, 2.0)
+        assert partition.groups == (("p1", "p2"), ("p3",))
+
+
+def cut(name="cut"):
+    return PartitionInjector(name, ((1, 2), (3,)))
 
 
 class TestWindowsFromSchedule:
     def test_schedule_windows_scale_to_wall_time(self):
         schedule = FaultSchedule()
-        schedule.add(FaultInjector("a"), 10.0, 30.0)
-        schedule.add(FaultInjector("b"), 40.0, 50.0)
-        groups = (("p1", "p2"), ("p3",))
-        windows = windows_from_schedule(schedule, groups, time_scale=0.05)
+        schedule.add(cut("a"), 10.0, 30.0)
+        schedule.add(cut("b"), 40.0, 50.0)
+        windows = live_windows(schedule, (1, 2, 3), ("p1", "p2", "p3"), 0.05)
         assert [w.start for w in windows] == [0.5, 2.0]
         assert [w.stop for w in windows] == [1.5, 2.5]
-        assert all(w.groups == groups for w in windows)
+        assert all(w.injector.groups == (("p1", "p2"), ("p3",)) for w in windows)
 
     def test_windows_sorted_regardless_of_insertion_order(self):
         schedule = FaultSchedule()
-        schedule.add(FaultInjector("late"), 5.0, 6.0)
-        schedule.add(FaultInjector("early"), 1.0, 2.0)
-        windows = windows_from_schedule(schedule, (("p1",), ("p2",)))
+        schedule.add(cut("late"), 5.0, 6.0)
+        schedule.add(cut("early"), 1.0, 2.0)
+        windows = live_windows(schedule, (1, 2, 3), ("p1", "p2", "p3"))
         assert [w.start for w in windows] == [1.0, 5.0]

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.faults import FaultSchedule, PacketLossInjector, PartitionInjector
-from repro.rt.faults import (
-    majority_split,
-    windows_from_scenario,
-)
+from repro.faults.triggers import TriggerSpec
+from repro.rt.faults import UnenactableFault, live_windows
 from repro.scenarios import build_journey
 
 LIVE = ("p1", "p2", "p3", "p4", "p5")
@@ -16,7 +14,7 @@ class TestWindowsFromScenario:
     def test_majority_split_journey_maps_groups_and_scales_time(self):
         spec = build_journey("majority_split", processors=5, seed=0)
         schedule = spec.build_schedule()
-        windows = windows_from_scenario(
+        windows = live_windows(
             schedule, spec.proc_ids, LIVE, time_scale=0.05
         )
         assert len(windows) == 1
@@ -27,31 +25,40 @@ class TestWindowsFromScenario:
         # Sim ids 1..5 map onto p1..p5 by sorted position, so the
         # journey's partition groups survive verbatim.
         sim_groups = sim.injector.groups
-        assert window.groups == tuple(
+        assert window.injector.groups == tuple(
             tuple(f"p{p}" for p in group) for group in sim_groups
         )
-        flat = [p for group in window.groups for p in group]
+        flat = [p for group in window.injector.groups for p in group]
         assert sorted(flat) == sorted(LIVE)
 
     def test_cascade_journey_yields_one_window_per_cut(self):
         spec = build_journey("cascade", processors=5, seed=0)
-        windows = windows_from_scenario(
+        windows = live_windows(
             spec.build_schedule(), spec.proc_ids, LIVE
         )
         assert len(windows) == 3
         starts = [w.start for w in windows]
         assert starts == sorted(starts)
 
-    def test_fallback_when_no_partition_windows(self):
+    def test_loss_window_is_refused(self):
         schedule = FaultSchedule(horizon=100.0)
         schedule.add(PacketLossInjector("noise", rate=0.5), 10.0, 30.0)
-        windows = windows_from_scenario(
-            schedule, (1, 2, 3, 4, 5), LIVE, time_scale=2.0
+        with pytest.raises(UnenactableFault, match="'noise'"):
+            live_windows(schedule, (1, 2, 3, 4, 5), LIVE, time_scale=2.0)
+
+    def test_triggered_window_is_refused(self):
+        schedule = FaultSchedule(horizon=100.0)
+        schedule.add_triggered(
+            PartitionInjector("late", ((1, 2), (3, 4, 5))),
+            TriggerSpec(event="newview", duration=10.0),
         )
-        assert len(windows) == 1
-        assert windows[0].start == 20.0
-        assert windows[0].stop == 60.0
-        assert windows[0].groups == majority_split(LIVE)
+        with pytest.raises(UnenactableFault, match="'late'"):
+            live_windows(schedule, (1, 2, 3, 4, 5), LIVE)
+
+    def test_layout_is_refused(self):
+        schedule = FaultSchedule().add_layout(40.0, [[1, 2, 3], [4, 5]])
+        with pytest.raises(UnenactableFault, match="t=40"):
+            live_windows(schedule, (1, 2, 3, 4, 5), LIVE)
 
     def test_processor_count_mismatch_rejected(self):
         schedule = FaultSchedule(horizon=50.0)
@@ -59,4 +66,4 @@ class TestWindowsFromScenario:
             PartitionInjector("cut", groups=((1, 2), (3,))), 10.0, 20.0
         )
         with pytest.raises(ValueError, match="processors"):
-            windows_from_scenario(schedule, (1, 2, 3), LIVE)
+            live_windows(schedule, (1, 2, 3), LIVE)

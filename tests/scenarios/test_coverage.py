@@ -9,7 +9,7 @@ from repro.core.quorums import MajorityQuorumSystem
 from repro.core.vstoto.runtime import VStoTORuntime
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 
 PROCS = (1, 2, 3, 4, 5)
 
@@ -73,10 +73,11 @@ class TestTracker:
         )
         runtime = VStoTORuntime(service, MajorityQuorumSystem(PROCS))
         tracker = CoverageTracker(runtime)
-        service.install_scenario(
-            PartitionScenario()
-            .add(40.0, ((1, 2, 3), (4, 5)))
-            .add(80.0, (PROCS,))
+        (
+            FaultSchedule()
+            .add_layout(40.0, ((1, 2, 3), (4, 5)))
+            .add_layout(80.0, (PROCS,))
+            .install(service)
         )
         runtime.run_until(300.0)
         return tracker

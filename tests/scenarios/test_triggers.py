@@ -12,16 +12,15 @@ from repro.faults import (
 )
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
 
 PROCS = (1, 2, 3, 4, 5)
 
 
 def split_then_heal(start, stop):
     return (
-        PartitionScenario()
-        .add(start, ((1, 2, 3), (4, 5)))
-        .add(stop, (PROCS,))
+        FaultSchedule()
+        .add_layout(start, ((1, 2, 3), (4, 5)))
+        .add_layout(stop, (PROCS,))
     )
 
 
@@ -65,7 +64,7 @@ class TestHub:
         service, runtime = stack()
         hub = ProtocolEventHub(service)
         hub.attach_runtime(runtime)
-        service.install_scenario(split_then_heal(40.0, 80.0))
+        split_then_heal(40.0, 80.0).install(service)
         runtime.schedule_broadcast(20.0, 1, "v")
         runtime.run_until(300.0)
         kinds = {e.kind for e in hub.events}
@@ -89,7 +88,7 @@ class TestHub:
             injector, TriggerSpec(event="view_change", duration=10.0, after=30.0)
         )
         schedule.install(service, hub=hub)
-        service.install_scenario(split_then_heal(40.0, 80.0))
+        split_then_heal(40.0, 80.0).install(service)
         runtime.run_until(300.0)
         assert injector.activations == 1
         assert len(opened) == 1
@@ -108,7 +107,7 @@ class TestHub:
             TriggerSpec(event="newview", duration=5.0, once=False, after=30.0),
         )
         schedule.install(service, hub=hub)
-        service.install_scenario(split_then_heal(40.0, 80.0))
+        split_then_heal(40.0, 80.0).install(service)
         runtime.run_until(500.0)
         assert injector.activations > 1
 
@@ -134,7 +133,7 @@ class TestHub:
             TriggerSpec(event="view_change", duration=500.0, after=30.0),
         )
         schedule.install(service, hub=hub)
-        service.install_scenario(split_then_heal(40.0, 80.0))
+        split_then_heal(40.0, 80.0).install(service)
         runtime.run_until(300.0)
         assert opened
         for start, stop in opened:

@@ -4,7 +4,7 @@ checker's teeth."""
 
 from __future__ import annotations
 
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 from repro.shard.routing import HashRing, group_names
 from repro.shard.sim import ShardedSimService, derive_group_seed
 from repro.shard.verify import check_cross_shard_order, make_op
@@ -72,11 +72,11 @@ class TestPartitionIsolation:
         victim = svc.group_names[0]
         others = svc.group_names[1:]
         # Quorumless three-way split at t=50, heal at t=450.
-        svc.install_scenario(
-            victim,
-            PartitionScenario()
-            .add(50.0, [["p1"], ["p2"], ["p3"]])
-            .add(450.0, [["p1", "p2", "p3"]]),
+        (
+            FaultSchedule()
+            .add_layout(50.0, [["p1"], ["p2"], ["p3"]])
+            .add_layout(450.0, [["p1", "p2", "p3"]])
+            .install(svc.groups[victim].service.vs)
         )
         per_group_keys = {
             g: keys_owned_by(svc.ring, g, 1)[0] for g in svc.group_names

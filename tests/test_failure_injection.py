@@ -14,14 +14,14 @@ from repro.core.vs_spec import VS_EXTERNAL, check_vs_trace
 from repro.core.vstoto.runtime import VStoTORuntime
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 
 PROCS = (1, 2, 3, 4, 5)
 
 
 def random_scenario(rng: random.Random, final_heal_at: float):
     """A random sequence of partitions ending in a stable full group."""
-    scenario = PartitionScenario()
+    scenario = FaultSchedule()
     time = 40.0
     while time < final_heal_at - 80.0:
         processors = list(PROCS)
@@ -33,9 +33,9 @@ def random_scenario(rng: random.Random, final_heal_at: float):
         # Occasionally drop a processor entirely (crash).
         if rng.random() < 0.3 and len(groups[0]) > 1:
             groups[0].pop()
-        scenario.add(time, [g for g in groups if g])
+        scenario.add_layout(time, [g for g in groups if g])
         time += rng.uniform(60.0, 140.0)
-    scenario.add(final_heal_at, [list(PROCS)])
+    scenario.add_layout(final_heal_at, [list(PROCS)])
     return scenario
 
 
@@ -49,7 +49,7 @@ def test_random_failure_schedules_preserve_safety_and_liveness(seed):
         seed=seed,
     )
     runtime = VStoTORuntime(service, MajorityQuorumSystem(PROCS))
-    service.install_scenario(random_scenario(rng, final_heal))
+    random_scenario(rng, final_heal).install(service)
 
     sends = 18
     for i in range(sends):
@@ -109,7 +109,7 @@ def test_random_schedules_across_protocol_variants(mode):
         seed=77,
     )
     runtime = VStoTORuntime(service, MajorityQuorumSystem(PROCS))
-    service.install_scenario(random_scenario(rng, final_heal))
+    random_scenario(rng, final_heal).install(service)
     for i in range(12):
         runtime.schedule_broadcast(
             rng.uniform(5.0, final_heal), PROCS[i % 5], f"var{i}"
@@ -139,7 +139,7 @@ def test_random_schedules_with_periodic_token(seed):
         seed=seed,
     )
     runtime = VStoTORuntime(service, MajorityQuorumSystem(PROCS))
-    service.install_scenario(random_scenario(rng, final_heal))
+    random_scenario(rng, final_heal).install(service)
     for i in range(10):
         runtime.schedule_broadcast(
             rng.uniform(5.0, final_heal), PROCS[i % 5], f"per{i}"

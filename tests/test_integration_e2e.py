@@ -10,7 +10,7 @@ from repro.core.vstoto.runtime import VStoTORuntime
 from repro.membership.bounds import VSBounds
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 
 PROCS = (1, 2, 3, 4, 5, 6, 7)
 DELTA, PI, MU = 1.0, 12.0, 30.0
@@ -51,13 +51,13 @@ class TestSevenNodeScenarios:
         final heal reaches agreement."""
         service, runtime = build(seed)
         scenario = (
-            PartitionScenario()
-            .add(50.0, [[1, 2, 3, 4], [5, 6, 7]])
-            .add(220.0, [[1, 2], [3, 4, 5], [6, 7]])
-            .add(400.0, [[1, 2, 3], [4, 5, 6, 7]])
-            .add(600.0, [[1, 2, 3, 4, 5, 6, 7]])
+            FaultSchedule()
+            .add_layout(50.0, [[1, 2, 3, 4], [5, 6, 7]])
+            .add_layout(220.0, [[1, 2], [3, 4, 5], [6, 7]])
+            .add_layout(400.0, [[1, 2, 3], [4, 5, 6, 7]])
+            .add_layout(600.0, [[1, 2, 3, 4, 5, 6, 7]])
         )
-        service.install_scenario(scenario)
+        scenario.install(service)
         for i in range(25):
             runtime.schedule_broadcast(
                 10.0 + 31.0 * i, PROCS[i % 7], f"roll{i}"
@@ -75,20 +75,20 @@ class TestSevenNodeScenarios:
         by stabilisation: safety throughout, liveness after."""
         service, runtime = build(seed=5)
         scenario = (
-            PartitionScenario()
-            .add(
+            FaultSchedule()
+            .add_layout(
                 40.0,
                 [[1, 2, 3, 4, 5, 6, 7]],
                 ugly_links=[(1, 2), (2, 1), (3, 5), (6, 7)],
             )
-            .add(
+            .add_layout(
                 140.0,
                 [[1, 2, 3, 4, 5, 6, 7]],
                 ugly_links=[(4, 1), (5, 3)],
             )
-            .add(260.0, [[1, 2, 3, 4, 5, 6, 7]])
+            .add_layout(260.0, [[1, 2, 3, 4, 5, 6, 7]])
         )
-        service.install_scenario(scenario)
+        scenario.install(service)
         for i in range(15):
             runtime.schedule_broadcast(
                 20.0 + 25.0 * i, PROCS[i % 7], f"flap{i}"
@@ -104,12 +104,12 @@ class TestSevenNodeScenarios:
         survivors keep confirming."""
         service, runtime = build(seed=8)
         scenario = (
-            PartitionScenario()
-            .add(50.0, [[1, 2, 3, 4, 5, 6]])     # 7 crashes
-            .add(150.0, [[1, 2, 3, 4, 5]])       # 6 crashes
-            .add(250.0, [[1, 2, 3, 4]])          # 5 crashes — still quorum
+            FaultSchedule()
+            .add_layout(50.0, [[1, 2, 3, 4, 5, 6]])     # 7 crashes
+            .add_layout(150.0, [[1, 2, 3, 4, 5]])       # 6 crashes
+            .add_layout(250.0, [[1, 2, 3, 4]])          # 5 crashes — still quorum
         )
-        service.install_scenario(scenario)
+        scenario.install(service)
         for i in range(12):
             runtime.schedule_broadcast(60.0 + 30.0 * i, (i % 4) + 1, f"s{i}")
         runtime.start()
@@ -126,11 +126,11 @@ class TestSevenNodeScenarios:
         resumes and reconciles."""
         service, runtime = build(seed=9)
         scenario = (
-            PartitionScenario()
-            .add(50.0, [[1, 2, 3]])              # only 3 of 7 alive
-            .add(300.0, [[1, 2, 3, 4, 5, 6, 7]])
+            FaultSchedule()
+            .add_layout(50.0, [[1, 2, 3]])              # only 3 of 7 alive
+            .add_layout(300.0, [[1, 2, 3, 4, 5, 6, 7]])
         )
-        service.install_scenario(scenario)
+        scenario.install(service)
         runtime.schedule_broadcast(100.0, 1, "below-quorum")
         runtime.start()
         runtime.run_until(290.0)
@@ -143,11 +143,11 @@ class TestSevenNodeScenarios:
     def test_to_property_on_rolling_scenario(self):
         service, runtime = build(seed=1)
         scenario = (
-            PartitionScenario()
-            .add(50.0, [[1, 2, 3, 4], [5, 6, 7]])
-            .add(300.0, [[1, 2, 3, 4, 5, 6, 7]])
+            FaultSchedule()
+            .add_layout(50.0, [[1, 2, 3, 4], [5, 6, 7]])
+            .add_layout(300.0, [[1, 2, 3, 4, 5, 6, 7]])
         )
-        service.install_scenario(scenario)
+        scenario.install(service)
         for i in range(14):
             runtime.schedule_broadcast(10.0 + 26.0 * i, PROCS[i % 7], i)
         runtime.start()

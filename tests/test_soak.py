@@ -11,7 +11,7 @@ from repro.core.vstoto.runtime import VStoTORuntime
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
 from repro.membership.shadow import WeakVSShadow
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 
 PROCS = (1, 2, 3, 4, 5, 6)
 
@@ -29,7 +29,7 @@ def test_soak_many_epochs_with_online_monitor():
     monitor.attach(service)  # after the runtime, so both see each event
 
     # 10 reconfiguration epochs, then a final stable full group.
-    scenario = PartitionScenario()
+    scenario = FaultSchedule()
     time = 60.0
     for _epoch in range(10):
         processors = list(PROCS)
@@ -38,11 +38,11 @@ def test_soak_many_epochs_with_online_monitor():
         groups = [processors[:cut], processors[cut:]]
         if rng.random() < 0.4:
             groups = [processors]  # a whole-group epoch now and then
-        scenario.add(time, groups)
+        scenario.add_layout(time, groups)
         time += rng.uniform(90.0, 150.0)
     final_heal = time
-    scenario.add(final_heal, [list(PROCS)])
-    service.install_scenario(scenario)
+    scenario.add_layout(final_heal, [list(PROCS)])
+    scenario.install(service)
 
     sends = 60
     for i in range(sends):

@@ -20,7 +20,7 @@ from repro.core.vstoto.runtime import VStoTORuntime
 from repro.membership.bounds import VSBounds
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.net.scenarios import PartitionScenario
+from repro.faults import FaultSchedule
 
 PROCS = (1, 2, 3, 4, 5)
 DELTA, PI, MU = 1.0, 10.0, 30.0
@@ -34,9 +34,7 @@ def run_split(seed=0):
         seed=seed,
     )
     runtime = VStoTORuntime(service, MajorityQuorumSystem(PROCS))
-    service.install_scenario(
-        PartitionScenario().add(40.0, [[1, 2, 3], [4, 5]])
-    )
+    FaultSchedule().add_layout(40.0, [[1, 2, 3], [4, 5]]).install(service)
     # traffic on both sides after the split
     for i in range(6):
         runtime.schedule_broadcast(100.0 + 20.0 * i, 1, f"maj{i}")

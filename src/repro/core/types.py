@@ -73,7 +73,7 @@ def view_id_max(ids: Iterable[ViewId]) -> ViewId:
     return best
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class View:
     """A view: an identifier paired with a membership set.
 
@@ -95,7 +95,7 @@ class View:
 
 
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Label:
     """A system-wide unique message label (Fig. 8): ``L = G x N>0 x P``
     with selectors id, seqno, origin; ordered lexicographically."""

@@ -44,7 +44,7 @@ StatusListener = Callable[[float, ProcId, str, str], None]
 _DRAIN_LIMIT = 100_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Delivery:
     """One client delivery: value from origin delivered at dst at time."""
 

@@ -94,7 +94,7 @@ def _rebuild_prefix(items: list) -> SharedOrderPrefix:
     return SharedOrderPrefix(items, len(items))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Summary:
     """A state-exchange summary: ⟨con, ord, next, high⟩."""
 

@@ -29,7 +29,7 @@ class ActionKind(enum.Enum):
     TIME_PASSAGE = "time-passage"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Action:
     """An action instance: a name plus a tuple of parameters.
 

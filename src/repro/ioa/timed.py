@@ -20,13 +20,18 @@ discrete actions), or by the direct drivers in :mod:`repro.net`.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import inf
+from operator import attrgetter, le
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import Any
 
 from repro.ioa.actions import Action, act
 from repro.ioa.automaton import Automaton
+
+
+_time = attrgetter("time")
 
 
 class TimedAutomaton(Automaton):
@@ -52,7 +57,7 @@ class TimedAutomaton(Automaton):
         self.now += delta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimedEvent:
     """An action paired with its occurrence time."""
 
@@ -131,17 +136,22 @@ class IncrementalStatusMerger:
     """Incrementally maintain the merge of a primary :class:`TimedTrace`
     with a secondary time-monotonic event stream.
 
-    Reproduces exactly the ordering of the batch construction it
-    replaces — sort by ``(time, index)`` with every primary event
-    indexed before every secondary event — so at equal times all primary
-    events precede all secondary events, and each stream keeps its own
-    internal order.  Both streams are recorded at the simulator's
-    non-decreasing clock, so every *new* event's time is >= every
-    already-merged event's time; the only repair an update needs is
-    re-merging tail secondary events that share a timestamp with newly
-    arrived primary events.  Repeated calls with no new events return
-    the cached trace in O(1); previously returned traces are never
-    mutated.
+    Reproduces exactly the ordering of a batch sort by
+    ``(time, stream, index)`` with the primary as stream 0: at equal
+    times all primary events precede all secondary events, and each
+    stream keeps its own internal order.  Both streams are recorded at
+    the simulator's non-decreasing clock, so every *new* event's time is
+    >= every already-merged event's time; the only repair an update
+    needs is re-merging tail secondary events that share a timestamp
+    with newly arrived primary events.
+
+    The work is O(new) amortised: the merge holds the primary trace's
+    own :class:`TimedEvent` objects, converts each secondary event into
+    a :class:`TimedEvent` once, and extends its list only by the suffix
+    after the tail repair.  Each call that saw new events returns a
+    fresh :class:`TimedTrace` over a copy of that list, so previously
+    returned traces are never mutated; repeated calls with no new events
+    return the cached trace in O(1).
 
     The merger self-heals: if either source shrank (a test reset the
     trace), the merge is rebuilt from scratch.
@@ -156,8 +166,9 @@ class IncrementalStatusMerger:
         self._primary = primary
         self._secondary = secondary
         self._convert = convert
-        #: merged (time, stream, action) triples; stream 0 = primary.
-        self._events: list[tuple[float, int, Action]] = []
+        self._events: list[TimedEvent] = []
+        #: how many events at the end of ``_events`` are secondary ones
+        self._tail = 0
         self._p_idx = 0
         self._s_idx = 0
         self._cache: TimedTrace | None = None
@@ -167,47 +178,50 @@ class IncrementalStatusMerger:
         secondary = self._secondary()
         if len(primary) < self._p_idx or len(secondary) < self._s_idx:
             self._events = []
+            self._tail = 0
             self._p_idx = 0
             self._s_idx = 0
             self._cache = None
-        if (
-            self._cache is not None
-            and self._p_idx == len(primary)
-            and self._s_idx == len(secondary)
-        ):
+        p_idx, p_end, s_idx = self._p_idx, len(primary), self._s_idx
+        if self._cache is not None and p_idx == p_end and s_idx == len(secondary):
             return self._cache
-        new_primary = [(e.time, 0, e.action) for e in primary[self._p_idx :]]
-        self._p_idx = len(primary)
-        new_secondary = [
-            (s.time, 1, self._convert(s)) for s in secondary[self._s_idx :]
-        ]
+        convert = self._convert
+        new_secondary = [TimedEvent(s.time, convert(s)) for s in secondary[s_idx:]]
+        self._p_idx = p_end
         self._s_idx = len(secondary)
-        if new_primary:
+        out = self._events
+        tail = self._tail
+        if p_idx < p_end and tail:
             # Tail repair: already-merged secondary events at (or after)
             # the first new primary time must sort after it.
-            t0 = new_primary[0][0]
-            reordered: list[tuple[float, int, Action]] = []
-            while (
-                self._events
-                and self._events[-1][1] == 1
-                and self._events[-1][0] >= t0
-            ):
-                reordered.append(self._events.pop())
-            reordered.reverse()
-            new_secondary = reordered + new_secondary
-        out = self._events
-        i = j = 0
-        while i < len(new_primary) and j < len(new_secondary):
-            if new_secondary[j][0] < new_primary[i][0]:
-                out.append(new_secondary[j])
-                j += 1
-            else:
-                out.append(new_primary[i])
-                i += 1
-        out.extend(new_primary[i:])
-        out.extend(new_secondary[j:])
-        merged = TimedTrace()
-        for time, _stream, action in out:
-            merged.append(time, action)
+            t0 = primary[p_idx].time
+            cut = bisect_left(out, t0, len(out) - tail, key=_time)
+            new_secondary[:0] = out[cut:]
+            tail -= len(out) - cut
+            del out[cut:]
+        start = max(len(out) - 1, 0)
+        # Each secondary event goes after every primary event of equal
+        # or lower time; the primary runs in between are list slices.
+        pos = p_idx
+        for event in new_secondary:
+            k = bisect_right(primary, event.time, pos, p_end, key=_time)
+            if k > pos:
+                out.extend(primary[pos:k])
+                pos = k
+                tail = 0
+            out.append(event)
+            tail += 1
+        if pos < p_end:
+            out.extend(primary[pos:p_end])
+            tail = 0
+        self._tail = tail
+        times = list(map(_time, out[start:]))
+        if not all(map(le, times, times[1:])):
+            for before, after in zip(times, times[1:]):
+                if after < before - 1e-12:
+                    raise ValueError(
+                        f"non-monotonic timed trace: {after} after {before}"
+                    )
+        merged = TimedTrace(events=list(out))
         self._cache = merged
         return merged

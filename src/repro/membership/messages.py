@@ -17,7 +17,7 @@ ProcId = Hashable
 RingViewId = tuple[int, Any]  # (epoch, initiator); compared lexicographically
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NewGroup:
     """Round 1: a call-for-participation in a new view."""
 
@@ -25,7 +25,7 @@ class NewGroup:
     initiator: ProcId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Accept:
     """Round 2: a reply agreeing to join the proposed view."""
 
@@ -33,7 +33,7 @@ class Accept:
     member: ProcId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Join:
     """Round 3: the initiator announces the final membership."""
 
@@ -41,7 +41,7 @@ class Join:
     members: tuple[ProcId, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     """The circulating token that holds a view together and carries the
     view's total message order.
@@ -112,7 +112,7 @@ class Token:
         return min(self.delivered.get(m, 0) for m in members)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Probe:
     """A merge probe sent to processors outside the current view."""
 
@@ -120,7 +120,7 @@ class Probe:
     viewid: RingViewId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Wake:
     """A member's request that the leader launch its idle token now
     (work-conserving mode).  A liveness hint outside the model: it is
@@ -130,7 +130,7 @@ class Wake:
     viewid: RingViewId
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sequenced:
     """A protocol message stamped with a per-sender packet sequence
     number.

@@ -50,7 +50,7 @@ DeliveryHandler = Callable[[ProcId, ProcId, Any], None]
 DROP_REASONS = ("bad_at_send", "ugly_loss", "bad_in_flight", "injected")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Packet:
     """What an interceptor sees: one send on one directed channel."""
 

@@ -45,7 +45,7 @@ class FailureStatus(enum.Enum):
     UGLY = "ugly"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StatusEvent:
     """A recorded failure-status change.
 

@@ -43,8 +43,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from collections.abc import Callable, Mapping, Sequence
-from typing import Any, cast
+from collections.abc import Awaitable, Callable, Mapping, Sequence
+from typing import Any, TypeVar, cast
 
 from repro.obs.export import write_chrome_trace
 from repro.obs.live.report import build_report
@@ -66,6 +66,23 @@ from repro.shard.live import delivered_order, encode_live_op, shard_log_paths
 from repro.shard.router import ShardRouter
 from repro.shard.routing import HashRing, group_names, point_for_key
 from repro.shard.verify import ShardOp, check_cross_shard_order
+
+T = TypeVar("T")
+
+
+class NodeStartError(RuntimeError):
+    """A node process exited before the cluster was started.  ``node``
+    names it, ``returncode`` is its exit status and ``log_tail`` the end
+    of its ``stdout.log`` (where the traceback is)."""
+
+    def __init__(self, node: str, returncode: int, log_tail: str) -> None:
+        super().__init__(
+            f"node {node} exited with status {returncode} before the "
+            f"cluster started; its stdout.log ends:\n{log_tail}"
+        )
+        self.node = node
+        self.returncode = returncode
+        self.log_tail = log_tail
 
 
 def free_port() -> int:
@@ -278,7 +295,7 @@ class LiveCluster:
         self.mark_config()
         for p in self.processors:
             client = NodeClient(p, "127.0.0.1", self.ports[p], flush_after=0.0)
-            await client.connect()
+            await self._while_running(p, client.connect())
             self.clients[p] = client
 
     async def go(self) -> None:
@@ -287,10 +304,33 @@ class LiveCluster:
         leader = min(self.processors)
         order = [p for p in self.processors if p != leader] + [leader]
         for p in order:
-            await self.clients[p].request(Ctl("go"))
+            await self._while_running(p, self.clients[p].request(Ctl("go")))
         self._mark("started")
-        # One launch spacing so the first circulation completes.
+        # One launch spacing so the first circulation completes.  Every
+        # member's μ probe timer starts at its ``go``, so this settle
+        # sets the probe phase a fixed-offset heal meets; it stays until
+        # the harness averages over probe phase (ROADMAP 11).
         await asyncio.sleep(8 * self.delta)
+
+    async def _while_running(self, p: str, work: Awaitable[T]) -> T:
+        """Await one start-up step of node ``p``.  If ``p``'s process
+        exits first, every node is killed and :class:`NodeStartError`
+        is raised at once instead of after the step's own timeout."""
+        task = asyncio.ensure_future(work)
+        try:
+            while True:
+                done, _ = await asyncio.wait({task}, timeout=0.05)
+                if done:
+                    return task.result()
+                returncode = self.procs[p].poll()
+                if returncode is not None:
+                    break
+        finally:
+            task.cancel()
+        for q in self.alive():
+            await self.kill(q)
+        log = (self.log_dir / f"{p}.stdout.log").read_bytes()
+        raise NodeStartError(p, returncode, log[-4096:].decode("utf-8", "replace"))
 
     # ------------------------------------------------------------------
     # Stats polling
@@ -375,7 +415,8 @@ class LiveCluster:
             None, self.procs[p].wait
         )
         self.killed.add(p)
-        await self.clients[p].close()
+        if p in self.clients:
+            await self.clients[p].close()
         self._mark("kill", node=p)
 
     # ------------------------------------------------------------------

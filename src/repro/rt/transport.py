@@ -68,7 +68,7 @@ COUNTER_KEYS = (
 
 
 @register_wire_type
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hello:
     """Connection handshake: who is speaking on this stream.  It is the
     stream's first message, encoded by the stream's own writer so that
@@ -81,7 +81,7 @@ class Hello:
 
 
 @register_wire_type
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ctl:
     """A control-plane record (driver <-> node).
 

@@ -22,7 +22,7 @@ from math import inf
 from collections.abc import Callable
 
 
-@dataclass(order=True)
+@dataclass(order=True, slots=True)
 class _QueuedEvent:
     time: float
     seq: int

@@ -29,6 +29,11 @@ a recursive second pass over the document — is kept as
 with a feed of :class:`~repro.core.monitor.OnlineVSMonitor`.  It is a
 reference, not a second oracle: ``tests/core/test_vs_oracle.py`` holds
 the feed to it on generated traces and their single-edit mutants.
+
+:func:`batch_status_merge` is the batch merge of a timed trace with the
+failure-status history: one sort by ``(time, stream, index)``.
+``tests/ioa/test_incremental_merge.py`` holds
+:class:`~repro.ioa.timed.IncrementalStatusMerger` to it.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from repro.core.vstoto import runtime as _runtime_mod
 from repro.core.vstoto.process import VStoTOProcess
 from repro.core.vstoto.summary import Summary
 from repro.ioa.actions import Action
+from repro.ioa.timed import TimedTrace
 from repro.membership.messages import Token
 from repro.membership.ring import RingMember
 from repro.rt.framing import FrameError, lookup_wire_type
@@ -342,3 +348,19 @@ def check_vs_trace(
                             f"{k}-th receive at member {r!r}"
                         )
     return report
+
+
+def batch_status_merge(
+    primary: TimedTrace, secondary: Sequence[Any]
+) -> list[tuple[float, Action]]:
+    """Merge a timed trace (stream 0) with status events (stream 1, duck
+    typed: ``time``, ``status``, ``target``) by one stable sort on
+    ``(time, stream, index)``, as ``(time, action)`` pairs.  A status
+    event becomes the action named after its status whose arguments are
+    its target, a tuple target spread out."""
+    keyed = [(e.time, 0, i, e.action) for i, e in enumerate(primary.events)]
+    for i, s in enumerate(secondary):
+        args = s.target if isinstance(s.target, tuple) else (s.target,)
+        keyed.append((s.time, 1, i, Action(s.status.value, args)))
+    keyed.sort(key=lambda k: k[:3])
+    return [(time, action) for time, _stream, _index, action in keyed]

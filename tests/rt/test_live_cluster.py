@@ -16,7 +16,7 @@ from repro.obs.live.report import (
     bounds_from_timeline,
     build_report,
 )
-from repro.rt.cluster import LiveCluster, free_port, run_cluster
+from repro.rt.cluster import LiveCluster, NodeStartError, free_port, run_cluster
 from repro.rt.clock import LiveScheduler
 from repro.rt.node import (
     LiveNode,
@@ -315,6 +315,47 @@ class TestClosedNode:
         events = load_event_logs([tmp_path / "p2.events.jsonl"])
         assert len(events) == len(text.splitlines()) > 0
         assert max(e["ts"] for e in events) <= closed_at
+
+
+class TestStartFailure:
+    """A node that dies before ``started`` fails the start at once, by
+    name, with the end of its log — not after a connect or ``go``
+    timeout, and not by a run that quietly carries on without it."""
+
+    def test_node_that_cannot_bind_fails_spawn(self, tmp_path):
+        async def scenario():
+            cluster = LiveCluster(3, tmp_path)
+            # Bound but not listening: p2's own bind gets EADDRINUSE,
+            # and the driver's connects are refused until it gives up.
+            with socket.socket() as squatter:
+                squatter.bind(("127.0.0.1", cluster.ports["p2"]))
+                began = time.monotonic()
+                with pytest.raises(NodeStartError) as caught:
+                    await cluster.spawn()
+                waited = time.monotonic() - began
+            return cluster, caught.value, waited
+
+        cluster, error, waited = asyncio.run(scenario())
+        assert error.node == "p2"
+        assert error.returncode != 0
+        assert "address already in use" in error.log_tail.lower()
+        assert "p2" in str(error) and error.log_tail in str(error)
+        assert waited < 5.0  # NodeClient.connect would wait 10 s
+        assert all(proc.returncode is not None for proc in cluster.procs.values())
+
+    def test_node_that_dies_before_go_fails_go(self, tmp_path):
+        async def scenario():
+            cluster = LiveCluster(3, tmp_path)
+            await cluster.spawn()
+            cluster.procs["p2"].kill()
+            with pytest.raises(NodeStartError) as caught:
+                await asyncio.wait_for(cluster.go(), 5.0)
+            return cluster, caught.value
+
+        cluster, error = asyncio.run(scenario())
+        assert error.node == "p2"
+        assert all(proc.returncode is not None for proc in cluster.procs.values())
+        assert "started" not in [mark["event"] for mark in cluster.timeline]
 
 
 class TestLiveClusterSmoke:

@@ -53,6 +53,7 @@ from repro.obs.live.stitch import stitched_jsonl
 from repro.faults.injectors import PartitionInjector
 from repro.faults.schedule import FaultWindow
 from repro.rt.faults import live_windows, single_partition_window
+from repro.rt.framing import FrameError
 from repro.rt.node import default_ring_config, initial_view_for
 from repro.rt.trace import (
     VerifyReport,
@@ -114,6 +115,7 @@ class NodeClient:
         self.host = host
         self.port = port
         self._sender = WireWriter(flush_after=flush_after)
+        self._wire = WireReader()
         self._reader: asyncio.StreamReader | None = None
         self._writer: asyncio.StreamWriter | None = None
         self._replies: asyncio.Queue[Ctl] = asyncio.Queue()
@@ -125,7 +127,10 @@ class NodeClient:
         self._request_lock = asyncio.Lock()
 
     async def connect(self, timeout: float = 10.0) -> None:
-        """Connect with retries (the node may still be booting)."""
+        """Connect with retries (the node may still be booting), then
+        prove who answers: the first frame back must be the node's own
+        ``Hello(src=proc_id)``.  Any other closes the connection and
+        raises :class:`ConnectionError` naming both."""
         deadline = asyncio.get_running_loop().time() + timeout
         last: OSError | None = None
         while asyncio.get_running_loop().time() < deadline:
@@ -154,19 +159,51 @@ class NodeClient:
         )
         self._sender.attach(self._writer.write)
         self._sender.send_now(Hello(src=DRIVER_ID))
+        answer = await self._first_message(deadline)
+        if answer != Hello(src=self.proc_id):
+            await self.close()
+            who = (
+                f"node {answer.src!r}" if isinstance(answer, Hello)
+                else "nothing" if answer is None else repr(answer)
+            )
+            raise ConnectionError(
+                f"expected node {self.proc_id!r} at {self.host}:{self.port}, "
+                f"but {who} answered the driver's Hello"
+            )
         self._read_task = loop.create_task(self._read_loop())
+
+    async def _first_message(self, deadline: float) -> Any:
+        """The first message the node sends (None if none came before
+        ``deadline``); replies that came with it are queued."""
+        assert self._reader is not None
+        loop = asyncio.get_running_loop()
+        try:
+            while True:
+                data = await asyncio.wait_for(
+                    self._reader.read(65536), max(0.0, deadline - loop.time())
+                )
+                if not data:
+                    return None
+                messages = self._wire.feed(data)
+                if messages:
+                    self._queue_replies(messages[1:])
+                    return messages[0]
+        except (asyncio.TimeoutError, OSError, FrameError):
+            return None
+
+    def _queue_replies(self, messages: Sequence[Any]) -> None:
+        for message in messages:
+            if isinstance(message, Ctl):
+                self._replies.put_nowait(message)
 
     async def _read_loop(self) -> None:
         assert self._reader is not None
-        reader = WireReader()
         try:
             while True:
                 data = await self._reader.read(65536)
                 if not data:
                     break
-                for message in reader.feed(data):
-                    if isinstance(message, Ctl):
-                        self._replies.put_nowait(message)
+                self._queue_replies(self._wire.feed(data))
         except asyncio.CancelledError:
             # close() cancels this task and awaits it; swallowing the
             # cancellation here would make that await hang forever.

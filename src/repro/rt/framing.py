@@ -20,7 +20,11 @@ records, the bottom element), so composite values are tagged:
 - ``{"!": "bot"}`` — :data:`~repro.core.types.BOTTOM`;
 - ``{"!": "m", "m": name, "f": {...}}`` — a registered protocol
   dataclass (membership messages, VStoTO labels and summaries,
-  transport control records).
+  transport control records);
+- ``{"!": "at", "v": seq}`` — an event log's back-reference: the VS
+  payload its file already holds on the line numbered ``seq``
+  (:mod:`repro.rt.trace`).  Only the log loader reads it; any other
+  decoder refuses it as an unknown tag.
 
 Scalars (``None``/bool/int/float/str) and plain lists pass through
 unchanged.  The registry covers every message the ring and the cluster
@@ -206,18 +210,27 @@ def render_value(value: Any) -> str:
 
 class TaggedDecoder:
     """Decodes tagged JSON in one scanner pass.  Given a ``labels``
-    table (one per capture), equal labels decode to one object."""
+    table (one per capture), equal labels decode to one object.  Given
+    a ``refs`` list, an ``at`` record decodes to itself, unresolved,
+    and is appended to ``refs``, which each :meth:`decode` empties
+    first: where it may stand and what it names is the log loader's
+    to decide."""
 
-    def __init__(self, labels: dict[Any, Label] | None = None) -> None:
+    def __init__(
+        self, labels: dict[Any, Label] | None = None, refs: list[Any] | None = None
+    ) -> None:
         #: The last untagged object closed, until its record takes it.
         self._fields: dict[str, Any] | None = None
         self._labels = labels
+        self._refs = refs
         self._json = json.JSONDecoder(object_hook=self._hook)
         self._scan = self._json.scan_once
 
     def decode(self, text: str) -> tuple[Any, dict[str, Any] | None]:
         """``text``'s value and the untagged object no record took."""
         self._fields = None
+        if self._refs:
+            self._refs.clear()
         try:
             value, end = self._scan(text, 0)
             if end == len(text):
@@ -226,6 +239,8 @@ class TaggedDecoder:
             pass
         # Whitespace around the value, or no JSON: json's own reading.
         self._fields = None
+        if self._refs:
+            self._refs.clear()
         return self._json.decode(text), self._fields
 
     def _hook(self, obj: dict[str, Any]) -> Any:
@@ -251,6 +266,9 @@ class TaggedDecoder:
             raise FrameError(f"malformed {tag!r} record: {exc!r}") from exc
         if tag == "bot":
             return BOTTOM
+        if tag == "at" and self._refs is not None:
+            self._refs.append(obj)
+            return obj
         raise FrameError(f"unknown codec tag {tag!r}")
 
     def _record(self, obj: dict[str, Any]) -> Any:

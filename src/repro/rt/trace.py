@@ -22,7 +22,9 @@ The log contract, INV-LOG-1:
 - *same bytes* — a line is ``json.dumps(entry, separators=(",",
   ":"))`` of the entry above, byte for byte (arguments are written by
   :func:`~repro.rt.framing.render_value`, that expression by
-  definition);
+  definition), except that a VS payload the file already holds is
+  written as its back-reference ``{"!":"at","v":<seq>}``, naming the
+  earlier line of the same file that holds it (see :class:`EventLog`);
 - *one write per turn* — :meth:`EventLog.record` buffers the line, and
   one ``write`` at the end of the event-loop turn empties the buffer;
 - *write-ahead* — the node's transport empties its logs before it
@@ -44,7 +46,14 @@ an undecodable line before it, or JSON that is no entry, raises
 scanner by the call's :class:`~repro.rt.framing.TaggedDecoder`, which
 interns labels: a payload's label is one object on all its lines
 (seven at n = 3: ``gpsnd``, three ``gprcv``, three ``safe``), so the
-checkers' label comparisons end at identity.  Nothing mutable is shared.
+checkers' label comparisons end at identity.  A back-reference decodes
+to the very payload its file's earlier line decoded to, so within a
+file each payload is one object; it names only an earlier line of its
+own file, so any prefix a kill leaves still resolves.  A reference
+that names no earlier payload line, or stands anywhere but the payload
+of a ``gpsnd``/``gprcv``/``safe`` line, raises :class:`EventLogError`.
+Only pairs and summaries of atoms are referenced, so nothing mutable is
+shared.
 
 :func:`verify_events` then replays the merged sequence through the
 *same* checkers the simulator uses — :class:`~repro.core.monitor.
@@ -69,7 +78,8 @@ from collections.abc import Iterable, Sequence
 
 from repro.core.monitor import OnlineVSMonitor
 from repro.core.to_spec import check_to_trace
-from repro.core.types import View
+from repro.core.types import Bottom, Label, View
+from repro.core.vstoto.summary import Summary
 from repro.ioa.actions import Action, act
 from repro.ioa.timed import TimedEvent
 from repro.rt.framing import TaggedDecoder, encode_value, render_value
@@ -114,21 +124,61 @@ def group_event_logs(log_dir: str | Path) -> dict[str, dict[str, Path]]:
     return {group: found[group] for group in sorted(found)}
 
 
-#: Rendered-payload memo ceiling per log; the table is cleared when full.
+#: Payload memo ceiling per log; the table is cleared when full.
 _MEMO_ENTRIES = 512
+
+#: The events whose first argument is a VS payload.
+_PAYLOAD_EVENTS = frozenset({"gpsnd", "gprcv", "safe"})
+
+#: The value types nothing can change.
+_ATOMS = frozenset({str, int, float, bool, type(None), Bottom})
+
+
+def _atomic(value: Any) -> bool:
+    """An atom, or a tuple of atoms (a view id)."""
+    kind = type(value)
+    return kind in _ATOMS or (kind is tuple and _ATOMS.issuperset(map(type, value)))
+
+
+def _pair(value: Any) -> bool:
+    """A ``(Label, atom)`` pair; a ``Label`` is a frozen record."""
+    return (
+        type(value) is tuple and len(value) == 2
+        and type(value[0]) is Label and type(value[1]) in _ATOMS
+    )
+
+
+def _shareable(payload: Any) -> bool:
+    """Whether nothing in ``payload`` can change, so that every line
+    naming it may decode to one object: a ``(Label, atom)`` pair, or a
+    ``Summary`` of such pairs and labels."""
+    if type(payload) is not Summary:
+        return _pair(payload)
+    return (
+        all(map(_pair, payload.con))
+        and all(type(label) is Label for label in payload.ord)
+        and _atomic(payload.next) and _atomic(payload.high)
+    )
 
 
 class EventLog:
     """Append-only JSONL capture of one node's external events.
 
     A line is assembled from pieces rendered once: the ``node``/``ev``
-    fragment per event name, and the JSON text of each argument.  A
-    tuple argument is remembered by *identity* — the ring hands
-    ``gprcv`` and ``safe`` the one payload object it logged, so a node
-    renders each payload once — and the memo keeps the tuple alive, so
-    its ``id`` cannot be reused by another value while the text is
-    held.  Event arguments are protocol values: nothing mutates them
-    after they are recorded.
+    fragment per event name, and the JSON text of each argument.  A VS
+    payload (the first argument of ``gpsnd``, ``gprcv`` and ``safe``)
+    is remembered by *identity*: the ring hands ``gprcv`` and ``safe``
+    the one payload object it logged, and at the origin ``gpsnd``
+    already holds it.  The first line that carries a payload writes it
+    in full.  When nothing in the payload can change (see
+    :func:`_shareable`), a later line writes ``{"!":"at","v":<seq>}``,
+    naming that line; any other payload is written in full on each
+    line.  So a file holds each pair and each summary once, however
+    many lines carry it (three at its origin, two elsewhere).  The memo
+    keeps the payload alive, so its ``id`` cannot be reused by another
+    value while its entry is held; when the memo is full it is
+    cleared, and the next line carrying a forgotten payload writes it
+    in full again.
 
     Lines are buffered and written by :meth:`flush`: at the end of the
     event-loop turn that recorded them, before any frame leaves the
@@ -143,18 +193,21 @@ class EventLog:
         self._file: TextIO = open(self.path, "w", encoding="utf-8")
         self._lines: list[str] = []
         self._heads: dict[str, str] = {}
-        #: ``id(tuple)`` -> (the tuple, its JSON).
+        #: ``id(payload)`` -> (the payload, its back-reference).
         self._memo: dict[int, tuple[Any, str]] = {}
 
-    def _render(self, arg: Any) -> str:
-        if type(arg) is not tuple:
-            return render_value(arg)
-        hit = self._memo.get(id(arg))
-        if hit is None:
+    def _payload(self, payload: Any) -> str:
+        """The payload's text on this line, the last of it to render:
+        the memo names only a line that is written."""
+        held = self._memo.get(id(payload))
+        if held is not None:
+            return held[1]
+        text = render_value(payload)
+        if _shareable(payload):
             if len(self._memo) >= _MEMO_ENTRIES:
                 self._memo.clear()
-            hit = self._memo[id(arg)] = (arg, render_value(arg))
-        return hit[1]
+            self._memo[id(payload)] = (payload, f'{{"!":"at","v":{self._seq}}}')
+        return text
 
     def record(self, name: str, *args: Any) -> None:
         """Append one event, stamped with the shared host clock."""
@@ -165,7 +218,11 @@ class EventLog:
             head = self._heads[name] = (
                 f',"node":{json.dumps(self.node)},"ev":{json.dumps(name)},"args":['
             )
-        body = ",".join([self._render(arg) for arg in args])
+        if name in _PAYLOAD_EVENTS and args:
+            rest = [render_value(arg) for arg in args[1:]]
+            body = ",".join([self._payload(args[0]), *rest])
+        else:
+            body = ",".join(map(render_value, args))
         if not self._lines:
             try:
                 asyncio.get_running_loop().call_soon(self.flush)
@@ -192,20 +249,27 @@ class EventLog:
 
 class EventLogError(ValueError):
     """An event log holds an undecodable line that is not its torn
-    tail: an event is missing from the middle of the oracle's input."""
+    tail, or a back-reference out of place or naming no earlier
+    payload line: an event is missing from the oracle's input."""
 
 
 def load_event_logs(paths: Iterable[str | Path]) -> list[dict[str, Any]]:
     """Merge per-node JSONL logs into one time-ordered event list.
 
-    Argument lists are decoded back to protocol values (tuples, views).
-    A trailing partial line (a node killed mid-write) is skipped; an
-    undecodable line anywhere else raises :class:`EventLogError`.
+    Argument lists are decoded back to protocol values (tuples, views),
+    and a back-reference to the payload its file already holds.  A
+    trailing partial line (a node killed mid-write) is skipped; an
+    undecodable line anywhere else, or a back-reference anywhere but
+    the payload of a ``gpsnd``/``gprcv``/``safe`` line or naming no
+    earlier such line of its file, raises :class:`EventLogError`.
     """
-    decoder = TaggedDecoder(labels={})
+    refs: list[Any] = []
+    decoder = TaggedDecoder(labels={}, refs=refs)
     events: list[dict[str, Any]] = []
     for path in paths:
         torn: int | None = None
+        #: seq -> the payload of the line of this file with that seq
+        held: dict[int, Any] = {}
         with open(path, encoding="utf-8") as handle:
             for number, line in enumerate(handle, 1):
                 line = line.strip()
@@ -231,6 +295,23 @@ def load_event_logs(paths: Iterable[str | Path]) -> list[dict[str, Any]]:
                     raise
                 if untagged is not entry or type(entry.get("args")) is not list:
                     raise EventLogError(f"{path}: line {number} is not an event")
+                args = entry["args"]
+                carries = entry.get("ev") in _PAYLOAD_EVENTS and args
+                if refs:
+                    if not carries or len(refs) > 1 or args[0] is not refs[0]:
+                        raise EventLogError(
+                            f"{path}: line {number} holds a back-reference that "
+                            f"is not the payload of a gpsnd, gprcv or safe"
+                        )
+                    seq = refs[0].get("v")
+                    if type(seq) is not int or seq not in held:
+                        raise EventLogError(
+                            f"{path}: line {number} refers to seq {seq!r}, "
+                            f"held by no earlier payload line of the log"
+                        )
+                    args[0] = held[seq]
+                if carries and type(entry.get("seq")) is int:
+                    held[entry["seq"]] = args[0]
                 events.append(entry)
     events.sort(key=lambda e: (e["ts"], str(e["node"]), e["seq"]))
     return events

@@ -14,7 +14,9 @@ Identity handshake: the first message on every connection is a
 stream's own :class:`~repro.rt.wire.WireWriter`; the messages after it
 are attributed to that sender.  The cluster driver connects the
 same way (as ``"driver"``) and speaks :class:`Ctl` records, which are
-routed to the node's control handler instead of the ring.
+routed to the node's control handler instead of the ring; the node
+answers the driver's :class:`Hello` with its own, so that the driver
+knows which node it reached.
 
 Partition injection is *firewall-style*: :meth:`LiveNetwork.block`
 drops frames to and from the named peers at this node while leaving
@@ -375,7 +377,7 @@ class LiveNetwork:
         wire_reader = WireReader(self.max_frame, stats=self.rx_stats)
         # Replies share the connection's lifetime; no batching so a
         # control reply never sits behind a flush window.
-        replier: Callable[[Ctl], None] | None = None
+        replier: Callable[[Any], None] | None = None
         src: str | None = None
         task = asyncio.current_task()
         if task is not None:
@@ -398,6 +400,10 @@ class LiveNetwork:
                     if isinstance(message, Hello):
                         src = message.src
                         self._inbound[src] = writer
+                        if src == DRIVER_ID:
+                            # The driver's proof of who it reached.
+                            replier = self._replier(writer)
+                            replier(Hello(src=self.proc_id))
                         continue
                     if src is None:
                         self.counters["frame_errors"] += 1
@@ -424,12 +430,12 @@ class LiveNetwork:
                 del self._handlers[task]
             writer.close()
 
-    def _replier(self, writer: asyncio.StreamWriter) -> Callable[[Ctl], None]:
+    def _replier(self, writer: asyncio.StreamWriter) -> Callable[[Any], None]:
         sender = self._make_sender(batching=False)
         sender.attach(self._frame_sink(writer))
 
-        def reply(ctl: Ctl) -> None:
-            sender.send_now(ctl)
+        def reply(message: Any) -> None:
+            sender.send_now(message)
 
         return reply
 

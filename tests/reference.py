@@ -23,7 +23,9 @@ The tagged-JSON decoder ``src/`` replaced — ``json.loads`` followed by
 a recursive second pass over the document — is kept as
 :func:`decode_value`, :func:`decode_message` and
 :func:`load_event_logs`; ``tests/rt/test_decode_once.py`` holds
-:class:`~repro.rt.framing.TaggedDecoder` and the loader to them.
+:class:`~repro.rt.framing.TaggedDecoder` and the loader to them.  The
+loader resolves an event log's back-references with its own per-file
+table, after ``json.loads``, not inside the decoder.
 
 :func:`check_vs_trace` is the batch VS trace checker ``src/`` replaced
 with a feed of :class:`~repro.core.monitor.OnlineVSMonitor`.  It is a
@@ -171,10 +173,16 @@ def decode_message(payload: bytes) -> Any:
 
 def load_event_logs(paths: Iterable[str | Path]) -> list[dict[str, Any]]:
     """``repro.rt.trace.load_event_logs`` over :func:`decode_value`: one
-    ``json.loads`` per line, then the argument list decoded."""
+    ``json.loads`` per line, then the argument list decoded.
+
+    A payload written as ``{"!": "at", "v": seq}`` is looked up in a
+    per-file table of the payloads of the earlier ``gpsnd``/``gprcv``/
+    ``safe`` lines, by their ``seq``.  Any other ``at`` record on a
+    line is refused before its arguments are decoded."""
     events: list[dict[str, Any]] = []
     for path in paths:
         torn: int | None = None
+        payloads: dict[int, Any] = {}
         with open(path, encoding="utf-8") as handle:
             for number, line in enumerate(handle, 1):
                 line = line.strip()
@@ -190,10 +198,43 @@ def load_event_logs(paths: Iterable[str | Path]) -> list[dict[str, Any]]:
                 except json.JSONDecodeError:
                     torn = number
                     continue
-                entry["args"] = [decode_value(a) for a in entry["args"]]
+                args = entry["args"]
+                carries = entry["ev"] in ("gpsnd", "gprcv", "safe") and len(args) > 0
+                ref = args[0] if carries and _is_ref(args[0]) else None
+                rest = args[1:] if ref is not None else args
+                if _holds_ref(rest) or (ref is not None and _holds_ref(list(ref.values()))):
+                    raise EventLogError(
+                        f"{path}: line {number} holds a back-reference that is not "
+                        f"the payload of a gpsnd, gprcv or safe"
+                    )
+                decoded = [decode_value(a) for a in rest]
+                if ref is not None:
+                    seq = ref.get("v")
+                    if type(seq) is not int or seq not in payloads:
+                        raise EventLogError(
+                            f"{path}: line {number} refers to seq {seq!r}, "
+                            f"held by no earlier payload line of the log"
+                        )
+                    decoded.insert(0, payloads[seq])
+                if carries and type(entry["seq"]) is int:
+                    payloads[entry["seq"]] = decoded[0]
+                entry["args"] = decoded
                 events.append(entry)
     events.sort(key=lambda e: (e["ts"], str(e["node"]), e["seq"]))
     return events
+
+
+def _is_ref(doc: Any) -> bool:
+    return isinstance(doc, dict) and doc.get("!") == "at"
+
+
+def _holds_ref(doc: Any) -> bool:
+    """Whether an ``at`` record is anywhere in the JSON ``doc``."""
+    if isinstance(doc, dict):
+        return _is_ref(doc) or any(_holds_ref(v) for v in doc.values())
+    if isinstance(doc, list):
+        return any(_holds_ref(v) for v in doc)
+    return False
 
 
 def check_vs_trace(

@@ -1,7 +1,8 @@
 """The one-pass tagged-JSON decoder held to the two-pass one it
 replaced (``tests/reference.py``): the same values and refusals for
 one value of the log grammar, the same event lists, types and errors
-for captures, and only labels shared.
+for captures, back-references included, and nothing shared but labels
+and, within a file, a referenced payload.
 
 One deliberate difference: a tagged record with a missing part or a
 part of the wrong shape (``MALFORMED``) is a :class:`FrameError` here,
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import json
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any
@@ -20,7 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.types import Label
+from repro.core.types import BOTTOM, Label
+from repro.core.vstoto.summary import Summary
 from repro.membership.messages import Token
 from repro.rt import trace as trace_module
 from repro.rt.framing import FrameError, TaggedDecoder, encode_value
@@ -130,10 +133,41 @@ class TestMessages:
 # Captures
 # ----------------------------------------------------------------------
 EVENTS = VS_EVENTS + TO_EVENTS
+PAYLOAD_EVENTS = ("gpsnd", "gprcv", "safe")
+
+
+@dataclass(frozen=True)
+class Again:
+    """Stands for the payload of the ``back``-th latest payload line of
+    the same log (a fresh value when there is none): the same object
+    recorded again, which the log writes as a back-reference when
+    nothing in it can change."""
+
+    back: int
+
+
+procs = st.sampled_from(["p1", "p2"])
+labels = st.builds(Label, st.tuples(st.integers(0, 3), procs), st.integers(1, 5), procs)
+atoms = st.one_of(st.text(max_size=4), st.integers(), st.none(), st.just(BOTTOM))
+pairs = st.tuples(labels, atoms)
+summaries = st.builds(
+    Summary,
+    con=st.frozensets(pairs, max_size=3),
+    ord=st.lists(labels, max_size=3).map(tuple),
+    next=st.integers(1, 5),
+    high=st.just(BOTTOM) | st.tuples(st.integers(0, 3), procs),
+)
+payloads = st.one_of(pairs, st.builds(Again, st.integers(0, 2)), summaries, values)
 events = st.lists(
-    st.tuples(st.sampled_from(EVENTS), st.lists(values, max_size=3)),
+    st.one_of(
+        st.tuples(
+            st.sampled_from(PAYLOAD_EVENTS),
+            st.tuples(payloads, st.lists(values, max_size=2)).map(lambda t: [t[0], *t[1]]),
+        ),
+        st.tuples(st.sampled_from(EVENTS), st.lists(values, max_size=3)),
+    ),
     min_size=1,
-    max_size=5,
+    max_size=6,
 )
 
 #: Valid JSON lines the grammar refuses, one per way to break it.
@@ -144,7 +178,19 @@ BAD_ARGS = [
     {"!": "t", "v": [{"k": 1}]},
     {"!": "m", "m": "Ctl", "f": {"op": "x", "data": {"k": 1}}},
 ]
-DAMAGE = ["none", "torn tail", "torn interior", "refused"]
+#: Back-references as a line may misuse them; the seq may also name
+#: an earlier payload line, which makes the reference good.
+REF = st.builds(lambda seq: {"!": "at", "v": seq}, st.integers(-1, 8))
+BAD_REFS = st.one_of(
+    st.tuples(st.sampled_from(PAYLOAD_EVENTS), REF),
+    st.tuples(st.sampled_from(["bcast", "brcv", "newview"]), REF),
+    st.tuples(st.sampled_from(PAYLOAD_EVENTS), REF.map(lambda r: {"!": "t", "v": [r, 1]})),
+    st.tuples(
+        st.sampled_from(PAYLOAD_EVENTS),
+        st.sampled_from([{"!": "at", "v": "1"}, {"!": "at", "v": 1.0}, {"!": "at", "v": True}, {"!": "at"}]),
+    ),
+)
+DAMAGE = ["none", "torn tail", "torn interior", "refused", "bad reference"]
 HEAD = '{"ts": 2.0, "seq": 2, "node": "p1", "ev": "bcast", "args": '
 GOOD = HEAD + '["v", "p1"]}'
 
@@ -156,7 +202,13 @@ def write_capture(tmp: Path, logs: list[list[Any]], data: st.DataObject) -> list
     for i, log_events in enumerate(logs):
         path = tmp / f"p{i}.events.jsonl"
         log = EventLog(path, f"p{i}")
+        held: list[Any] = []
         for name, args in log_events:
+            if args and isinstance(args[0], Again):
+                back = args[0].back
+                args = [held[-1 - back % len(held)] if held else f"fresh-{back}", *args[1:]]
+            if name in PAYLOAD_EVENTS and args:
+                held.append(args[0])
             log.record(name, *args)
         log.close()
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -179,6 +231,10 @@ def write_capture(tmp: Path, logs: list[list[Any]], data: st.DataObject) -> list
     elif damage == "refused":
         bad = data.draw(st.sampled_from(BAD_ARGS))
         entry = {"ts": 0.5, "seq": 0, "node": "px", "ev": "gpsnd", "args": [bad, "px"]}
+        lines.insert(data.draw(st.integers(0, len(lines))), json.dumps(entry))
+    elif damage == "bad reference":
+        name, ref = data.draw(BAD_REFS)
+        entry = {"ts": 0.5, "seq": 99, "node": "px", "ev": name, "args": [ref, "px", "px"]}
         lines.insert(data.draw(st.integers(0, len(lines))), json.dumps(entry))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return paths
@@ -234,6 +290,22 @@ class TestCaptures:
             assert got == expected
             assert repr(got) == repr(expected)  # the same types, too
 
+    def test_drawn_captures_hold_back_references(self):
+        """The captures above repeat payload objects often enough that
+        the log writes back-references."""
+        referring: list[int] = []
+
+        @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+        @given(st.lists(events, min_size=1, max_size=3), st.data())
+        def capture(logs: list[Any], data: st.DataObject) -> None:
+            with tempfile.TemporaryDirectory() as tmp:
+                paths = write_capture(Path(tmp), logs, data)
+                text = "".join(path.read_text(encoding="utf-8") for path in paths)
+                referring.append(text.count('{"!":"at","v":'))
+
+        capture()
+        assert sum(1 for count in referring if count) >= 5
+
     def test_torn_interior_line_is_named(self, tmp_path):
         path = tmp_path / "p1.events.jsonl"
         log = EventLog(path, "p1")
@@ -277,6 +349,107 @@ class TestCaptures:
                 load_event_logs([path])
 
 
+def line(seq: int, ev: str, *args: Any) -> str:
+    """One event line as a reader may meet it (``json.dumps``'s own
+    spacing, which the loaders must read as well)."""
+    return json.dumps({"ts": float(seq), "seq": seq, "node": "p1", "ev": ev, "args": list(args)})
+
+
+def at(seq: Any) -> dict[str, Any]:
+    return {"!": "at", "v": seq}
+
+
+PAIR = encode_value((Label((0, "p1"), 1, "p1"), "m1"))
+#: A bcast (seq 1) and the gpsnd holding PAIR (seq 2).
+OPENING = [line(1, "bcast", "m1", "p1"), line(2, "gpsnd", PAIR, "p1")]
+
+#: Files whose third line misuses a back-reference -> what the refusal names.
+MISUSED = {
+    "forward": [*OPENING, line(3, "gprcv", at(4), "p1", "p1"), line(4, "safe", PAIR, "p1", "p1")],
+    "to a non-payload line": [*OPENING, line(3, "gprcv", at(1), "p1", "p1")],
+    "to its own line": [*OPENING, line(3, "gprcv", at(3), "p1", "p1")],
+    "to no line": [*OPENING, line(3, "gprcv", at(0), "p1", "p1")],
+    "nested in a payload": [*OPENING, line(3, "gprcv", {"!": "t", "v": [at(2), 1]}, "p1", "p1")],
+    "nested in a label": [
+        *OPENING,
+        line(3, "gprcv", {"!": "t", "v": [{"!": "m", "m": "Label", "f": {"id": at(2), "seqno": 1, "origin": "p1"}}, "m"]}, "p1", "p1"),
+    ],
+    "nested in a reference": [*OPENING, line(3, "gprcv", at(at(2)), "p1", "p1")],
+    "after the payload": [*OPENING, line(3, "gprcv", PAIR, at(2), "p1")],
+    "twice": [*OPENING, line(3, "gprcv", at(2), at(2), "p1")],
+    "in a bcast": [*OPENING, line(3, "bcast", at(2), "p1")],
+    "in a brcv": [*OPENING, line(3, "brcv", at(2), "p1", "p1")],
+    "in a newview": [*OPENING, line(3, "newview", at(2), "p1")],
+    "with a str seq": [*OPENING, line(3, "gprcv", at("2"), "p1", "p1")],
+    "with a float seq": [*OPENING, line(3, "gprcv", at(2.0), "p1", "p1")],
+    "with a bool seq": [*OPENING, line(3, "safe", at(True), "p1", "p1")],
+    "with a null seq": [*OPENING, line(3, "safe", at(None), "p1", "p1")],
+    "without a seq": [*OPENING, line(3, "safe", {"!": "at"}, "p1", "p1")],
+    "to a torn line": [line(1, "bcast", "m1", "p1"), line(2, "gpsnd", PAIR, "p1")[:30], line(3, "gprcv", at(2), "p1", "p1")],
+}
+
+
+class TestBackReferences:
+    """``{"!": "at", "v": seq}``: a payload line naming an earlier
+    payload line of its own file."""
+
+    def test_a_reference_resolves_to_the_payload_it_names(self, tmp_path):
+        path = tmp_path / "p1.events.jsonl"
+        path.write_text("\n".join([*OPENING, line(3, "gprcv", at(2), "p1", "p1"), line(4, "safe", at(3), "p1", "p1")]) + "\n", encoding="utf-8")
+        events = load_event_logs([path])
+        assert repr(events) == repr(reference.load_event_logs([path]))
+        assert [e["args"][0] for e in events[1:]] == [(Label((0, "p1"), 1, "p1"), "m1")] * 3
+        assert events[1]["args"][0] is events[2]["args"][0] is events[3]["args"][0]
+
+    @pytest.mark.parametrize("case", sorted(MISUSED))
+    def test_a_misused_reference_is_refused_as_the_reference_does(self, tmp_path, case):
+        path = tmp_path / "p1.events.jsonl"
+        path.write_text("\n".join(MISUSED[case]) + "\n", encoding="utf-8")
+        refused = outcome(load_event_logs, [path])
+        assert refused[0] == "EventLogError"
+        assert refused[1].startswith(f"{path}: line {2 if case == 'to a torn line' else 3} ")
+        assert refused == outcome(reference.load_event_logs, [path])
+
+    def test_a_reference_names_a_line_of_its_own_file(self, tmp_path):
+        first, second = tmp_path / "p1.events.jsonl", tmp_path / "p2.events.jsonl"
+        first.write_text("\n".join(OPENING) + "\n", encoding="utf-8")
+        second.write_text(line(3, "gprcv", at(2), "p1", "p2") + "\n", encoding="utf-8")
+        refused = outcome(load_event_logs, [first, second])
+        assert refused == ("EventLogError", f"{second}: line 1 refers to seq 2, held by no earlier payload line of the log")
+        assert refused == outcome(reference.load_event_logs, [first, second])
+
+    @pytest.mark.parametrize("labels", [None, {}])
+    def test_only_the_loader_reads_at(self, labels):
+        with pytest.raises(FrameError, match="unknown codec tag 'at'"):
+            TaggedDecoder(labels=labels).decode('{"!":"at","v":1}')
+        payload = b'{"!":"at","v":1}'
+        assert outcome(decode_message, payload) == outcome(reference.decode_message, payload)
+
+    def test_every_prefix_of_a_capture_loads(self, tmp_path):
+        """A SIGKILL leaves a prefix: each cut of a file with
+        back-references loads as the lines it holds whole."""
+        path = tmp_path / "p1.events.jsonl"
+        log = EventLog(path, "p1")
+        label = Label((0, "p1"), 1, "p1")
+        summary = Summary(con=frozenset({(label, "m1")}), ord=(label,), next=2, high=BOTTOM)
+        for payload in ((label, "m1"), summary):
+            log.record("gpsnd", payload, "p1")
+            log.record("bcast", "m1", "p1")
+            log.record("gprcv", payload, "p1", "p1")
+            log.record("safe", payload, "p1", "p1")
+        log.close()
+        whole = path.read_bytes()
+        assert whole.count(b'{"!":"at","v":') == 4
+        full = load_event_logs([path])
+        for cut in range(len(whole) + 1):
+            path.write_bytes(whole[:cut])
+            got = outcome(load_event_logs, [path])
+            assert got == outcome(reference.load_event_logs, [path])
+            assert got[0] == "ok"
+            assert whole[:cut].count(b"\n") <= len(got[1]) <= len(full)
+            assert got[1] == full[: len(got[1])]
+
+
 class TestInterning:
     def test_one_payload_is_one_label_across_a_capture(self, tmp_path):
         """gpsnd, three gprcv and three safe: one payload's seven lines in
@@ -300,6 +473,54 @@ class TestInterning:
         assert len({id(label) for label in labels}) == 2
         again = load_event_logs(paths)
         assert again[0]["args"][0][0] is not labels[0]  # one table per call
+
+    def test_one_payload_is_one_object_per_file(self, tmp_path):
+        """Within a file, a payload's lines decode to one object (the
+        file holds it once); each file decodes its own."""
+        procs = ("p1", "p2", "p3")
+        logs = {p: EventLog(tmp_path / f"{p}.events.jsonl", p) for p in procs}
+        payload = (Label((0, "p1"), 1, "p1"), "m1")
+        logs["p1"].record("gpsnd", payload, "p1")
+        for name in ("gprcv", "safe"):
+            for p in procs:
+                logs[p].record(name, payload, "p1", p)
+        for log in logs.values():
+            log.close()
+        assert [log.path.read_text(encoding="utf-8").count('"!":"at"') for log in logs.values()] == [2, 1, 1]
+        events = load_event_logs(sorted(tmp_path.glob("*.events.jsonl")))
+        per_file = {p: {id(e["args"][0]) for e in events if e["node"] == p} for p in procs}
+        assert all(len(ids) == 1 for ids in per_file.values())
+        assert len(set().union(*per_file.values())) == len(procs)
+        assert all(e["args"][0] == payload for e in events)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            (SAMPLES["Token"], "m"),
+            Ctl("stats", [1, 2]),
+            (Label((0, "p1"), 1, "p1"), ["m"]),
+            (Label((0, "p1"), 1, "p1"), ("m", 1)),
+            (Label((0, "p1"), 1, "p1"), "m", "p1"),
+            Summary(con=frozenset({(Label((0, "p1"), 1, "p1"), ("m", 1))}), ord=(), next=1, high=BOTTOM),
+        ],
+        ids=repr,
+    )
+    def test_a_mutable_payload_is_never_referenced(self, tmp_path, payload):
+        """Only pairs and summaries of atoms are named by reference:
+        anything else is written in full on each line and decodes to
+        an object of its own."""
+        path = tmp_path / "p1.events.jsonl"
+        log = EventLog(path, "p1")
+        log.record("gpsnd", payload, "p1")
+        log.record("gprcv", payload, "p1", "p1")
+        log.record("safe", payload, "p1", "p1")
+        log.close()
+        assert '"!":"at"' not in path.read_text(encoding="utf-8")
+        events = load_event_logs([path])
+        assert repr(events) == repr(reference.load_event_logs([path]))
+        first, second, third = (e["args"][0] for e in events)
+        assert first == second == third == payload
+        assert first is not second and second is not third
 
     def test_only_labels_are_shared(self, tmp_path):
         token = SAMPLES["Token"]

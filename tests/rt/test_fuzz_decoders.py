@@ -3,7 +3,10 @@
 Arbitrary bytes, arbitrary payloads under a good header and single-byte
 mutations of the pinned corpus's frames go through
 :meth:`~repro.rt.wire.WireReader.feed`; arbitrary JSON, tagged records
-included, goes through :meth:`~repro.rt.framing.TaggedDecoder.decode`.
+included, goes through :meth:`~repro.rt.framing.TaggedDecoder.decode`,
+and as the arguments of event-log lines, back-references anywhere among
+them, through :func:`~repro.rt.trace.load_event_logs`, which may also
+refuse with :class:`~repro.rt.trace.EventLogError`.
 These draw fresh examples, so they run only under the nightly
 ``HYPOTHESIS_PROFILE=explore``; tier-1 keeps the pinned cases
 (``test_wire.py::TestHostilePayloads``,
@@ -15,7 +18,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import tempfile
 from functools import cache
+from pathlib import Path
 from typing import Any
 
 import pytest
@@ -23,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.rt.framing import FrameError, TaggedDecoder, registered_wire_types
+from repro.rt.trace import EventLogError, load_event_logs
 from repro.rt.wire import FLAG_BATCH, WireReader, WireWriter, encode_wire_frame
 from tests.rt.test_serialise_once import corpus, wake_corpus
 
@@ -118,3 +124,46 @@ class TestTaggedDecoder:
             decoder.decode(json.dumps(doc))
         except FrameError:
             pass
+
+
+#: Back-references: small seqs (often naming a line), any JSON as the
+#: seq, and references nested in references.
+refs = st.recursive(
+    st.builds(lambda seq: {"!": "at", "v": seq}, st.integers(-1, 12) | json_values),
+    lambda inner: st.builds(lambda seq: {"!": "at", "v": seq}, inner),
+    max_leaves=3,
+)
+#: JSON with back-references anywhere in it, as often at the top.
+json_with_refs = st.recursive(
+    json_values | refs,
+    lambda inner: st.lists(inner, max_size=4) | tagged(inner) | refs,
+    max_leaves=12,
+)
+EVENT_NAMES = ["gpsnd", "gprcv", "safe", "newview", "bcast", "brcv", "formation"]
+#: One log line: a good envelope (the merge sorts by it) around
+#: arbitrary arguments; seqs repeat, so references may name either.
+log_lines = st.builds(
+    lambda seq, ev, args: json.dumps(
+        {"ts": float(seq), "seq": seq, "node": "p1", "ev": ev, "args": args},
+        separators=(",", ":"),
+    ),
+    st.integers(0, 12),
+    st.sampled_from(EVENT_NAMES),
+    st.lists(json_with_refs, max_size=3),
+)
+
+
+class TestEventLogLoader:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(st.lists(log_lines, max_size=8), min_size=1, max_size=2))
+    def test_arbitrary_arguments_and_references(self, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for i, lines in enumerate(files):
+                path = Path(tmp) / f"p{i}.events.jsonl"
+                path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+                paths.append(path)
+            try:
+                load_event_logs(paths)
+            except (EventLogError, FrameError):
+                pass

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.types import BOTTOM, Label, View
+from repro.core.types import BOTTOM, Bottom, Label, View
 from repro.core.vstoto.summary import Summary
 from repro.membership.messages import (
     Accept,
@@ -112,17 +112,59 @@ values = st.recursive(
 )
 
 
-def reference_line(line: str, node: str, name: str, args: list[Any]) -> str:
+#: The value types nothing can change.
+ATOMS = (str, int, float, bool, type(None), Bottom)
+
+
+def atom(value: Any) -> bool:
+    return type(value) in ATOMS
+
+
+def atoms(value: Any) -> bool:
+    """An atom or a tuple of atoms."""
+    return atom(value) or (type(value) is tuple and all(map(atom, value)))
+
+
+def plain_pair(value: Any) -> bool:
+    return type(value) is tuple and len(value) == 2 and type(value[0]) is Label and atom(value[1])
+
+
+def shared(payload: Any) -> bool:
+    """Whether a log may name ``payload`` by a back-reference: a
+    ``(Label, atom)`` pair, or a ``Summary`` of such pairs and labels."""
+    if type(payload) is Summary:
+        return (
+            all(map(plain_pair, payload.con))
+            and all(type(label) is Label for label in payload.ord)
+            and atoms(payload.next) and atoms(payload.high)
+        )
+    return plain_pair(payload)
+
+
+def reference_line(
+    line: str, node: str, name: str, args: list[Any], held: dict[int, int]
+) -> str:
     """What ``EventLog.record`` is defined to write, given the stamp
     and sequence number the line carries (``repr`` of a float round
-    trips, so re-dumping the parsed stamp reproduces its bytes)."""
+    trips, so re-dumping the parsed stamp reproduces its bytes):
+    ``json.dumps`` of the entry, except that a shared VS payload the
+    file already holds is written as ``{"!":"at","v":<seq>}``, the
+    line that holds it.  ``held`` maps ``id(payload)`` to that line's
+    seq, over the lines of one file so far."""
     parsed = json.loads(line)
+    encoded = [encode_value(a) for a in args]
+    if name in ("gpsnd", "gprcv", "safe") and args:
+        payload = args[0]
+        if id(payload) in held:
+            encoded[0] = {"!": "at", "v": held[id(payload)]}
+        elif shared(payload):
+            held[id(payload)] = parsed["seq"]
     entry = {
         "ts": parsed["ts"],
         "seq": parsed["seq"],
         "node": node,
         "ev": name,
-        "args": [encode_value(a) for a in args],
+        "args": encoded,
     }
     return json.dumps(entry, separators=(",", ":"))
 
@@ -163,14 +205,17 @@ class TestEventLogLines:
             log = EventLog(path, node)
             # Twice with the same objects (memo hits on the second
             # line), once with equal copies (misses by identity).
+            copies = copy.deepcopy(args)
             log.record("gpsnd", *args)
             log.record("gprcv", *args)
-            log.record("safe", *copy.deepcopy(args))
+            log.record("safe", *copies)
             log.close()
             lines = path.read_text(encoding="utf-8").splitlines()
             assert len(lines) == 3
-            for seq, (name, line) in enumerate(zip(("gpsnd", "gprcv", "safe"), lines), 1):
-                assert line == reference_line(line, node, name, args)
+            held: dict[int, int] = {}
+            recorded = zip(("gpsnd", "gprcv", "safe"), (args, args, copies), lines)
+            for seq, (name, line_args, line) in enumerate(recorded, 1):
+                assert line == reference_line(line, node, name, line_args, held)
                 assert json.loads(line)["seq"] == seq
             events = load_event_logs([path])
             assert [e["ev"] for e in events] == ["gpsnd", "gprcv", "safe"]
@@ -365,16 +410,18 @@ class TestRenderOnce:
 
 class TestMemoSafety:
     def test_reused_id_after_eviction_renders_the_new_payload(self, tmp_path):
-        """The memo keys tuples by ``id`` and holds them alive; once it
-        is cleared the old tuples die and their addresses are reused by
-        new, different payloads — which must render as themselves."""
+        """The memo keys payloads by ``id`` and holds them alive; once it
+        is cleared the old payloads die and their addresses are reused
+        by new, different payloads — which must render as themselves,
+        not as a reference to the line of the dead one."""
         path = tmp_path / "p1.events.jsonl"
         log = EventLog(path, "p1")
         count = 5 * trace_module._MEMO_ENTRIES
         reused = 0
         seen_ids: set[int] = set()
+        label = Label((0, "p1"), 1, "p1")
         for i in range(count):
-            payload = ("payload", i)  # once recorded, only the memo holds it
+            payload = (label, i)  # once recorded, only the memo holds it
             reused += id(payload) in seen_ids
             seen_ids.add(id(payload))
             log.record("gpsnd", payload, "p1")
@@ -383,7 +430,25 @@ class TestMemoSafety:
         log.close()
         assert reused, "no address was reused: the test exercised nothing"
         events = load_event_logs([path])
-        assert [e["args"][0] for e in events] == [("payload", i) for i in range(count)]
+        assert [e["args"][0] for e in events] == [(label, i) for i in range(count)]
+
+    @pytest.mark.parametrize("refused", ["payload", "argument"])
+    def test_a_refused_record_leaves_nothing_to_refer_to(self, tmp_path, refused):
+        """A record that fails to render writes no line, so no later
+        line may name it: the payload is rendered again, in full."""
+        path = tmp_path / "p1.events.jsonl"
+        log = EventLog(path, "p1")
+        payload = (Label((object() if refused == "payload" else 0, "p1"), 1, "p1"), "m")
+        with pytest.raises(FrameError):
+            log.record("gprcv", payload, "p1", object() if refused == "argument" else "p1")
+        if refused == "payload":
+            with pytest.raises(FrameError):
+                log.record("safe", payload, "p1", "p1")
+        else:
+            log.record("safe", payload, "p1", "p1")
+        log.close()
+        events = load_event_logs([path])
+        assert [e["args"][0] for e in events] == ([payload] if refused == "argument" else [])
 
     def test_type_registered_after_a_refusal_encodes(self, tmp_path):
         @dataclasses.dataclass(frozen=True)

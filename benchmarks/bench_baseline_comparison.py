@@ -10,45 +10,9 @@ path).
 
 import pytest
 
-from repro.analysis.stats import format_table, summarize
+from repro.analysis.experiments import FIVE, logged_latency, plain_latency
+from repro.analysis.stats import format_table
 from repro.apps.baselines import StableStorageBroadcast
-from repro.apps.totalorder import TotalOrderBroadcast
-from repro.membership.ring import RingConfig
-from repro.obs.live.stitch import stitch_sim
-
-PROCS = (1, 2, 3, 4, 5)
-
-
-def ring_config():
-    return RingConfig(delta=1.0, pi=10.0, mu=30.0, work_conserving=True)
-
-
-def plain_latency(seed, sends=12):
-    tob = TotalOrderBroadcast(PROCS, config=ring_config(), seed=seed)
-    for i in range(sends):
-        tob.schedule_broadcast(10.0 + 15 * i, PROCS[i % 5], f"v{i}")
-    tob.run_until(600.0)
-    samples = stitch_sim(tob.vs).tracer.delivery_latencies(PROCS)
-    assert len(samples) == sends
-    return summarize(done - sent for sent, done in samples)
-
-
-def logged_latency(sigma, seed, sends=12):
-    ssb = StableStorageBroadcast(
-        PROCS, storage_latency=sigma, config=ring_config(), seed=seed
-    )
-    for i in range(sends):
-        ssb.schedule_broadcast(10.0 + 15 * i, PROCS[i % 5], f"v{i}")
-    ssb.run_until(800.0)
-    per_value: dict = {}
-    for delivery in ssb.logged_deliveries:
-        per_value.setdefault(delivery.value, []).append(delivery.time)
-    latencies = []
-    for i in range(sends):
-        times = per_value.get(f"v{i}")
-        assert times is not None and len(times) == len(PROCS)
-        latencies.append(max(times) - (10.0 + 15 * i))
-    return summarize(latencies)
 
 
 def test_e8_vstoto_beats_stable_storage_baseline():
@@ -82,15 +46,13 @@ def test_e8_vstoto_beats_stable_storage_baseline():
 def test_e8_baseline_still_correct():
     """The baseline trades latency, not safety: all replicas log the
     same sequence."""
-    ssb = StableStorageBroadcast(
-        PROCS, storage_latency=5.0, config=ring_config(), seed=9
-    )
+    ssb = StableStorageBroadcast(FIVE, storage_latency=5.0, seed=9)
     for i in range(8):
-        ssb.schedule_broadcast(10.0 + 11 * i, PROCS[i % 5], f"w{i}")
+        ssb.schedule_broadcast(10.0 + 11 * i, FIVE[i % 5], f"w{i}")
     ssb.run_until(600.0)
     reference = ssb.delivered(1)
     assert len(reference) == 8
-    for p in PROCS[1:]:
+    for p in FIVE[1:]:
         assert ssb.delivered(p) == reference
 
 

@@ -14,34 +14,12 @@ on the token discipline.
 
 import pytest
 
-from repro.analysis.stats import format_table, summarize
+from repro.analysis.experiments import safe_latency
+from repro.analysis.stats import format_table
 from repro.membership.bounds import VSBounds
-from repro.membership.ring import RingConfig
-from repro.membership.service import TokenRingVS
-from repro.obs.live.stitch import stitch_sim
 
 SLACK = 1.0
-
-
-def measure_safe_latency(
-    n, delta, pi, mu=1000.0, seed=0, sends=25, work_conserving=False
-):
-    """Max and mean send→all-safe latency in a stable n-member view."""
-    processors = tuple(range(1, n + 1))
-    vs = TokenRingVS(
-        processors,
-        RingConfig(delta=delta, pi=pi, mu=mu, work_conserving=work_conserving),
-        seed=seed,
-    )
-    spacing = (2 * pi + n * delta) / 3.0
-    for i in range(sends):
-        vs.schedule_send(5.0 + spacing * i, processors[i % n], f"m{i}")
-    vs.run_until(5.0 + spacing * sends + 20 * pi)
-    samples = stitch_sim(vs).tracer.safe_latencies(
-        vs.initial_view.id, processors
-    )
-    assert len(samples) == sends, f"only {len(samples)}/{sends} became safe"
-    return summarize(safe - sent for sent, safe in samples)
+SENDS = 25
 
 
 def test_e6_latency_vs_bounds():
@@ -56,7 +34,7 @@ def test_e6_latency_vs_bounds():
     ):
         bounds = VSBounds(delta, pi, mu=1000.0)
         bounds.validate(n)
-        summary = measure_safe_latency(n, delta, pi)
+        summary = safe_latency(n, delta, pi, sends=SENDS)
         d_paper = bounds.d(n)
         d_impl = bounds.d_impl(n, work_conserving=False)
         assert summary.max <= d_impl + SLACK, (
@@ -76,7 +54,7 @@ def test_e6_latency_vs_bounds():
 def test_e6_latency_linear_in_pi():
     """Shape: latency grows linearly with π (the dominant term)."""
     means = [
-        measure_safe_latency(4, 1.0, pi).mean for pi in (6.0, 12.0, 24.0)
+        safe_latency(4, 1.0, pi, sends=SENDS).mean for pi in (6.0, 12.0, 24.0)
     ]
     assert means[0] < means[1] < means[2]
     # doubling π roughly doubles the mean (within a generous band)
@@ -85,7 +63,7 @@ def test_e6_latency_linear_in_pi():
 
 def test_e6_latency_grows_with_n():
     means = [
-        measure_safe_latency(n, 1.0, 12.0).mean for n in (2, 5, 9)
+        safe_latency(n, 1.0, 12.0, sends=SENDS).mean for n in (2, 5, 9)
     ]
     assert means[0] < means[2]
 
@@ -93,8 +71,8 @@ def test_e6_latency_grows_with_n():
 def test_e6_work_conserving_ablation():
     rows = []
     for pi in (8.0, 16.0, 32.0):
-        periodic = measure_safe_latency(5, 1.0, pi, work_conserving=False)
-        eager = measure_safe_latency(5, 1.0, pi, work_conserving=True)
+        periodic = safe_latency(5, 1.0, pi, sends=SENDS)
+        eager = safe_latency(5, 1.0, pi, sends=SENDS, work_conserving=True)
         assert eager.mean < periodic.mean
         rows.append([pi, periodic.mean, eager.mean, periodic.mean / eager.mean])
     print("\nE6 ablation: periodic vs work-conserving token circulation")
@@ -108,7 +86,7 @@ def test_e6_work_conserving_ablation():
 @pytest.mark.benchmark(group="e6-delivery")
 def test_e6_bench_stable_view_traffic(benchmark):
     def run():
-        return measure_safe_latency(5, 1.0, 10.0, sends=15).max
+        return safe_latency(5, 1.0, 10.0, sends=15).max
 
     worst = benchmark(run)
     assert worst > 0

@@ -9,8 +9,8 @@ latencies are tabulated against the d bound.
 
 import pytest
 
-from benchmarks.conftest import build_stack
 from repro.analysis.stats import format_table, summarize
+from repro.apps.totalorder import TotalOrderBroadcast
 from repro.core.to_spec import TOPropertyChecker
 from repro.membership.bounds import VSBounds
 from repro.faults import FaultSchedule
@@ -20,16 +20,10 @@ DELTA, PI, MU = 1.0, 10.0, 30.0
 SLACK = 6.0
 
 
-def run_heal_scenario(n, seed, work_conserving=True, heal_at=300.0):
+def run_heal_scenario(n, seed, heal_at=300.0):
     processors = tuple(range(1, n + 1))
-    service, runtime = build_stack(
-        processors,
-        seed=seed,
-        delta=DELTA,
-        pi=PI,
-        mu=MU,
-        work_conserving=work_conserving,
-    )
+    tob = TotalOrderBroadcast(processors, seed=seed)
+    service, runtime = tob.vs, tob.runtime
     half = n // 2 or 1
     (
         FaultSchedule()
@@ -46,9 +40,9 @@ def run_heal_scenario(n, seed, work_conserving=True, heal_at=300.0):
     return processors, service, runtime
 
 
-def to_bounds(n, work_conserving=True):
+def to_bounds(n):
     bounds = VSBounds(DELTA, PI, MU)
-    d = bounds.d_impl(n, work_conserving) + SLACK
+    d = bounds.d_impl(n, work_conserving=True) + SLACK
     b = bounds.b(n) + d
     return b, d
 
@@ -75,9 +69,8 @@ def test_e7_to_property_for_partition_side():
     """Q = the majority side of an unhealed split also satisfies the
     property (quorum side keeps confirming)."""
     processors = tuple(range(1, 6))
-    service, runtime = build_stack(
-        processors, seed=4, delta=DELTA, pi=PI, mu=MU, work_conserving=True
-    )
+    tob = TotalOrderBroadcast(processors, seed=4)
+    service, runtime = tob.vs, tob.runtime
     FaultSchedule().add_layout(40.0, [[1, 2, 3], [4, 5]]).install(service)
     for i in range(10):
         runtime.schedule_broadcast(60.0 + 15 * i, (i % 3) + 1, f"q{i}")

@@ -22,14 +22,10 @@ from __future__ import annotations
 
 import json
 
-from repro.analysis.experiments import observability_table
+from repro.analysis.experiments import observability_table, split_heal_run
 from repro.analysis.stats import format_table, summarize
-from repro.core.quorums import MajorityQuorumSystem
-from repro.core.vstoto.runtime import VStoTORuntime
 from repro.faults.chaos import ChaosRunner
 from repro.faults.schedule import FaultSchedule
-from repro.membership.ring import RingConfig
-from repro.membership.service import TokenRingVS
 from repro.obs.live.stitch import stitch_sim
 from repro.obs.digest import rng_digest, trace_shape_digest
 from repro.obs.export import TS_SCALE, chrome_trace
@@ -99,24 +95,7 @@ def test_e19_spans_agree_with_measurement():
     EXPERIMENTS E36, when non-leader sends began to wake the token)."""
     pinned = {0: (2.65, 137.5), 1: (3.108, 138.9), 2: (2.519, 137.9)}
     for seed in (0, 1, 2):
-        service = TokenRingVS(
-            PROCS,
-            RingConfig(delta=1.0, pi=10.0, mu=30.0, work_conserving=True),
-            seed=seed,
-        )
-        runtime = VStoTORuntime(service, MajorityQuorumSystem(PROCS))
-        (
-            FaultSchedule()
-            .add_layout(40.0, [[1, 2, 3], [4, 5]])
-            .add_layout(300.0, [[1, 2, 3, 4, 5]])
-            .install(service)
-        )
-        for i in range(10):
-            runtime.schedule_broadcast(10.0 + 23.0 * i, PROCS[i % 5], i)
-        runtime.start()
-        runtime.run_until(800.0)
-
-        tracer = stitch_sim(service).tracer
+        tracer = stitch_sim(split_heal_run(seed)).tracer
         assert tracer.unmatched_events == 0
         span_l = tracer.timeline(PROCS, 300.0).alpha1_length
         span_mean = summarize(

@@ -10,8 +10,8 @@ merge must reconcile.
 
 import pytest
 
-from benchmarks.conftest import build_stack
 from repro.analysis.stats import format_table
+from repro.apps.totalorder import TotalOrderBroadcast
 from repro.core.quorums import ExplicitQuorumSystem, MajorityQuorumSystem
 from repro.core.vstoto.process import is_summary
 from repro.faults import FaultSchedule
@@ -20,9 +20,8 @@ PROCS = (1, 2, 3, 4, 5)
 
 
 def run_split_heal(seed, quorums=None, heal_at=300.0, sends=15):
-    service, runtime = build_stack(
-        PROCS, seed=seed, work_conserving=True, quorums=quorums
-    )
+    tob = TotalOrderBroadcast(PROCS, quorums=quorums, seed=seed)
+    service, runtime = tob.vs, tob.runtime
     (
         FaultSchedule()
         .add_layout(40.0, [[1, 2, 3], [4, 5]])
@@ -114,7 +113,8 @@ def test_e11_quorum_ablation():
 
 
 def test_e11_repeated_cycles_converge():
-    service, runtime = build_stack(PROCS, seed=6, work_conserving=True)
+    tob = TotalOrderBroadcast(PROCS, seed=6)
+    service, runtime = tob.vs, tob.runtime
     scenario = FaultSchedule()
     scenario.add_layout(40.0, [[1, 2, 3], [4, 5]])
     scenario.add_layout(200.0, [[1, 2, 3, 4, 5]])

@@ -10,21 +10,19 @@ Useful for sizing larger experiments on this substrate.
 import pytest
 
 from repro.analysis.stats import format_table
-from repro.core.quorums import MajorityQuorumSystem
-from repro.core.vstoto.runtime import VStoTORuntime
+from repro.apps.totalorder import TotalOrderBroadcast
 from repro.membership.ring import RingConfig
-from repro.membership.service import TokenRingVS
 
 
 def run_stack(n, seed=0, sends=20, horizon=500.0):
     processors = tuple(range(1, n + 1))
     pi = max(10.0, 1.5 * n)
-    service = TokenRingVS(
+    tob = TotalOrderBroadcast(
         processors,
-        RingConfig(delta=1.0, pi=pi, mu=50.0, work_conserving=True),
+        config=RingConfig(delta=1.0, pi=pi, mu=50.0, work_conserving=True),
         seed=seed,
     )
-    runtime = VStoTORuntime(service, MajorityQuorumSystem(processors))
+    service, runtime = tob.vs, tob.runtime
     for i in range(sends):
         runtime.schedule_broadcast(
             10.0 + (horizon - 60.0) / sends * i, processors[i % n], f"v{i}"

@@ -20,19 +20,12 @@ from repro.apps.seqmem import (
     check_sequential_consistency,
 )
 from repro.apps.totalorder import TotalOrderBroadcast
-from repro.membership.ring import RingConfig
 
 PROCS = (1, 2, 3, 4, 5)
 
 
-def ring_config():
-    return RingConfig(delta=1.0, pi=10.0, mu=30.0, work_conserving=True)
-
-
 def run_seqmem_workload(seed, ops=60, read_fraction=0.7):
-    mem = SequentiallyConsistentMemory(
-        TotalOrderBroadcast(PROCS, config=ring_config(), seed=seed)
-    )
+    mem = SequentiallyConsistentMemory(TotalOrderBroadcast(PROCS, seed=seed))
     rng = random.Random(seed)
     t = 10.0
     writes = 0
@@ -69,9 +62,7 @@ def test_e9_read_latency_crossover():
     mem, _writes = run_seqmem_workload(seed=1)
 
     # --- atomic reads pay the broadcast pipeline ---
-    atom = AtomicMemory(
-        TotalOrderBroadcast(PROCS, config=ring_config(), seed=1)
-    )
+    atom = AtomicMemory(TotalOrderBroadcast(PROCS, seed=1))
     rng = random.Random(1)
     t = 10.0
     for i in range(20):
@@ -95,9 +86,7 @@ def test_e9_read_latency_crossover():
 
 def test_e9_write_visibility_latency():
     """Write→globally-visible latency matches the TO pipeline."""
-    mem = SequentiallyConsistentMemory(
-        TotalOrderBroadcast(PROCS, config=ring_config(), seed=5)
-    )
+    mem = SequentiallyConsistentMemory(TotalOrderBroadcast(PROCS, seed=5))
     submit_times = {}
     for i in range(10):
         t = 10.0 + 20.0 * i

@@ -12,6 +12,7 @@ import math
 
 import pytest
 
+from repro.analysis.experiments import split_l_prime
 from repro.analysis.stats import format_table
 from repro.membership.bounds import VSBounds
 from repro.membership.ring import RingConfig
@@ -22,19 +23,10 @@ from repro.obs.live.stitch import stitch_sim
 SLACK = 5.0
 
 
-def measure_split(n, delta, pi, mu, seed, split_at=60.0):
-    """Partition an n+2 processor group; measure l' for the n-member
-    side."""
-    processors = tuple(range(1, n + 3))
-    group = processors[:n]
-    rest = processors[n:]
-    vs = TokenRingVS(
-        processors, RingConfig(delta=delta, pi=pi, mu=mu), seed=seed
-    )
-    FaultSchedule().add_layout(split_at, [list(group), list(rest)]).install(vs)
-    vs.run_until(split_at + 30 * max(pi, mu))
-    l_prime = stitch_sim(vs).tracer.timeline(group, split_at).alpha1_length
-    assert math.isfinite(l_prime), f"group {group} never stabilised"
+def measure_split(n, delta, pi, mu, seed):
+    """l' of the n-member side of an n+2 processor split."""
+    l_prime = split_l_prime(n, delta, pi, mu, seed)
+    assert math.isfinite(l_prime), f"n={n} seed={seed} never stabilised"
     return l_prime
 
 

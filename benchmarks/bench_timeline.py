@@ -10,38 +10,19 @@ import math
 
 import pytest
 
-from benchmarks.conftest import build_stack
+from repro.analysis.experiments import FIVE, split_heal_run
 from repro.analysis.stats import format_table
 from repro.core.vstoto.process import is_summary
 from repro.membership.bounds import VSBounds
-from repro.faults import FaultSchedule
 from repro.obs.live.stitch import stitch_sim
-
-PROCS = (1, 2, 3, 4, 5)
 DELTA, PI, MU = 1.0, 10.0, 30.0
 SLACK = 6.0
 
 
-def run_and_decompose(seed, heal_at=300.0, work_conserving=True):
-    service, runtime = build_stack(
-        PROCS,
-        seed=seed,
-        delta=DELTA,
-        pi=PI,
-        mu=MU,
-        work_conserving=work_conserving,
+def run_and_decompose(seed):
+    return stitch_sim(split_heal_run(seed)).tracer.timeline(
+        FIVE, 300.0, is_summary
     )
-    (
-        FaultSchedule()
-        .add_layout(40.0, [[1, 2, 3], [4, 5]])
-        .add_layout(heal_at, [[1, 2, 3, 4, 5]])
-        .install(service)
-    )
-    for i in range(10):
-        runtime.schedule_broadcast(10.0 + 23.0 * i, PROCS[i % 5], f"t{i}")
-    runtime.start()
-    runtime.run_until(heal_at + 500.0)
-    return stitch_sim(service).tracer.timeline(PROCS, heal_at, is_summary)
 
 
 def test_e12_decomposition_within_bounds():

@@ -2,8 +2,8 @@
 
 - :mod:`repro.analysis.stats` — summary statistics and plain-text table
   rendering (the benches print paper-style rows);
-- :mod:`repro.analysis.experiments` — the E-table sweeps behind
-  ``python -m repro.report``;
+- :mod:`repro.analysis.experiments` — the E5–E19 runs and table
+  sweeps behind ``python -m repro.report``, which the benches call too;
 - :mod:`repro.analysis.tracefmt` — human rendering of timed traces.
 
 The paper's timed quantities themselves (l′, safe and delivery latency,

@@ -10,12 +10,11 @@ Figure 12 style timeline diagrams.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Sequence
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.ioa.timed import TimedTrace
 
 if TYPE_CHECKING:
-    from repro.core.types import View
     from repro.ioa.actions import Action
 
 ProcId = Hashable
@@ -136,41 +135,3 @@ def summarize_trace(trace: TimedTrace) -> dict[str, int]:
         counts[event.action.name] = counts.get(event.action.name, 0) + 1
     return counts
 
-
-def format_view_history(
-    trace: TimedTrace,
-    processors: Sequence[ProcId],
-    initial_view: View | None = None,
-) -> str:
-    """Render each processor's sequence of views as intervals.
-
-    One line per processor: ``p: [0.0..47.2) ⟨(0,1),{...}⟩ | [47.2..) …``
-    — a textual Gantt of the membership history, built from ``newview``
-    events (plus the optional initial view)."""
-    history: dict[ProcId, list[tuple[float, Any]]] = {
-        p: [] for p in processors
-    }
-    if initial_view is not None:
-        for p in processors:
-            if p in initial_view.set:
-                history[p].append((0.0, initial_view))
-    for event in trace.events:
-        if event.action.name != "newview":
-            continue
-        view, p = event.action.args
-        if p in history:
-            history[p].append((event.time, view))
-    lines = []
-    for p in processors:
-        intervals = history[p]
-        parts = []
-        for index, (start, view) in enumerate(intervals):
-            end = (
-                f"{intervals[index + 1][0]:.4g}"
-                if index + 1 < len(intervals)
-                else "∞"
-            )
-            members = ",".join(str(m) for m in sorted(view.set, key=str))
-            parts.append(f"[{start:.4g}..{end}) id={view.id} {{{members}}}")
-        lines.append(f"{p}: " + (" | ".join(parts) if parts else "(no view)"))
-    return "\n".join(lines)

@@ -1,10 +1,10 @@
 """Deterministic parallel multi-seed execution.
 
-Seed sweeps (chaos soaks, stabilisation statistics, benchmark batteries)
-are embarrassingly parallel: every seeded run is an isolated simulation
-with its own RNG registry.  This package fans such runs out over worker
-processes while keeping the *merged* result exactly what the sequential
-loop produces — results come back in seed order, each wrapped in a
+Seed sweeps (the chaos soaks of :mod:`repro.faults`, the scenario
+sweeps of :mod:`repro.scenarios`) are embarrassingly parallel: every
+seeded run is an isolated simulation with its own RNG registry.  This
+package fans such runs out over worker processes while keeping the
+*merged* result exactly what the sequential loop produces — results come back in seed order, each wrapped in a
 :class:`RunEnvelope` whose canonical digest lets callers assert
 byte-identical equivalence between worker counts.
 
@@ -16,22 +16,18 @@ reference semantics.
 
 from repro.parallel.executor import (
     RunEnvelope,
-    available_workers,
     canonical_digest,
     make_envelope,
     merge_coverage_dicts,
     parallel_map,
     run_seed_sweep,
-    shard_seeds,
 )
 
 __all__ = [
     "RunEnvelope",
-    "available_workers",
     "canonical_digest",
     "make_envelope",
     "merge_coverage_dicts",
     "parallel_map",
     "run_seed_sweep",
-    "shard_seeds",
 ]

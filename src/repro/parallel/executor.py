@@ -12,8 +12,7 @@ Guarantees, in order of importance:
    be validated against the sequential one; :func:`canonical_digest`
    gives a dict-order-insensitive fingerprint for that comparison.
 3. **Graceful degradation** — on a single-core host the executor still
-   works (the pool just time-slices); callers that *assert* wall-clock
-   speedups should gate on :func:`available_workers`.
+   works (the pool just time-slices).
 """
 
 from __future__ import annotations
@@ -22,18 +21,12 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
-import os
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Sequence
 from typing import Any, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-def available_workers() -> int:
-    """CPU cores visible to this process (>= 1)."""
-    return os.cpu_count() or 1
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -43,18 +36,6 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     if "fork" in methods:
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
-
-
-def shard_seeds(seeds: Sequence[int], shards: int) -> list[list[int]]:
-    """Deterministic round-robin sharding: shard ``i`` gets
-    ``seeds[i::shards]``.  Round-robin (rather than contiguous blocks)
-    balances load when cost trends with seed index; the assignment is a
-    pure function of (seeds, shards) so a distributed caller can
-    reconstruct it anywhere."""
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    seeds = list(seeds)
-    return [seeds[i::shards] for i in range(min(shards, max(len(seeds), 1)))]
 
 
 def canonical_digest(value: Any) -> str:
@@ -151,7 +132,6 @@ def parallel_map(
     items: Iterable[T],
     *,
     workers: int = 1,
-    chunksize: int = 1,
 ) -> list[R]:
     """Map ``fn`` over ``items``, optionally across worker processes.
 
@@ -162,14 +142,12 @@ def parallel_map(
     ``functools.partial`` of one) when ``workers > 1``.
     """
     items = list(items)
-    if workers is None:
-        workers = 1
     workers = min(workers, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
     ctx = _pool_context()
     with ctx.Pool(processes=workers) as pool:
-        return pool.map(fn, items, chunksize=chunksize)
+        return pool.map(fn, items, chunksize=1)
 
 
 def run_seed_sweep(

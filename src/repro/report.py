@@ -5,9 +5,10 @@ Usage::
     python -m repro.report            # print to stdout
     python -m repro.report -o out.md  # write a markdown report
 
-Runs compact versions of the E5/E6/E7/E8/E12/E18/E19 sweeps (the full
-versions, with assertions and the remaining experiments, live under
-``benchmarks/``; run ``pytest benchmarks/ -s``).
+Runs compact versions of the E5/E6/E7/E8/E12/E18/E19 sweeps from
+:mod:`repro.analysis.experiments`.  The benches under ``benchmarks/``
+call the same runs over wider sweeps, with assertions, and hold the
+remaining experiments; run ``pytest benchmarks/ -s``.
 """
 
 from __future__ import annotations

@@ -5,6 +5,8 @@ import io
 import math
 import pathlib
 
+import pytest
+
 from repro.analysis import experiments
 from repro.analysis.experiments import (
     baseline_table,
@@ -13,6 +15,7 @@ from repro.analysis.experiments import (
     stabilization_table,
     timeline_table,
 )
+from repro.apps.baselines import StableStorageBroadcast
 from repro.faults import FaultSchedule
 from repro.report import main as report_main
 from repro.report import write_report
@@ -35,12 +38,13 @@ class TestSweeps:
         n, delta, pi, mu = 3, 1.0, 10.0, 30.0
         monkeypatch.setattr(FaultSchedule, "install", lambda *_: None)
         # Never split: the 3-member side never gets a view of its own.
-        assert math.isinf(experiments._stabilization_cell((n, delta, pi, mu, 0)))
+        assert math.isinf(experiments.split_l_prime(n, delta, pi, mu, 0))
         monkeypatch.undo()
+        measure = experiments.split_l_prime
         monkeypatch.setattr(
-            experiments, "parallel_map", lambda fn, cells, workers: [
-                math.inf if cell[-1] == 1 else fn(cell) for cell in cells
-            ],
+            experiments, "split_l_prime", lambda *cell: (
+                math.inf if cell[-1] == 1 else measure(*cell)
+            ),
         )
         _headers, rows = stabilization_table(seeds=(0, 1))
         assert all(math.isinf(row[5]) for row in rows)
@@ -68,6 +72,19 @@ class TestSweeps:
         gaps = [row[3] for row in rows]
         assert gaps[0] < gaps[1]
         assert all(gap > 0 for gap in gaps)
+
+    def test_baseline_table_refuses_an_incomplete_run(self, monkeypatch):
+        """A value whose log write is missing at one replica would read
+        as a lower max over the other four; the E8 row is refused."""
+        run_until = StableStorageBroadcast.run_until
+
+        def drop_last_write(ssb, time):
+            run_until(ssb, time)
+            ssb.logged_deliveries.pop()
+
+        monkeypatch.setattr(StableStorageBroadcast, "run_until", drop_last_write)
+        with pytest.raises(experiments.IncompleteRun, match="logged 4 times, not 5"):
+            baseline_table(sigmas=(2.0,))
 
     def test_timeline_table(self):
         headers, rows = timeline_table(seeds=(0,))

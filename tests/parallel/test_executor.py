@@ -6,12 +6,10 @@ import pytest
 
 from repro.parallel import (
     RunEnvelope,
-    available_workers,
     canonical_digest,
     make_envelope,
     parallel_map,
     run_seed_sweep,
-    shard_seeds,
 )
 
 
@@ -32,31 +30,6 @@ def _miswired_worker(seed):
 class _Result:
     name: str
     counts: dict
-
-
-# ----------------------------------------------------------------------
-def test_available_workers_positive():
-    assert available_workers() >= 1
-
-
-def test_shard_seeds_round_robin():
-    assert shard_seeds(range(10), 3) == [[0, 3, 6, 9], [1, 4, 7], [2, 5, 8]]
-
-
-def test_shard_seeds_covers_every_seed_exactly_once():
-    for shards in (1, 2, 3, 7, 20):
-        sharded = shard_seeds(range(17), shards)
-        flat = sorted(s for shard in sharded for s in shard)
-        assert flat == list(range(17))
-
-
-def test_shard_seeds_is_deterministic():
-    assert shard_seeds(range(8), 3) == shard_seeds(range(8), 3)
-
-
-def test_shard_seeds_rejects_zero_shards():
-    with pytest.raises(ValueError):
-        shard_seeds(range(4), 0)
 
 
 # ----------------------------------------------------------------------

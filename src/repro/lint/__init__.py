@@ -1,27 +1,28 @@
-"""repro-lint: determinism & IOA-discipline static analysis.
+"""repro-lint: determinism, typing & async-concurrency static analysis.
 
-The verification story of this reproduction rests on two properties that
-ordinary linters cannot see:
+The verification story of this reproduction rests on properties that
+its tests cannot see directly:
 
 1. **Determinism** — every execution is replayed from seeds, compared
    against golden digests, and merged byte-identically across worker
    processes.  One unseeded RNG draw, wall-clock read, or unordered
    ``set`` iteration leaking into a trace or message silently
-   invalidates all of that.
-2. **IOA discipline** — the TO/VS/VStoTO machines transcribe the
-   paper's precondition/effect figures (Figs. 3, 6, 8-10).  The model
-   requires preconditions to be pure predicates and effects to be
-   deterministic state transformations; a mutating precondition or an
-   I/O-performing effect is a transcription bug even when every test
-   still passes.
+   invalidates all of that (DET001-DET005).
+2. **Typing** — TYP001 mirrors the CI ``mypy`` strict gate so it is
+   checkable where mypy is not installed.
+3. **Async concurrency** — the live runtime's check-then-act, dropped
+   task, blocking-call, swallowed-cancel and leaked-resource hazards
+   (ASYNC001-ASYNC005, built on :mod:`repro.lint.flow`).
+
+The paper's precondition/effect transcriptions (Figs. 3, 6, 8-10) are
+checked by behaviour (unit tests, the exhaustive BFS, the Lemma 6.x
+suite), not by shape: DESIGN.md's rule ledger names the test that
+catches each of those defect classes.
 
 This package is a self-contained AST analyzer (stdlib :mod:`ast` +
-:mod:`tokenize`, no third-party dependencies) enforcing both, plus
-snapshot safety for derived caches and the typing discipline that the
-CI ``mypy`` gate assumes.  Run it as::
+:mod:`tokenize`, no third-party dependencies).  Run it as::
 
     python -m repro.lint src
-    python -m repro.lint src --format json
     python -m repro.lint --list-rules
 
 Findings are suppressed line-by-line with ``# repro-lint:

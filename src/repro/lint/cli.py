@@ -8,21 +8,16 @@ from __future__ import annotations
 import argparse
 from collections.abc import Sequence
 
-from repro.lint.engine import analyze_paths, rule_by_id
-from repro.lint.report import (
-    render_explain,
-    render_json,
-    render_rule_list,
-    render_text,
-)
+from repro.lint.engine import analyze_paths
+from repro.lint.report import render_rule_list, render_text
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description=(
-            "Determinism & IOA-discipline static analyzer for the "
-            "partitionable-GCS reproduction."
+            "Determinism, typing & async-concurrency static analyzer "
+            "for the partitionable-GCS reproduction."
         ),
     )
     parser.add_argument(
@@ -30,12 +25,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=["src"],
         help="files or directories to analyze (default: src)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: text)",
     )
     parser.add_argument(
         "--select",
@@ -50,17 +39,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--show-suppressed",
         action="store_true",
-        help="also list suppressed findings (text format)",
+        help="also list suppressed findings",
     )
     parser.add_argument(
         "--list-rules",
         action="store_true",
         help="list every rule id and summary, then exit",
-    )
-    parser.add_argument(
-        "--explain",
-        metavar="RULE",
-        help="print one rule's doc, rationale and bad/good example, then exit",
     )
     return parser
 
@@ -77,14 +61,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if options.list_rules:
         print(render_rule_list())
         return 0
-    if options.explain:
-        try:
-            rule = rule_by_id(options.explain)
-        except KeyError as exc:
-            parser.error(str(exc))  # exits 2
-            raise AssertionError("unreachable") from exc  # pragma: no cover
-        print(render_explain(rule))
-        return 0
     try:
         result = analyze_paths(
             options.paths,
@@ -94,8 +70,5 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (FileNotFoundError, KeyError) as exc:
         parser.error(str(exc))  # exits 2
         raise AssertionError("unreachable") from exc  # pragma: no cover
-    if options.format == "json":
-        print(render_json(result))
-    else:
-        print(render_text(result, show_suppressed=options.show_suppressed))
+    print(render_text(result, show_suppressed=options.show_suppressed))
     return 0 if result.ok else 1

@@ -9,7 +9,7 @@ findings the rules yield.
 Suppression comments::
 
     self.t0 = time.perf_counter()  # repro-lint: ignore[DET002] -- operator wall-clock
-    foo()  # repro-lint: ignore[DET001,IOA002]
+    foo()  # repro-lint: ignore[DET001,DET002]
     bar()  # repro-lint: ignore[*]
 
 A suppression silences only the named rules (or all, for ``*``) on its
@@ -64,7 +64,6 @@ class FileContext:
 
     path: str
     module: str
-    text: str
     tree: ast.Module
     #: line number -> set of suppressed rule ids ("*" = all rules).
     suppressions: dict[int, frozenset[str]]
@@ -85,7 +84,6 @@ class FileContext:
         return cls(
             path=display_path or str(path),
             module=module,
-            text=text,
             tree=tree,
             suppressions=suppressions,
             suppression_notes=notes,
@@ -113,9 +111,6 @@ class FileContext:
         if rules is None:
             return False
         return "*" in rules or rule_id in rules
-
-    def source_segment(self, node: ast.AST) -> str:
-        return ast.get_source_segment(self.text, node) or ""
 
     def parent_of(self, node: ast.AST) -> ast.AST | None:
         """The syntactic parent of ``node`` (built on first use)."""
@@ -189,17 +184,11 @@ def _import_map(tree: ast.Module) -> dict[str, str]:
 class Rule(ABC):
     """One analysis rule.  Subclasses set ``id`` and ``summary`` and
     yield findings from :meth:`check`; the engine applies suppressions.
-
-    The optional ``rationale`` / ``example_bad`` / ``example_good``
-    class attributes feed ``--explain`` (the class docstring is the
-    rule's long-form description).
+    The class docstring is the rule's long-form description.
     """
 
     id: str = ""
     summary: str = ""
-    rationale: str = ""
-    example_bad: str = ""
-    example_good: str = ""
 
     @abstractmethod
     def check(self, ctx: FileContext) -> Iterator[Finding]:

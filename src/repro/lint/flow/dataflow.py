@@ -30,9 +30,7 @@ from repro.lint.flow.cfg import Cfg, CfgNode, _walk_same_scope
 
 F = TypeVar("F")
 
-#: Method names that mutate their receiver in place (mirrors
-#: repro.lint.rules.common.MUTATOR_METHODS; duplicated here so the flow
-#: layer has no dependency on the rules package).
+#: Method names that mutate their receiver in place (list/set/dict/deque).
 _MUTATORS = frozenset(
     {
         "append", "appendleft", "add", "clear", "discard", "extend",

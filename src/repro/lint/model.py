@@ -28,18 +28,6 @@ class Finding:
         """Render in the conventional ``path:line:col: RULE message`` shape."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
-    def to_json(self) -> dict[str, object]:
-        """A JSON-serialisable dict (stable key order)."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "message": self.message,
-            "suppressed": self.suppressed,
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True, order=True)
 class StaleSuppression:
@@ -62,6 +50,3 @@ class StaleSuppression:
             f"{self.path}:{self.line}: warning: stale suppression "
             f"ignore[{named}] — no such finding on this line; remove it"
         )
-
-    def to_json(self) -> dict[str, object]:
-        return {"path": self.path, "line": self.line, "rules": list(self.rules)}

@@ -1,16 +1,13 @@
 """Reporters: render a :class:`~repro.lint.engine.LintResult`.
 
-Both reporters order findings identically (path, line, col, rule) so
-output is byte-stable across runs — the same discipline the analyzer
-enforces on the code it scans.
+Findings are listed in (path, line, col, rule) order so output is
+byte-stable across runs — the same discipline the analyzer enforces on
+the code it scans.
 """
 
 from __future__ import annotations
 
-import inspect
-import json
-
-from repro.lint.engine import LintResult, Rule, all_rules
+from repro.lint.engine import LintResult, all_rules
 
 
 def render_text(result: LintResult, show_suppressed: bool = False) -> str:
@@ -33,40 +30,6 @@ def render_text(result: LintResult, show_suppressed: bool = False) -> str:
     return "\n".join(lines)
 
 
-def render_json(result: LintResult) -> str:
-    """Machine-readable report (schema version 2: adds per-finding
-    ``note`` and the top-level ``stale`` warning list)."""
-    payload = {
-        "version": 2,
-        "files_scanned": result.files_scanned,
-        "counts": result.counts,
-        "findings": [finding.to_json() for finding in result.findings],
-        "suppressed": [finding.to_json() for finding in result.suppressed],
-        "stale": [stale.to_json() for stale in result.stale],
-    }
-    return json.dumps(payload, indent=2, sort_keys=False)
-
-
 def render_rule_list() -> str:
     """``--list-rules`` output: one ``ID  summary`` line per rule."""
     return "\n".join(f"{rule.id}  {rule.summary}" for rule in all_rules())
-
-
-def render_explain(rule: Rule) -> str:
-    """``--explain RULE`` output: the rule's doc, rationale, and a
-    minimal bad/good example pair."""
-    lines = [f"{rule.id} — {rule.summary}", ""]
-    doc = inspect.getdoc(rule)
-    if doc:
-        lines.extend([doc, ""])
-    if rule.rationale:
-        lines.extend(["Why it matters:", f"  {rule.rationale}", ""])
-    if rule.example_bad:
-        lines.append("Flagged:")
-        lines.extend(f"    {ln}" for ln in rule.example_bad.splitlines())
-        lines.append("")
-    if rule.example_good:
-        lines.append("Clean:")
-        lines.extend(f"    {ln}" for ln in rule.example_good.splitlines())
-        lines.append("")
-    return "\n".join(lines).rstrip()

@@ -4,9 +4,6 @@ Rule families:
 
 - ``DET00x`` — determinism hazards (unseeded RNG, wall-clock reads,
   unordered iteration, identity-based ordering, environment reads);
-- ``IOA00x`` — I/O-automaton discipline for the paper's
-  precondition/effect transcriptions (Figs. 3, 6, 8-10);
-- ``SNAP001`` — snapshot/pickle safety for derived-cache attributes;
 - ``TYP001`` — typing discipline backing the CI ``mypy`` strict gate;
 - ``ASYNC00x`` — flow-sensitive async-concurrency hazards over the live
   runtime (check-then-act across an await, dropped task handles,
@@ -30,12 +27,6 @@ from repro.lint.rules.determinism import (
     UnsortedSetIterationRule,
     WallClockRule,
 )
-from repro.lint.rules.ioa import (
-    EffectPurityRule,
-    PreconditionPurityRule,
-    SignatureCoverageRule,
-)
-from repro.lint.rules.snapshot import DerivedCacheSnapshotRule
 from repro.lint.rules.typing_discipline import UntypedDefRule
 
 ALL_RULE_CLASSES = (
@@ -44,10 +35,6 @@ ALL_RULE_CLASSES = (
     UnsortedSetIterationRule,
     IdentityOrderingRule,
     EnvironReadRule,
-    PreconditionPurityRule,
-    EffectPurityRule,
-    SignatureCoverageRule,
-    DerivedCacheSnapshotRule,
     UntypedDefRule,
     CheckThenActAcrossAwaitRule,
     DroppedTaskHandleRule,
@@ -68,9 +55,5 @@ __all__ = [
     "UnsortedSetIterationRule",
     "IdentityOrderingRule",
     "EnvironReadRule",
-    "PreconditionPurityRule",
-    "EffectPurityRule",
-    "SignatureCoverageRule",
-    "DerivedCacheSnapshotRule",
     "UntypedDefRule",
 ]

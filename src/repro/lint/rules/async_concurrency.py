@@ -174,29 +174,6 @@ class CheckThenActAcrossAwaitRule(Rule):
 
     id = "ASYNC001"
     summary = "check-then-act on self state split across an await without a lock"
-    rationale = (
-        "The paper's precondition/effect pairs are atomic; asyncio only "
-        "guarantees atomicity between suspension points.  A check made "
-        "before an await and an act made after it span a window where "
-        "any other coroutine may have changed the checked state."
-    )
-    example_bad = (
-        "async def request(self, msg):\n"
-        "    if self._inflight is None:   # check\n"
-        "        self._inflight = msg\n"
-        "    reply = await self._replies.get()\n"
-        "    self._inflight = None        # act: ASYNC001\n"
-        "    return reply"
-    )
-    example_good = (
-        "async def request(self, msg):\n"
-        "    async with self._lock:       # lock held across check+act\n"
-        "        if self._inflight is None:\n"
-        "            self._inflight = msg\n"
-        "        reply = await self._replies.get()\n"
-        "        self._inflight = None\n"
-        "        return reply"
-    )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for func, cls in _async_functions(ctx):
@@ -269,23 +246,6 @@ class DroppedTaskHandleRule(Rule):
 
     id = "ASYNC002"
     summary = "dropped create_task handle or never-awaited coroutine call"
-    rationale = (
-        "asyncio only keeps weak references to tasks; an unreferenced "
-        "task can be garbage-collected mid-flight, and its exceptions "
-        "are reported nowhere.  A coroutine called without await never "
-        "executes at all."
-    )
-    example_bad = (
-        "async def start(self):\n"
-        "    asyncio.create_task(self._poll())   # ASYNC002: handle dropped\n"
-        "    self._flush()                       # ASYNC002 if _flush is async"
-    )
-    example_good = (
-        "async def start(self):\n"
-        "    self._poll_task = asyncio.create_task(self._poll())\n"
-        "    self._poll_task.add_done_callback(self._on_poll_done)\n"
-        "    await self._flush()"
-    )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         module_async, class_async = _module_async_defs(ctx.tree)
@@ -388,21 +348,6 @@ class BlockingCallInAsyncRule(Rule):
 
     id = "ASYNC003"
     summary = "blocking call (time.sleep / sync subprocess / file-socket I/O) in async def"
-    rationale = (
-        "One blocked coroutine blocks the whole event loop: timers, "
-        "watchdogs and every peer connection stop.  Latency SLOs "
-        "measured in E24 assume the loop never stalls."
-    )
-    example_bad = (
-        "async def poll(self):\n"
-        "    time.sleep(0.1)          # ASYNC003: stalls the whole loop\n"
-        "    proc.wait(timeout=5.0)   # ASYNC003: blocking wait"
-    )
-    example_good = (
-        "async def poll(self):\n"
-        "    await asyncio.sleep(0.1)\n"
-        "    await asyncio.get_running_loop().run_in_executor(None, proc.wait)"
-    )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for func, _cls in _async_functions(ctx):
@@ -519,30 +464,6 @@ class SwallowedCancellationRule(Rule):
 
     id = "ASYNC004"
     summary = "bare/BaseException/CancelledError except in async code without re-raise"
-    rationale = (
-        "Cancellation is the only way the runtime shuts tasks down "
-        "(node close, driver teardown, metrics-stream stop).  A "
-        "handler that swallows CancelledError turns cancel-and-await "
-        "into a silent no-op and leaves tasks running into teardown."
-    )
-    example_bad = (
-        "async def _read_loop(self):\n"
-        "    try:\n"
-        "        while True:\n"
-        "            data = await self._reader.read(65536)\n"
-        "    except (OSError, asyncio.CancelledError):\n"
-        "        pass    # ASYNC004: cancel() can no longer stop this loop"
-    )
-    example_good = (
-        "async def _read_loop(self):\n"
-        "    try:\n"
-        "        while True:\n"
-        "            data = await self._reader.read(65536)\n"
-        "    except asyncio.CancelledError:\n"
-        "        raise   # cancellation propagates after cleanup\n"
-        "    except OSError:\n"
-        "        pass"
-    )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for func, _cls in _async_functions(ctx):
@@ -666,25 +587,6 @@ class UnreleasedResourceRule(Rule):
 
     id = "ASYNC005"
     summary = "acquire()/open() without release/close on every CFG path"
-    rationale = (
-        "Branches, early returns and cancellable awaits create exit "
-        "paths the happy-path release does not cover; the CFG makes "
-        "those paths checkable.  async with / with are the closed-form "
-        "fix."
-    )
-    example_bad = (
-        "async def critical(self):\n"
-        "    await self._lock.acquire()    # ASYNC005\n"
-        "    if await self._work():        # cancelled here -> lock leaks\n"
-        "        return                    # early return -> lock leaks\n"
-        "    self._lock.release()"
-    )
-    example_good = (
-        "async def critical(self):\n"
-        "    async with self._lock:\n"
-        "        if await self._work():\n"
-        "            return"
-    )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for func, _cls in _async_functions(ctx):

@@ -26,57 +26,12 @@ WALL_CLOCK_CALLS = frozenset(
     }
 )
 
-#: Method names that mutate their receiver in place (list/set/dict/deque).
-MUTATOR_METHODS = frozenset(
-    {
-        "append",
-        "appendleft",
-        "add",
-        "clear",
-        "discard",
-        "extend",
-        "extendleft",
-        "insert",
-        "pop",
-        "popitem",
-        "popleft",
-        "remove",
-        "reverse",
-        "setdefault",
-        "sort",
-        "update",
-    }
-)
-
 
 def module_matches(module: str, prefixes: tuple[str, ...]) -> bool:
     """True when ``module`` is any of ``prefixes`` or nested under one."""
     return any(
         module == prefix or module.startswith(prefix + ".") for prefix in prefixes
     )
-
-
-def chain_root(node: ast.AST) -> ast.AST:
-    """Descend an Attribute/Subscript/Call chain to its root expression.
-
-    ``self.buffer[0].append`` -> the ``Name('self')`` node;
-    ``self.get_pending(p, g).append`` likewise (through the call).
-    """
-    while True:
-        if isinstance(node, ast.Attribute):
-            node = node.value
-        elif isinstance(node, ast.Subscript):
-            node = node.value
-        elif isinstance(node, ast.Call):
-            node = node.func
-        else:
-            return node
-
-
-def rooted_at(node: ast.AST, names: frozenset[str]) -> bool:
-    """True when the access chain ``node`` is rooted at one of ``names``."""
-    root = chain_root(node)
-    return isinstance(root, ast.Name) and root.id in names
 
 
 def walk_functions(

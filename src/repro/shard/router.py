@@ -93,16 +93,6 @@ class ShardRouter:
         self._backends[group] = backend
         self._channels.setdefault(group, _GroupChannel())
 
-    def remove_backend(self, group: str) -> ShardBackend:
-        """Detach a retired group's backend (its channel must be idle)."""
-        if not self.idle(group):
-            raise ValueError(
-                f"group {group!r} still has in-flight or queued requests"
-            )
-        backend = self._backends.pop(group)
-        self._channels.pop(group, None)
-        return backend
-
     @property
     def groups(self) -> tuple[str, ...]:
         return tuple(sorted(self._backends))

@@ -8,9 +8,6 @@ platforms and hash-randomisation seeds, and the whole ring is a pure
 function of ``(groups, seed, vnodes)``: two rings built from the same
 parameters agree point for point no matter the construction order.
 
-Adding or removing one group moves only the keys on the arcs that
-group's points cover (expected fraction ``1/n``).
-
 Serialization is stable: :meth:`HashRing.to_dict` emits sorted groups
 plus the placement parameters, and :meth:`HashRing.from_dict` rebuilds
 an identical ring, so routing tables can ride config files, wire
@@ -134,52 +131,6 @@ class HashRing:
         for key in keys:
             counts[self.owner_of(key)] += 1
         return counts
-
-    def moved_keys(
-        self, other: HashRing, keys: Iterable[str]
-    ) -> dict[str, tuple[str, str]]:
-        """Keys whose owner differs between ``self`` and ``other``,
-        mapped to ``(owner_here, owner_there)`` — the remap set a
-        spawn/retire induces over a key universe."""
-        moves: dict[str, tuple[str, str]] = {}
-        for key in keys:
-            mine, theirs = self.owner_of(key), other.owner_of(key)
-            if mine != theirs:
-                moves[key] = (mine, theirs)
-        return moves
-
-    # ------------------------------------------------------------------
-    def with_group(self, group: str) -> HashRing:
-        """A new ring with ``group`` added (same seed and vnodes)."""
-        if group in self._groups:
-            raise ValueError(f"group {group!r} already on the ring")
-        return HashRing((*self._groups, group), self.seed, self.vnodes)
-
-    def without_group(self, group: str) -> HashRing:
-        """A new ring with ``group`` removed."""
-        if group not in self._groups:
-            raise KeyError(f"group {group!r} not on the ring")
-        if len(self._groups) == 1:
-            raise ValueError("cannot remove the last group from a ring")
-        rest = tuple(g for g in self._groups if g != group)
-        return HashRing(rest, self.seed, self.vnodes)
-
-    # ------------------------------------------------------------------
-    def arcs_for(self, group: str) -> list[tuple[int, int]]:
-        """The half-open arcs ``(after, upto]`` of the circle that
-        ``group`` owns, as point pairs; an arc with ``after > upto``
-        wraps past the top.  Descriptive companion to per-key routing —
-        handoff plans quote these ranges."""
-        if group not in self._groups:
-            raise KeyError(f"group {group!r} not on the ring")
-        arcs: list[tuple[int, int]] = []
-        n = len(self._points)
-        for i, owner in enumerate(self._owners):
-            if owner != group:
-                continue
-            prev = self._points[(i - 1) % n]
-            arcs.append((prev, self._points[i]))
-        return arcs
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:

@@ -13,6 +13,7 @@ from repro.core.vstoto.process import (
 from repro.core.vstoto.summary import Summary
 from repro.ioa.actions import act
 from repro.ioa.automaton import TransitionError
+from repro.ioa.explore import restore_snapshot
 
 PROCS = ("p", "q", "r")
 V0 = View(0, set(PROCS))
@@ -242,6 +243,33 @@ class TestRecovery:
         view = View(1, {"p", "q"})
         exchange(proc, view, {"q": other})
         assert proc.nextconfirm == 2
+
+
+class TestSnapshotRestore:
+    @staticmethod
+    def confirmed(label, value):
+        """A process at p whose one ordered label is confirmed but not
+        yet delivered."""
+        proc = process()
+        proc.order = [label]
+        proc.content = {(label, value)}
+        proc.nextconfirm = 2
+        return proc
+
+    def test_restore_rebuilds_indexes_of_equal_length_state(self):
+        """The derived indexes key on the identity of ``order`` and
+        ``content``, not only their length: a restored snapshot of the
+        same lengths must not be read through the old indexes."""
+        a = self.confirmed(Label(0, 1, "p"), "a")
+        b = self.confirmed(Label(0, 1, "q"), "b")
+        assert list(a.enabled_actions()) == [act("brcv", "a", "p", "p")]
+        snap = b.snapshot()
+        restore_snapshot(a, snap)
+        fresh = process()
+        restore_snapshot(fresh, snap)
+        restored = list(a.enabled_actions())
+        assert restored == list(fresh.enabled_actions())
+        assert restored == [act("brcv", "b", "q", "p")]
 
 
 class TestTimedWrapper:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
@@ -59,14 +58,6 @@ def test_ignore_excludes_rules(capsys):
     assert code == 0
 
 
-def test_json_format(capsys):
-    code, out = run_main(capsys, "--format", "json", DET1)
-    assert code == 1
-    payload = json.loads(out)
-    assert payload["version"] == 2
-    assert payload["counts"]["DET001"] > 0
-
-
 def test_show_suppressed(capsys):
     _, plain = run_main(capsys, DET1)
     _, verbose = run_main(capsys, "--show-suppressed", DET1)
@@ -77,7 +68,9 @@ def test_show_suppressed(capsys):
 def test_list_rules(capsys):
     code, out = run_main(capsys, "--list-rules")
     assert code == 0
-    assert "DET001" in out and "SNAP001" in out
+    ids = [line.split()[0] for line in out.splitlines()]
+    assert len(ids) == 11
+    assert "DET001" in ids and "TYP001" in ids and "ASYNC005" in ids
 
 
 def test_python_dash_m_entry_point():
@@ -99,29 +92,6 @@ def test_list_rules_includes_async_family(capsys):
     assert code == 0
     for rule_id in ("ASYNC001", "ASYNC002", "ASYNC003", "ASYNC004", "ASYNC005"):
         assert rule_id in out
-
-
-def test_explain_prints_doc_rationale_and_examples(capsys):
-    code, out = run_main(capsys, "--explain", "ASYNC001")
-    assert code == 0
-    assert out.startswith("ASYNC001 — ")
-    assert "Why it matters:" in out
-    assert "Flagged:" in out and "Clean:" in out
-    assert "async with" in out  # the good example shows the fix
-
-
-def test_explain_works_for_every_registered_rule(capsys):
-    _, listing = run_main(capsys, "--list-rules")
-    for rule_id in [line.split()[0] for line in listing.splitlines()]:
-        code, out = run_main(capsys, "--explain", rule_id)
-        assert code == 0
-        assert out.startswith(f"{rule_id} — ")
-
-
-def test_explain_unknown_rule_exits_two(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["--explain", "NOPE999"])
-    assert excinfo.value.code == 2
 
 
 def test_stale_suppression_surfaces_as_warning(capsys, tmp_path):

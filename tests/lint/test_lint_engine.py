@@ -33,19 +33,14 @@ def test_module_pragma_overrides_layout(tmp_path):
 
 
 def test_scoped_rule_skips_out_of_scope_modules(tmp_path):
-    source = (
-        "class Machine:\n"
-        "    def is_enabled(self, action: object) -> bool:\n"
-        "        self.count = 1\n"
-        "        return True\n"
-    )
+    source = "def untyped(a, b):\n    return a + b\n"
     outside = tmp_path / "outside.py"
     outside.write_text(source)
     inside = tmp_path / "inside.py"
     inside.write_text("# repro-lint: module=repro.core.machine\n" + source)
-    rule = rule_by_id("IOA001")
+    rule = rule_by_id("TYP001")
     assert analyze_file(outside, rules=[rule]) == []
-    assert [f.rule for f in analyze_file(inside, rules=[rule])] == ["IOA001"]
+    assert [f.rule for f in analyze_file(inside, rules=[rule])] == ["TYP001"]
 
 
 def test_import_alias_resolution(tmp_path):
@@ -90,6 +85,6 @@ def test_counts_and_ok_flags():
         [f for f in result.findings if f.rule == "DET002"]
     )
     clean = analyze_paths(
-        [FIXTURES / "det002_wall_clock.py"], select=["SNAP001"]
+        [FIXTURES / "det002_wall_clock.py"], select=["TYP001"]
     )
     assert clean.ok and clean.counts == {}

@@ -1,12 +1,11 @@
-"""Text and JSON reporters over a fixed fixture subset."""
+"""Text and rule-list reporters over a fixed fixture subset."""
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.lint import analyze_paths
-from repro.lint.report import render_json, render_rule_list, render_text
+from repro.lint.report import render_rule_list, render_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -43,37 +42,17 @@ def test_text_report_show_suppressed():
     assert len(suppressed_lines) == len(result.suppressed)
 
 
-def test_json_report_schema_and_roundtrip():
-    result = fixture_result()
-    payload = json.loads(render_json(result))
-    assert payload["version"] == 2
-    assert payload["files_scanned"] == 1
-    assert "stale" in payload  # v2: stale-suppression warning list
-    assert all("note" in e for e in payload["suppressed"])  # v2: notes
-    assert payload["counts"] == {"DET001": len(result.findings)}
-    assert len(payload["findings"]) == len(result.findings)
-    for entry, finding in zip(payload["findings"], result.findings):
-        assert entry["rule"] == "DET001"
-        assert entry["line"] == finding.line
-        assert entry["col"] == finding.col
-        assert entry["path"] == finding.path
-        assert entry["message"] == finding.message
-    assert {e["rule"] for e in payload["suppressed"]} == {"DET001"}
-
-
-def test_json_findings_are_sorted_and_stable():
+def test_text_findings_are_sorted_and_stable():
     result = analyze_paths([FIXTURES])
-    payload = json.loads(render_json(result))
-    keys = [
-        (e["path"], e["line"], e["col"], e["rule"])
-        for e in payload["findings"]
-    ]
+    keys = [(f.path, f.line, f.col, f.rule) for f in result.findings]
     assert keys == sorted(keys)
-    assert render_json(result) == render_json(analyze_paths([FIXTURES]))
+    text = render_text(result)
+    assert text.splitlines()[: len(keys)] == [f.format() for f in result.findings]
+    assert text == render_text(analyze_paths([FIXTURES]))
 
 
 def test_rule_list_mentions_every_rule_once():
     listing = render_rule_list().splitlines()
     ids = [line.split()[0] for line in listing]
     assert len(ids) == len(set(ids)) >= 8
-    assert "DET001" in ids and "IOA003" in ids and "SNAP001" in ids
+    assert "DET001" in ids and "TYP001" in ids and "ASYNC001" in ids

@@ -119,18 +119,6 @@ class TestBackpressure:
             router.complete("g0", 1)  # nothing in flight
 
 
-class TestRingSwap:
-    def test_remove_backend_requires_idle(self):
-        ring, _, router = make_router(2, window=1)
-        key = keys_owned_by(ring, "g0", 1)[0]
-        router.submit(key, "v")
-        with pytest.raises(ValueError):
-            router.remove_backend("g0")
-        router.complete("g0")
-        router.remove_backend("g0")
-        assert router.groups == ("g1",)
-
-
 class TestMetrics:
     def test_per_group_counters_and_gauges(self):
         ring, _, router = make_router(1, window=2)

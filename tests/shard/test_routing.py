@@ -1,5 +1,4 @@
-"""Consistent-hash ring: determinism, serialization, balance, and the
-minimal-remap property spawn/retire relies on."""
+"""Consistent-hash ring: determinism, serialization and balance."""
 
 from __future__ import annotations
 
@@ -25,7 +24,8 @@ class TestDeterminism:
     def test_distinct_seeds_give_independent_placements(self):
         a = HashRing(group_names(8), seed=0)
         b = HashRing(group_names(8), seed=1)
-        moved = a.moved_keys(b, KEYS)
+        placed_a, placed_b = a.assignment(KEYS), b.assignment(KEYS)
+        moved = [key for key in KEYS if placed_a[key] != placed_b[key]]
         # Re-seeding reshuffles most arcs; identical placement would
         # mean the seed is dead.
         assert len(moved) > len(KEYS) // 4
@@ -68,13 +68,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             HashRing(["g0"], vnodes=0)
 
-    def test_cannot_remove_the_last_group(self):
-        ring = HashRing(["g0"])
-        with pytest.raises(ValueError):
-            ring.without_group("g0")
-        with pytest.raises(KeyError):
-            ring.without_group("g9")
-
 
 class TestBalance:
     def test_vnodes_smooth_the_load(self):
@@ -89,33 +82,3 @@ class TestBalance:
         assert spread([]) == 1.0
         assert spread([0, 0]) == 1.0
         assert spread([5, 5, 5]) == 1.0
-
-
-class TestMinimalRemap:
-    def test_adding_a_group_only_moves_keys_to_it(self):
-        old = HashRing(group_names(8), seed=0)
-        new = old.with_group("g8")
-        moves = old.moved_keys(new, KEYS)
-        assert moves, "a new group must take some arcs"
-        assert all(dst == "g8" for _, dst in moves.values())
-        # Expected fraction ~1/9; allow generous slack over 2000 keys.
-        assert len(moves) < len(KEYS) * 0.3
-
-    def test_removing_a_group_only_moves_its_own_keys(self):
-        old = HashRing(group_names(8), seed=0)
-        new = old.without_group("g3")
-        moves = old.moved_keys(new, KEYS)
-        assert moves
-        assert all(src == "g3" for src, _ in moves.values())
-        assert set(moves) == {k for k in KEYS if old.owner_of(k) == "g3"}
-
-    def test_add_then_remove_is_identity(self):
-        ring = HashRing(group_names(4), seed=5)
-        back = ring.with_group("gx").without_group("gx")
-        assert back == ring
-        assert not ring.moved_keys(back, KEYS)
-
-    def test_arcs_cover_the_ring_partitionally(self):
-        ring = HashRing(group_names(4), vnodes=8)
-        total = sum(len(ring.arcs_for(g)) for g in ring.groups)
-        assert total == 4 * 8

@@ -35,11 +35,6 @@ _LOCATION_OF = {
     "restart": ("↻", 0),
     "fault": ("!", 0),
     "skew": ("~", 0),
-    # Live-cluster driver actions (repro.obs.live.stitch.live_timed_trace):
-    # per-node firewall edges and process kills from the run timeline.
-    "sigkill": ("✗", 0),
-    "firewall_on": ("⊘", 0),
-    "firewall_off": ("○", 0),
 }
 
 
@@ -61,18 +56,6 @@ def describe_event(action: Action) -> str:
         if len(args) == 2:
             return f"{name}({args[0]}→{args[1]})"
         return str(action)
-    if name == "sigkill" and len(args) == 1:
-        return f"SIGKILL {args[0]}"
-    if name == "firewall_on":
-        if len(args) == 2:
-            return f"firewall up at {args[0]} (component {args[1]})"
-        if len(args) == 1:
-            return f"firewall up at {args[0]}"
-        return str(action)
-    if name == "firewall_off":
-        if len(args) == 1:
-            return f"firewall down at {args[0]}"
-        return "firewall down (cluster healed)"
     if name in ("gprcv", "safe", "brcv") and len(args) == 3:
         payload, src, dst = args
         return f"{name} {payload!r} {src}→{dst}"

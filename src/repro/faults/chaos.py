@@ -24,7 +24,6 @@ form is surfaced by ``python -m repro.report``.
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass, field
 from collections.abc import Hashable, Iterable, Sequence
 from typing import TYPE_CHECKING, Any
@@ -284,9 +283,6 @@ def _chaos_envelope_worker(
     pickles into worker processes)."""
     from repro.parallel import make_envelope
 
-    # Host wall-clock of the whole run, reported in the envelope for
-    # operators; it never feeds simulation state, traces, or digests.
-    t0 = time.perf_counter()  # repro-lint: ignore[DET002] -- operator wall-clock
     report = run_chaos(
         processors,
         seed=seed,
@@ -304,7 +300,6 @@ def _chaos_envelope_worker(
         stats=report.stats,
         violations=report.violations,
         coverage=report.coverage,
-        wall_s=time.perf_counter() - t0,  # repro-lint: ignore[DET002] -- operator wall-clock
     )
 
 

@@ -39,6 +39,13 @@ from pathlib import Path
 
 from repro.lint.model import Finding, StaleSuppression
 
+#: A function definition and its enclosing class (None outside one).
+FunctionEntry = tuple[ast.FunctionDef | ast.AsyncFunctionDef, ast.ClassDef | None]
+
+#: The nodes a ``def`` can stand in: statements and the clauses that
+#: hold statement lists.  Expressions never hold one.
+_DEF_HOLDERS = (ast.stmt, ast.excepthandler, ast.match_case)
+
 _SUPPRESS_RE = re.compile(r"repro-lint:\s*ignore\[([^\]]*)\]")
 _MODULE_RE = re.compile(r"repro-lint:\s*module=([\w.]+)")
 
@@ -73,6 +80,8 @@ class FileContext:
     imports: dict[str, str]
     #: lazily populated: child node -> parent node.
     _parents: dict[int, ast.AST] = field(default_factory=dict, repr=False)
+    #: lazily populated: see :meth:`functions`.
+    _functions: list[FunctionEntry] | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -119,6 +128,26 @@ class FileContext:
                 for child in ast.iter_child_nodes(parent):
                     self._parents[id(child)] = parent
         return self._parents.get(id(node))
+
+    def functions(self) -> list[FunctionEntry]:
+        """Every function definition with its enclosing class, in source
+        order (built on first use; every rule reads the one list)."""
+        if self._functions is None:
+            found: list[FunctionEntry] = []
+            stack: list[tuple[ast.AST, ast.ClassDef | None]] = [(self.tree, None)]
+            while stack:
+                node, cls = stack.pop()
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    found.append((node, cls))
+                elif isinstance(node, ast.ClassDef):
+                    cls = node
+                stack.extend(
+                    (child, cls)
+                    for child in reversed(list(ast.iter_child_nodes(node)))
+                    if isinstance(child, _DEF_HOLDERS)
+                )
+            self._functions = found
+        return self._functions
 
 
 def _scan_comments(

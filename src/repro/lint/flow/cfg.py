@@ -430,6 +430,6 @@ def build_cfg(func: FuncDef) -> Cfg:
     """Build the statement-granular CFG of one function body.
 
     Nested function definitions appear as opaque single nodes — build
-    their CFGs separately (``walk_functions`` yields every def).
+    their CFGs separately (``FileContext.functions`` lists every def).
     """
     return _Builder(func).build()

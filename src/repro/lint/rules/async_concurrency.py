@@ -38,7 +38,6 @@ from repro.lint.flow.dataflow import (
     self_attr_writes,
 )
 from repro.lint.model import Finding
-from repro.lint.rules.common import walk_functions
 
 #: Import-resolvable calls that block the event loop.  Curated, not
 #: exhaustive: each entry is synchronous by contract (sleeps, waits on
@@ -73,7 +72,7 @@ BLOCKING_CALLS = frozenset(
 def _async_functions(
     ctx: FileContext,
 ) -> Iterator[tuple[ast.AsyncFunctionDef, ast.ClassDef | None]]:
-    for func, cls in walk_functions(ctx.tree):
+    for func, cls in ctx.functions():
         if isinstance(func, ast.AsyncFunctionDef):
             yield func, cls
 
@@ -249,7 +248,7 @@ class DroppedTaskHandleRule(Rule):
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         module_async, class_async = _module_async_defs(ctx.tree)
-        for func, cls in walk_functions(ctx.tree):
+        for func, cls in ctx.functions():
             yield from self._check_function(ctx, func, cls, module_async, class_async)
 
     def _check_function(

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import ast
-from collections.abc import Iterator
-
 #: Dotted names whose *call* reads a host clock.  Reading wall-clock
 #: time inside the reproduction breaks replay-from-seed determinism;
 #: only the live runtime (``repro.rt``) and benchmark drivers may
@@ -33,22 +30,3 @@ def module_matches(module: str, prefixes: tuple[str, ...]) -> bool:
         module == prefix or module.startswith(prefix + ".") for prefix in prefixes
     )
 
-
-def walk_functions(
-    tree: ast.AST,
-) -> Iterator[tuple[ast.FunctionDef | ast.AsyncFunctionDef, ast.ClassDef | None]]:
-    """Yield every function definition with its enclosing class (if any)."""
-
-    def visit(node: ast.AST, cls: ast.ClassDef | None) -> Iterator[
-        tuple[ast.FunctionDef | ast.AsyncFunctionDef, ast.ClassDef | None]
-    ]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                yield from visit(child, child)
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield child, cls
-                yield from visit(child, cls)
-            else:
-                yield from visit(child, cls)
-
-    return visit(tree, None)

@@ -15,7 +15,7 @@ from collections.abc import Iterator
 
 from repro.lint.engine import FileContext, Rule
 from repro.lint.model import Finding
-from repro.lint.rules.common import module_matches, walk_functions
+from repro.lint.rules.common import module_matches
 
 #: Packages held to disallow_untyped_defs (mirrors [tool.mypy] overrides).
 STRICT_PACKAGES = (
@@ -44,7 +44,7 @@ class UntypedDefRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not module_matches(ctx.module, STRICT_PACKAGES):
             return
-        for func, cls in walk_functions(ctx.tree):
+        for func, cls in ctx.functions():
             missing: list[str] = []
             args = func.args
             positional = args.posonlyargs + args.args

@@ -12,15 +12,15 @@ stats stream is what the cluster driver writes to ``metrics.jsonl``
 Spans are not built in the run: :func:`repro.obs.live.stitch.stitch_sim`
 rebuilds them afterwards from the service's recorded events, the way
 :func:`~repro.obs.live.stitch.stitch_log_dir` rebuilds a live run's
-from its event logs::
+from its event logs, and :func:`~repro.obs.live.stitch.stitched_jsonl`
+renders either as the same canonical JSON lines::
 
-    from repro.obs.export import write_chrome_trace
-    from repro.obs.live.stitch import stitch_sim
+    from repro.obs.live.stitch import stitch_sim, stitched_jsonl
 
     vs = TokenRingVS(processors, config, seed=0)
     ...
     print(vs.stats())
-    write_chrome_trace(stitch_sim(vs).tracer, "run.trace.json")
+    Path("run.jsonl").write_text(stitched_jsonl(stitch_sim(vs)))
 
 Watching never perturbs a run: reading counters and replaying events
 draws no randomness and schedules nothing.

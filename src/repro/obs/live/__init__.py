@@ -13,14 +13,16 @@ one cluster-wide picture:
   group's per-node event logs and reconstructs *distributed* spans
   (bcast→gpsnd→per-node gprcv/safe→brcv message spans, view-formation
   spans) that cross OS-process boundaries, with firewall/SIGKILL
-  windows annotated, reusing :mod:`repro.obs.tracing` span types so
-  :mod:`repro.obs.export` renders whole-cluster Perfetto traces;
+  windows annotated, reusing :mod:`repro.obs.tracing` span types, and
+  renders them as canonical JSON lines;
 - :mod:`repro.obs.live.slo` — fixed-bucket latency distributions
   (p50/p99/p999), SLO evaluation, and the Section 8 bounds checker
   comparing measured safe-delivery latency against d = 2π + nδ;
 - :mod:`repro.obs.live.report` — the run-report builder behind
   ``python -m repro.obs report <logdir>``, one judged report per VS
-  group the directory holds.
+  group the directory holds: the one judge of a live capture's latency
+  and bounds, and the one total of its wire counters (the cluster
+  driver captures and verifies; it judges nothing).
 
 Everything here is *passive and deterministic*: the package never reads
 the host clock (timestamps come from the captured logs and control

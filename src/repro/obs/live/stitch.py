@@ -12,12 +12,12 @@ tracer is built, for live and simulated runs alike (:func:`stitch_sim`
 reads a simulated run's recorded events the same way), so one
 :class:`~repro.obs.tracing.MessageSpan` ends up holding lifecycle
 points recorded by several different processes — a genuinely
-distributed span — and :mod:`repro.obs.export` renders the whole
-cluster into one Perfetto trace without knowing it was live.
+distributed span — and :func:`stitched_jsonl` renders it the same way
+whether the run was live or simulated.
 
 Fault context comes from the driver's timeline (``cluster.timeline.json``):
 ``partition``/``heal`` marks pair into firewall windows and ``kill``
-marks become crash annotations, so the exported trace shows what the
+marks become crash annotations, so the stitched records show what the
 driver was doing to the network while a view formed.
 
 Determinism contract (asserted by the tests): stitched output is a
@@ -29,7 +29,7 @@ bytes are identical however the per-node files arrive.
 
 Times are rebased to seconds from the run's first event (``t0``), which
 keeps stitched live spans in the same "small floats from zero" shape as
-simulated ones (and Perfetto scrubbing comfortable).
+simulated ones.
 """
 
 from __future__ import annotations
@@ -41,24 +41,19 @@ from typing import TYPE_CHECKING, Any
 from collections.abc import Iterable, Sequence
 
 from repro.core.types import View
-from repro.ioa.actions import act
-from repro.ioa.timed import TimedTrace
-from repro.obs.export import jsonl_records
 from repro.obs.tracing import LifecycleTracer
 from repro.rt.trace import (
     ONE_GROUP,
     TO_EVENTS,
     VS_EVENTS,
     group_event_logs,
+    initial_view_for,
     load_event_logs,
     sim_entries,
 )
 
 if TYPE_CHECKING:
     from repro.faults.schedule import FaultSchedule
-
-#: Driver-timeline mark names that become trace annotations.
-FAULT_MARKS = ("partition", "heal", "kill", "restart")
 
 
 class StitchError(ValueError):
@@ -106,14 +101,6 @@ class StitchedRun:
         return count
 
 
-def default_initial_view(processors: Sequence[str]) -> View:
-    """The live stack's v0: whole group, id (0, min) — mirrors
-    :func:`repro.rt.node.initial_view_for` without importing the node
-    daemon module."""
-    procs = tuple(sorted(processors))
-    return View((0, min(procs)), frozenset(procs))
-
-
 def stitch_events(
     events: Sequence[dict[str, Any]],
     processors: Sequence[str],
@@ -130,7 +117,7 @@ def stitch_events(
     rebasing origin (default: the earliest event or mark).
     """
     procs = tuple(sorted(processors))
-    view0 = initial_view if initial_view is not None else default_initial_view(procs)
+    view0 = initial_view if initial_view is not None else initial_view_for(procs)
     candidates = [e["ts"] for e in events]
     candidates.extend(m["t"] for m in timeline if "t" in m)
     origin = t0 if t0 is not None else min(candidates, default=0.0)
@@ -280,9 +267,6 @@ def _annotate_faults(
             tracer.on_fault_window(
                 "crash", f"SIGKILL {node}", time, max(end, time)
             )
-        elif kind == "restart":
-            node = str(mark.get("node", "?"))
-            tracer.on_fault_window("restart", f"restart {node}", time, time)
     if open_at is not None:
         tracer.on_fault_window(
             "partition", open_name, open_at, max(end, open_at)
@@ -292,9 +276,50 @@ def _annotate_faults(
 # ----------------------------------------------------------------------
 # Canonical serialisation (the determinism surface)
 # ----------------------------------------------------------------------
+def jsonl_records(tracer: LifecycleTracer) -> Iterable[dict[str, Any]]:
+    """The tracer's records in a stable order: message spans, view
+    spans, fault annotations."""
+    for span in tracer.message_spans:
+        yield {
+            "type": "message_span",
+            "payload": repr(span.payload),
+            "origin": str(span.origin),
+            "view": str(span.viewid),
+            "seq": span.seq,
+            "bcast_at": span.bcast_at,
+            "gpsnd_at": span.gpsnd_at,
+            "gprcv_at": {str(k): v for k, v in span.gprcv_at.items()},
+            "safe_at": {str(k): v for k, v in span.safe_at.items()},
+            "brcv_at": {str(k): v for k, v in span.brcv_at.items()},
+        }
+    for view_span in tracer.view_spans.values():
+        yield {
+            "type": "view_span",
+            "view": str(view_span.viewid),
+            "members": sorted(str(m) for m in view_span.members or ()),
+            "initiator": (
+                None if view_span.initiator is None else str(view_span.initiator)
+            ),
+            "proposed_at": view_span.proposed_at,
+            "announced_at": view_span.announced_at,
+            "newview_at": {str(k): v for k, v in view_span.newview_at.items()},
+            "established_at": {
+                str(k): v for k, v in view_span.established_at.items()
+            },
+        }
+    for annotation in tracer.faults:
+        yield {
+            "type": "fault_window",
+            "kind": annotation.kind,
+            "name": annotation.name,
+            "start": annotation.start,
+            "stop": annotation.stop,
+        }
+
+
 def stitched_records(run: StitchedRun) -> list[dict[str, Any]]:
     """Structured records for one stitched run: a provenance header,
-    then the tracer's span/fault records in export order."""
+    then :func:`jsonl_records` of its tracer."""
     header = {
         "type": "stitched_run",
         "processors": list(run.processors),
@@ -306,7 +331,7 @@ def stitched_records(run: StitchedRun) -> list[dict[str, Any]]:
         "cross_node_spans": run.cross_node_spans(),
         "unmatched_events": run.tracer.unmatched_events,
     }
-    return [header, *jsonl_records(tracer=run.tracer)]
+    return [header, *jsonl_records(run.tracer)]
 
 
 def stitched_jsonl(run: StitchedRun) -> str:
@@ -319,53 +344,3 @@ def stitched_jsonl(run: StitchedRun) -> str:
         json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
         for record in stitched_records(run)
     )
-
-
-# ----------------------------------------------------------------------
-# Timed-trace view (tracefmt rendering of live runs)
-# ----------------------------------------------------------------------
-def live_timed_trace(
-    events: Sequence[dict[str, Any]],
-    timeline: Sequence[dict[str, Any]] = (),
-    t0: float | None = None,
-) -> TimedTrace:
-    """A :class:`TimedTrace` over the merged live events plus driver
-    fault marks, rebased to ``t0`` — so
-    :func:`repro.analysis.tracefmt.format_timeline` renders a live
-    capture exactly like a simulated one (fault marks get their own
-    action names: ``firewall_on``/``firewall_off`` per processor,
-    ``sigkill``/``restart`` per node)."""
-    candidates = [e["ts"] for e in events]
-    candidates.extend(m["t"] for m in timeline if "t" in m)
-    origin = t0 if t0 is not None else min(candidates, default=0.0)
-    timed: list[tuple[float, Any]] = [
-        (e["ts"] - origin, act(e["ev"], *e["args"])) for e in events
-    ]
-    for mark in _rebase_timeline(timeline, origin):
-        kind = str(mark["event"])
-        time = float(mark["t"])
-        if kind == "partition":
-            groups = [
-                tuple(sorted(str(p) for p in group))
-                for group in mark.get("groups", ())
-            ]
-            for group in groups:
-                for p in group:
-                    timed.append(
-                        (time, act("firewall_on", p, _groups_text([group])))
-                    )
-        elif kind == "heal":
-            nodes = sorted(str(p) for p in mark.get("nodes", ()))
-            for p in nodes:
-                timed.append((time, act("firewall_off", p)))
-            if not nodes:
-                timed.append((time, act("firewall_off")))
-        elif kind == "kill":
-            timed.append((time, act("sigkill", str(mark.get("node", "?")))))
-        elif kind == "restart":
-            timed.append((time, act("restart", str(mark.get("node", "?")))))
-    timed.sort(key=lambda pair: pair[0])  # stable: ties keep merge order
-    trace = TimedTrace()
-    for time, action in timed:
-        trace.append(time, action)
-    return trace

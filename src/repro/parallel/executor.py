@@ -69,8 +69,6 @@ class RunEnvelope:
     #: protocol-state coverage counters from the run (JSON-able; merged
     #: across a sweep with :func:`merge_coverage_dicts`)
     coverage: dict = field(default_factory=dict)
-    #: host wall-clock seconds this run took inside its worker
-    wall_s: float = 0.0
     #: the full result object (must be picklable)
     result: Any = None
 
@@ -83,7 +81,6 @@ def make_envelope(
     stats: dict | None = None,
     violations: list | None = None,
     coverage: dict | None = None,
-    wall_s: float = 0.0,
 ) -> RunEnvelope:
     """Wrap a run result, stamping its canonical digest."""
     return RunEnvelope(
@@ -93,7 +90,6 @@ def make_envelope(
         stats=dict(stats) if stats else {},
         violations=list(violations) if violations else [],
         coverage=dict(coverage) if coverage else {},
-        wall_s=wall_s,
         result=result,
     )
 

@@ -23,9 +23,13 @@ at every node.  Exit status is 0 iff every group's captured trace is
 violation-free, the cross-group key order holds *and* delivery
 completed everywhere.
 
-The driver verifies; it does not measure.  Latency against the Section
-8 SLOs comes from ``python -m repro.obs report <log-dir>``, throughput
-and the per-layer cost stack from ``python -m benchmarks.perf``.
+The driver captures and verifies; it neither measures nor judges.
+Beside the event logs it writes the report's inputs, the driver marks
+(``cluster.timeline.json``) and the nodes' stats stream
+(``metrics.jsonl``).  Spans, latency against the Section 8 SLOs and the
+cluster's wire totals come from ``python -m repro.obs report
+<log-dir>``, throughput and the per-layer cost stack from ``python -m
+benchmarks.perf``.
 """
 
 from __future__ import annotations
@@ -46,18 +50,15 @@ from pathlib import Path
 from collections.abc import Awaitable, Callable, Mapping, Sequence
 from typing import Any, TypeVar, cast
 
-from repro.obs.export import write_chrome_trace
-from repro.obs.live.report import build_report
 from repro.obs.live.snapshot import ClusterTimeline, MetricsSnapshot
-from repro.obs.live.stitch import stitched_jsonl
 from repro.faults.injectors import PartitionInjector
 from repro.faults.schedule import FaultWindow
 from repro.rt.faults import live_windows, single_partition_window
 from repro.rt.framing import FrameError
-from repro.rt.node import default_ring_config, initial_view_for
+from repro.rt.node import default_ring_config
 from repro.rt.trace import (
     VerifyReport,
-    group_event_logs,
+    initial_view_for,
     load_event_logs,
     verify_events,
 )
@@ -221,11 +222,6 @@ class NodeClient:
         async with self._request_lock:
             self._sender.send_now(ctl)
             return await asyncio.wait_for(self._replies.get(), timeout)
-
-    @property
-    def wire_stats(self) -> dict[str, Any]:
-        """What this control connection put on the wire."""
-        return self._sender.stats.to_dict()
 
     async def close(self) -> None:
         if self._read_task is not None:
@@ -505,45 +501,15 @@ class LiveCluster:
                 await loop.run_in_executor(None, proc.wait)
         self._mark("stopped")
 
-    # ------------------------------------------------------------------
-    async def collect_wire_stats(self) -> dict[str, Any]:
-        """Aggregate every survivor's wire + token-batching counters
-        (one stats round-trip per node) plus the driver connections'
-        own writer stats — the E25 bytes-on-wire accounting."""
-        totals: dict[str, dict[str, float]] = {}
-        token = {
-            "entries_appended": 0,
-            "append_batches": 0,
-            "entries_sent": 0,
-            "forwards": 0,
-        }
-
-        def absorb(direction: str, codec: str, stats: dict[str, Any]) -> None:
-            bucket = totals.setdefault(
-                f"{direction}/{codec}",
-                {"frames": 0.0, "entries": 0.0, "bytes_on_wire": 0.0},
-            )
-            for key in bucket:
-                bucket[key] += float(stats.get(key, 0))
-
-        for data in (await self.poll_stats()).values():
-            wire = data.get("transport", {}).get("wire", {})
-            for codec, stats in wire.get("tx", {}).items():
-                absorb("tx", codec, stats)
-            for codec, stats in wire.get("rx", {}).items():
-                absorb("rx", codec, stats)
-            for key in token:
-                token[key] += int(data.get("token", {}).get(key, 0))
-        driver = {"frames": 0.0, "entries": 0.0, "bytes_on_wire": 0.0}
-        for client in self.clients.values():
-            stats = client.wire_stats
-            for key in driver:
-                driver[key] += float(stats.get(key, 0))
-        return {
-            "nodes": {k: totals[k] for k in sorted(totals)},
-            "driver_tx": driver,
-            "token": token,
-        }
+    def write_capture(self) -> None:
+        """Write the report's inputs beside the event logs: the driver
+        marks (``cluster.timeline.json``, the stitcher's fault and
+        config source) and every streamed stats frame
+        (``metrics.jsonl``)."""
+        (self.log_dir / "cluster.timeline.json").write_text(
+            json.dumps(self.timeline, indent=2), encoding="utf-8"
+        )
+        self.metrics.write_jsonl(self.log_dir / "metrics.jsonl")
 
 
 async def replay_scenario_windows(
@@ -765,11 +731,10 @@ async def run_cluster(
     ``window``; each key enters at its session node, and keys whose
     session node was killed are no longer drawn.  One stats poller,
     every ``metrics_interval`` seconds, streams the nodes' stats
-    and feeds the router its completions.  The run's observability
-    artifacts — ``metrics.jsonl``, ``cluster.timeline.json`` and, per
-    group, ``cluster.spans.jsonl`` (stitched spans) and
-    ``cluster.trace.json`` (whole-cluster Perfetto) — are written into
-    the log directory (see :func:`write_obs_artifacts`).
+    and feeds the router its completions.  ``metrics.jsonl`` and
+    ``cluster.timeline.json`` are written into the log directory (see
+    :meth:`LiveCluster.write_capture`), where ``python -m repro.obs
+    report`` reads them.
     """
     if send_interval <= 0:
         raise ValueError(f"send_interval must be positive: {send_interval}")
@@ -853,9 +818,9 @@ async def run_cluster(
         complete = await cluster.await_delivered(
             load.expected_per_group(), timeout=poll_timeout
         )
-        wire_stats = await cluster.collect_wire_stats()
     finally:
         await cluster.stop()
+    cluster.write_capture()
     out = verify_sharded(
         cluster.log_dir,
         cluster.processors,
@@ -877,91 +842,14 @@ async def run_cluster(
             "delta": delta,
             "window": window,
             "seed": seed,
-            "wire": wire_stats,
             "router": load.router.stats(),
             "polled_complete": complete,
             "wall_seconds": wall,
             "log_dir": str(log_dir),
             "timeline": cluster.timeline,
-            "obs": write_obs_artifacts(cluster),
         }
     )
     return out
-
-
-#: How each per-group figure of the obs summary folds into the total.
-#: Every group's tracer is annotated from the one driver timeline, so
-#: fault windows are the cluster's, not a sum.
-_OBS_TOTALS: dict[str, Callable[[Any], Any]] = {
-    "message_spans": sum,
-    "cross_node_spans": sum,
-    "view_spans": sum,
-    "fault_windows": max,
-    "unmatched_events": sum,
-    "safe_p99": max,
-    "delta_measured": max,
-    "slo_ok": all,
-    "bounds_ok": all,
-}
-
-
-def write_obs_artifacts(cluster: LiveCluster) -> dict[str, Any]:
-    """Persist the run's observability artifacts next to the event logs
-    and return the summary dict embedded in the episode report.
-
-    Written: ``cluster.timeline.json`` (driver marks, the stitcher's
-    fault/config source), ``metrics.jsonl`` (every streamed stats frame)
-    and, for each group (named like its event logs: a lone group adds
-    nothing, several add ``@<group>`` after ``cluster``),
-    ``cluster.spans.jsonl`` (stitched distributed spans, canonical
-    bytes) and ``cluster.trace.json`` (whole-cluster Perfetto/Chrome
-    trace).  The summary holds each group's figures under ``"groups"``
-    and their totals beside it (counts add, latencies take the worst,
-    verdicts must all hold).  Failures here never mask a protocol
-    verdict: the episode already verified; an unstitchable capture
-    reports itself in the summary instead of raising.
-    """
-    log_dir = cluster.log_dir
-    (log_dir / "cluster.timeline.json").write_text(
-        json.dumps(cluster.timeline, indent=2), encoding="utf-8"
-    )
-    snapshots = cluster.metrics.write_jsonl(log_dir / "metrics.jsonl")
-    summary: dict[str, Any] = {
-        "metrics_snapshots": snapshots,
-        "metrics_nodes": list(cluster.metrics.nodes()),
-        "metrics_path": str(log_dir / "metrics.jsonl"),
-        "groups": {},
-    }
-    for group in group_event_logs(log_dir):
-        try:
-            obs_report = build_report(log_dir, group=group)
-        except (OSError, ValueError, KeyError) as exc:
-            summary["groups"][group] = {"stitch_error": repr(exc)}
-            summary["stitch_error"] = f"{group}: {exc!r}"
-            continue
-        run = obs_report.run
-        spans_path = log_dir / f"cluster{obs_report.tag}.spans.jsonl"
-        trace_path = log_dir / f"cluster{obs_report.tag}.trace.json"
-        spans_path.write_text(stitched_jsonl(run), encoding="utf-8")
-        write_chrome_trace(run.tracer, str(trace_path))
-        summary["groups"][group] = {
-            "spans_path": str(spans_path),
-            "trace_path": str(trace_path),
-            "message_spans": len(run.tracer.message_spans),
-            "cross_node_spans": run.cross_node_spans(),
-            "view_spans": len(run.tracer.view_spans),
-            "fault_windows": len(run.tracer.faults),
-            "unmatched_events": run.tracer.unmatched_events,
-            "safe_p99": obs_report.bounds_verdict.safe_p99,
-            "delta_measured": obs_report.bounds_verdict.delta_measured,
-            "slo_ok": all(v.ok for v in obs_report.slos),
-            "bounds_ok": obs_report.bounds_verdict.ok,
-        }
-    stitched = [g for g in summary["groups"].values() if "stitch_error" not in g]
-    if stitched:
-        for key, fold in _OBS_TOTALS.items():
-            summary[key] = fold(g[key] for g in stitched)
-    return summary
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -1093,36 +981,6 @@ def main(argv: list[str] | None = None) -> int:
             ok=cross["ok"], keys=cross["keys_checked"], ops=cross["ops_checked"]
         )
     )
-    wire_stats = report.get("wire", {})
-    if wire_stats:
-        node_totals = wire_stats.get("nodes", {})
-        total_bytes = sum(
-            bucket.get("bytes_on_wire", 0.0)
-            for key, bucket in node_totals.items()
-            if key.startswith("tx/")
-        )
-        token = wire_stats.get("token", {})
-        batches = token.get("append_batches", 0)
-        appended = token.get("entries_appended", 0)
-        print(
-            "  wire: node_tx_bytes={total:.0f} "
-            "token_entries/batch={epb:.2f}".format(
-                total=total_bytes,
-                epb=(appended / batches) if batches else 0.0,
-            )
-        )
-    obs = report.get("obs", {})
-    if obs and "stitch_error" not in obs:
-        print(
-            "  obs: snapshots={snaps} cross_node_spans={cross} "
-            "safe_p99={p99:.4f}s slo_ok={slo} bounds_ok={bounds}".format(
-                snaps=obs.get("metrics_snapshots", 0),
-                cross=obs.get("cross_node_spans", 0),
-                p99=obs.get("safe_p99", 0.0),
-                slo=obs.get("slo_ok"),
-                bounds=obs.get("bounds_ok"),
-            )
-        )
     for violation in report["violations"]:
         print(f"  VS violation: {violation}")
     if not report["to_ok"]:

@@ -57,7 +57,7 @@ from repro.core.types import View
 from repro.core.vstoto.runtime import VStoTORuntime
 from repro.membership.ring import RingConfig, RingMember, fold_counters
 from repro.rt.clock import LiveScheduler
-from repro.rt.trace import EventLog, event_log_path
+from repro.rt.trace import EventLog, event_log_path, initial_view_for
 from repro.rt.transport import Ctl, LiveNetwork
 from repro.rt.wire import check_wire
 from repro.shard.live import GroupDemux, GroupNet
@@ -67,13 +67,6 @@ from repro.shard.routing import group_names
 #: its sinks on these attributes).
 DeliveryCallback = Callable[[Any, str, str], None]
 ViewCallback = Callable[[View, str], None]
-
-
-def initial_view_for(processors: tuple[str, ...]) -> View:
-    """The hybrid initial view v0 every node starts from: whole group,
-    id (0, min) — identical to the TokenRingVS default, so live and
-    simulated runs share their base case."""
-    return View((0, min(processors)), frozenset(processors))
 
 
 class LiveNodeService:

@@ -341,6 +341,13 @@ def sim_entries(events: Iterable[TimedEvent]) -> list[dict[str, Any]]:
     return entries
 
 
+def initial_view_for(processors: Sequence[str]) -> View:
+    """The hybrid initial view v0 every live node starts from: whole
+    group, id (0, min) — identical to the TokenRingVS default, so live
+    and simulated runs share their base case."""
+    return View((0, min(processors)), frozenset(processors))
+
+
 @dataclass
 class VerifyReport:
     """Verdict and counts over one captured live run."""

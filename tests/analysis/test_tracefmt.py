@@ -41,19 +41,6 @@ class TestDescribeEvent:
         assert describe_event(act("fault", "loss#0")) == "fault(loss#0)"
         assert describe_event(act("skew", "p")) == "skew(p)"
 
-    def test_live_cluster_actions(self):
-        assert describe_event(act("sigkill", "p")) == "SIGKILL p"
-        assert (
-            describe_event(act("firewall_on", "p", "p,q"))
-            == "firewall up at p (component p,q)"
-        )
-        assert describe_event(act("firewall_on", "p")) == "firewall up at p"
-        assert describe_event(act("firewall_off", "p")) == "firewall down at p"
-        assert (
-            describe_event(act("firewall_off"))
-            == "firewall down (cluster healed)"
-        )
-
     def test_unexpected_arity_falls_back_to_repr(self):
         # Hand-built traces may not follow the VS signatures; the
         # renderer must degrade to the action repr, never raise.
@@ -98,17 +85,6 @@ class TestFormatTimeline:
         trace.append(2.0, act("restart", "p"))
         text = format_timeline(trace, PROCS)
         assert "✗" in text and "↻" in text
-
-    def test_live_fault_glyphs_land_in_columns(self):
-        trace = TimedTrace()
-        trace.append(1.0, act("firewall_on", "p", "p"))
-        trace.append(2.0, act("firewall_off", "q"))
-        trace.append(3.0, act("sigkill", "q"))
-        text = format_timeline(trace, PROCS)
-        assert "⊘" in text and "○" in text and "✗" in text
-        header, _rule, up_row, down_row, kill_row = text.splitlines()
-        assert up_row.find("⊘") < down_row.find("○")  # p column, then q
-        assert down_row.find("○") == kill_row.find("✗")
 
     def test_malformed_events_do_not_break_grid(self):
         trace = TimedTrace()

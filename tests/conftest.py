@@ -19,7 +19,6 @@ from repro.core.vstoto import (
 from repro.ioa.actions import ActionKind
 from repro.ioa.automaton import TransitionError
 from repro.membership.service import TokenRingVS
-from repro.obs.export import write_chrome_trace
 from repro.obs.live.stitch import stitch_sim, stitched_jsonl
 
 # Tier-1 is a gate: the same examples on every run, and no saved
@@ -92,9 +91,9 @@ def run_random(
 
 # Post-mortem capture.  With REPRO_OBS_CAPTURE set (CI's tier-1 job
 # sets it) every TokenRingVS a test builds is remembered, and when the
-# test fails each one's stitched spans are written as JSONL plus a
-# Chrome trace under REPRO_TRACE_DIR (default trace-artifacts/), which
-# CI uploads.  Services are held weakly: capture changes no lifetime and
+# test fails each one's stitched spans are written as JSONL under
+# REPRO_TRACE_DIR (default trace-artifacts/), which CI uploads.
+# Services are held weakly: capture changes no lifetime and
 # no execution.
 CAPTURE_ENV = "REPRO_OBS_CAPTURE"
 DIR_ENV = "REPRO_TRACE_DIR"
@@ -129,8 +128,7 @@ class ServiceCapture:
             base = Path(directory) / f"{slug}.{index}"
             base.parent.mkdir(parents=True, exist_ok=True)
             Path(f"{base}.jsonl").write_text(stitched_jsonl(run))
-            write_chrome_trace(run.tracer, f"{base}.trace.json")
-            written += [f"{base}.jsonl", f"{base}.trace.json"]
+            written.append(f"{base}.jsonl")
         return written
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 from repro.lint.engine import (
@@ -88,3 +89,96 @@ def test_counts_and_ok_flags():
         [FIXTURES / "det002_wall_clock.py"], select=["TYP001"]
     )
     assert clean.ok and clean.counts == {}
+
+
+def test_functions_lists_every_def_with_its_class(tmp_path):
+    """Defs stand in statement lists only: under a handler, a match
+    case, a nested class or another def, in source order."""
+    path = tmp_path / "defs.py"
+    path.write_text(
+        "def top():\n"
+        "    def inner(): pass\n"
+        "class C:\n"
+        "    def m(self): pass\n"
+        "    class D:\n"
+        "        async def n(self): pass\n"
+        "try:\n"
+        "    pass\n"
+        "except OSError:\n"
+        "    def handler(): pass\n"
+        "match 1:\n"
+        "    case 1:\n"
+        "        def case(): pass\n"
+        "f = lambda: 0\n"
+    )
+    ctx = FileContext.parse(path)
+    assert [(f.name, c and c.name) for f, c in ctx.functions()] == [
+        ("top", None),
+        ("inner", None),
+        ("m", "C"),
+        ("n", "D"),
+        ("handler", None),
+        ("case", None),
+    ]
+    assert ctx.functions() is ctx.functions()
+
+
+def _reference_walk(node, cls=None):
+    """The recursive walk the rules used before ``FileContext.functions``:
+    every def with its enclosing class, descending into every node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _reference_walk(child, child)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child, cls
+            yield from _reference_walk(child, cls)
+        else:
+            yield from _reference_walk(child, cls)
+
+
+def test_functions_match_a_full_walk_over_src():
+    """Skipping expressions loses no def: over the whole package the
+    pruned walk lists the same defs, classes and order as a walk that
+    visits every node."""
+    files = iter_python_files([REPO / "src" / "repro"])
+    assert files
+    for path in files:
+        ctx = FileContext.parse(path)
+        assert ctx.functions() == list(_reference_walk(ctx.tree)), path
+
+
+def test_functions_keep_the_class_of_a_method_for_nested_defs(tmp_path):
+    path = tmp_path / "methods.py"
+    path.write_text(
+        "class C:\n"
+        "    def m(self):\n"
+        "        def helper(): pass\n"
+        "    if True:\n"
+        "        def cond(self): pass\n"
+        "    @staticmethod\n"
+        "    def s(): pass\n"
+    )
+    ctx = FileContext.parse(path)
+    assert [(f.name, c and c.name) for f, c in ctx.functions()] == [
+        ("m", "C"),
+        ("helper", "C"),
+        ("cond", "C"),
+        ("s", "C"),
+    ]
+
+
+def test_functions_in_a_function_local_class(tmp_path):
+    path = tmp_path / "local.py"
+    path.write_text(
+        "def factory():\n"
+        "    class Local:\n"
+        "        def g(self): pass\n"
+        "    def after(): pass\n"
+        "    return Local\n"
+    )
+    ctx = FileContext.parse(path)
+    assert [(f.name, c and c.name) for f, c in ctx.functions()] == [
+        ("factory", None),
+        ("g", "Local"),
+        ("after", None),
+    ]

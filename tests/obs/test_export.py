@@ -1,5 +1,5 @@
-"""Exporters: Chrome trace-event structure, JSONL records, and the
-failed-test capture hook of ``tests/conftest.py``."""
+"""The span records' JSONL rendering, and the failed-test capture hook
+of ``tests/conftest.py``."""
 
 from __future__ import annotations
 
@@ -13,14 +13,8 @@ from repro.core.vstoto.runtime import VStoTORuntime
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
 from repro.faults import FaultSchedule
-from repro.obs.export import (
-    TS_SCALE,
-    chrome_trace,
-    jsonl_records,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.obs.live.stitch import stitch_sim
+from repro.obs.live.stitch import jsonl_records, stitch_sim
+from repro.obs.tracing import LifecycleTracer
 from tests.conftest import CAPTURE_ENV, start_capture
 
 PROCS = (1, 2, 3)
@@ -49,85 +43,44 @@ def observed_run():
     return SimpleNamespace(tracer=tracer), service, runtime
 
 
-class TestChromeTrace:
-    def test_structure(self, observed_run):
-        obs, _, _ = observed_run
-        trace = chrome_trace(obs.tracer)
-        assert set(trace) == {"traceEvents", "displayTimeUnit", "otherData"}
-        assert trace["displayTimeUnit"] == "ms"
-        assert trace["traceEvents"]
-        json.dumps(trace)  # must be serialisable as-is
-
-    def test_async_arcs_balanced(self, observed_run):
-        obs, _, _ = observed_run
-        events = chrome_trace(obs.tracer)["traceEvents"]
-        opens: dict = {}
-        closes: dict = {}
-        for event in events:
-            if event["ph"] == "b":
-                opens[(event["cat"], event["id"])] = (
-                    opens.get((event["cat"], event["id"]), 0) + 1
-                )
-            elif event["ph"] == "e":
-                closes[(event["cat"], event["id"])] = (
-                    closes.get((event["cat"], event["id"]), 0) + 1
-                )
-        assert opens and opens == closes
-        # ids are unique per arc
-        assert all(count == 1 for count in opens.values())
-
-    def test_timestamps_scaled_from_virtual_time(self, observed_run):
-        obs, _, _ = observed_run
-        span = obs.tracer.message_spans[0]
-        events = chrome_trace(obs.tracer)["traceEvents"]
-        begin = next(
-            e for e in events
-            if e["ph"] == "b" and e["cat"] == "message"
-        )
-        assert begin["ts"] == TS_SCALE * span.start_time()
-        assert all(e["ts"] >= 0 for e in events if "ts" in e)
-
-    def test_instants_carry_members(self, observed_run):
-        obs, _, _ = observed_run
-        events = chrome_trace(obs.tracer)["traceEvents"]
-        instants = [e for e in events if e["ph"] == "n"]
-        assert {e["name"] for e in instants} >= {"gprcv", "safe", "brcv"}
-
-    def test_fault_windows_on_nemesis_track(self, observed_run):
-        obs, _, _ = observed_run
-        events = chrome_trace(obs.tracer)["traceEvents"]
-        (window,) = [e for e in events if e["ph"] == "X"]
-        assert window["cat"] == "fault"
-        assert window["ts"] == TS_SCALE * 40.0
-        assert window["dur"] == TS_SCALE * 20.0
-
-    def test_write_chrome_trace(self, observed_run, tmp_path):
-        obs, _, _ = observed_run
-        path = tmp_path / "run.trace.json"
-        write_chrome_trace(obs.tracer, str(path))
-        assert json.loads(path.read_text())["traceEvents"]
-
-
 class TestJsonl:
     def test_record_types(self, observed_run):
         obs, _, _ = observed_run
-        records = list(jsonl_records(tracer=obs.tracer))
+        records = list(jsonl_records(obs.tracer))
         kinds = {r["type"] for r in records}
         assert kinds == {"message_span", "view_span", "fault_window"}
         for record in records:
             json.dumps(record)
+        # Per-member times and fault windows: what a timeline view needs.
+        first = next(r for r in records if r["type"] == "message_span")
+        assert set(first["safe_at"]) == {"1", "2", "3"}
+        (window,) = [r for r in records if r["type"] == "fault_window"]
+        assert (window["start"], window["stop"]) == (40.0, 60.0)
 
-    def test_write_jsonl_counts_lines(self, observed_run, tmp_path):
+    def test_records_run_messages_then_views_then_faults(self, observed_run):
         obs, _, _ = observed_run
-        path = tmp_path / "run.jsonl"
-        count = write_jsonl(str(path), tracer=obs.tracer)
-        lines = path.read_text().splitlines()
-        assert len(lines) == count > 0
-        for line in lines:
-            json.loads(line)
+        order = ["message_span", "view_span", "fault_window"]
+        ranks = [order.index(r["type"]) for r in jsonl_records(obs.tracer)]
+        assert ranks == sorted(ranks)
 
-    def test_partial_inputs_allowed(self):
-        assert list(jsonl_records()) == []
+    def test_view_records_follow_the_partition_layouts(self, observed_run):
+        """The split at 40 and the heal at 150 each establish views
+        whose members all record newview and established times."""
+        obs, _, _ = observed_run
+        established = [
+            r for r in jsonl_records(obs.tracer)
+            if r["type"] == "view_span" and r["established_at"]
+        ]
+        assert [r["members"] for r in established] == [
+            ["1", "2"], ["3"], ["1", "2", "3"],
+        ]
+        for record in established:
+            assert sorted(record["newview_at"]) == record["members"]
+            assert sorted(record["established_at"]) == record["members"]
+            assert record["initiator"] in record["members"]
+
+    def test_empty_tracer_has_no_records(self):
+        assert list(jsonl_records(LifecycleTracer())) == []
 
 
 class TestCapture:
@@ -152,12 +105,12 @@ class TestCapture:
         service.start()
         service.simulator.run_until(120.0)
         written = capture.export("tests/x.py::test_y[p-1]", tmp_path)
-        assert len(written) == 2
-        jsonl_path, chrome_path = sorted(written)
+        assert len(written) == 1
+        (jsonl_path,) = written
         assert jsonl_path.endswith(".jsonl")
-        for line in open(jsonl_path):
-            json.loads(line)
-        assert json.loads(open(chrome_path).read())["traceEvents"]
+        records = [json.loads(line) for line in open(jsonl_path)]
+        assert records[0]["type"] == "stitched_run"
+        assert records[0]["processors"] == list(PROCS)
         # the label is slugged into a safe filename
         assert "::" not in jsonl_path.rsplit("/", 1)[-1]
 

@@ -5,16 +5,15 @@ from __future__ import annotations
 
 import json
 
-from repro.analysis.tracefmt import format_timeline
 from repro.core.types import Label, View
 from repro.obs.live.stitch import (
-    default_initial_view,
-    live_timed_trace,
+    jsonl_records,
     stitch_events,
     stitch_log_dir,
     stitched_jsonl,
     stitched_records,
 )
+from repro.rt import node, trace
 from repro.rt.trace import EventLog, load_event_logs
 
 PROCS = ("p1", "p2", "p3")
@@ -60,8 +59,12 @@ class TestStitching:
         assert run.duration >= 0.0
 
     def test_initial_view_matches_live_default(self):
-        view = default_initial_view(("p2", "p1"))
+        # One v0 for the node, the verifier and the stitcher.
+        assert node.initial_view_for is trace.initial_view_for
+        view = trace.initial_view_for(("p2", "p1"))
         assert view == View((0, "p1"), frozenset({"p1", "p2"}))
+        run = stitch_events([], ("p2", "p1"))
+        assert run.initial_view == view
 
     def test_fault_marks_become_windows(self):
         t0 = 1000.0
@@ -81,6 +84,20 @@ class TestStitching:
         assert kinds[("partition", "p1,p2|p3")] == (1.0, 3.0)
         crash_start, crash_stop = kinds[("crash", "SIGKILL p3")]
         assert crash_start == 4.0 and crash_stop >= crash_start
+
+    def test_other_timeline_marks_annotate_nothing(self):
+        """Only partition/heal/kill marks are faults; the driver's
+        config and restart marks leave the tracer's fault list empty."""
+        events = [
+            {"ts": 10.0, "seq": 1, "node": "p1", "ev": "gpsnd",
+             "args": ["m0", "p1"]},
+        ]
+        timeline = [
+            {"t": 9.0, "event": "config", "pi": 0.4, "mu": 2.0},
+            {"t": 11.0, "event": "restart", "node": "p2"},
+        ]
+        run = stitch_events(events, PROCS, timeline=timeline)
+        assert run.tracer.faults == []
 
     def test_unhealed_partition_closes_at_capture_end(self):
         events = [
@@ -131,32 +148,16 @@ class TestDeterminism:
             record = json.loads(line)
             assert list(record) == sorted(record)
 
+    def test_stitched_records_are_the_header_then_the_tracer(self, tmp_path):
+        healthy_logs(tmp_path)
+        run = stitch_log_dir(tmp_path)
+        header, *rest = stitched_records(run)
+        assert header["type"] == "stitched_run"
+        assert rest == list(jsonl_records(run.tracer))
+        assert [r["type"] for r in rest].count("message_span") == 2
 
-class TestLiveTimedTrace:
-    def test_renders_fault_marks_in_processor_columns(self, tmp_path):
-        healthy_logs(tmp_path, values=("m0",))
-        events = load_event_logs(sorted(tmp_path.glob("*.events.jsonl")))
-        base = events[0]["ts"]
-        timeline = [
-            {"t": base + 0.5, "event": "partition",
-             "groups": [["p1", "p2"], ["p3"]]},
-            {"t": base + 1.0, "event": "heal"},
-            {"t": base + 2.0, "event": "kill", "node": "p2"},
-            {"t": base + 3.0, "event": "restart", "node": "p2"},
-        ]
-        trace = live_timed_trace(events, timeline)
-        names = [e.action.name for e in trace.events]
-        assert names.count("firewall_on") == 3  # one per processor
-        assert "firewall_off" in names and "sigkill" in names
-        assert "restart" in names
-        text = format_timeline(
-            trace, PROCS,
-            names=("firewall_on", "firewall_off", "sigkill", "restart"),
-        )
-        assert "⊘" in text and "✗" in text and "↻" in text
-        assert "firewall up at p3 (component p3)" in text
-        assert "SIGKILL p2" in text
 
+class TestEmptyCapture:
     def test_empty_inputs_stitch_to_empty_run(self):
         run = stitch_events([], PROCS)
         assert run.events == 0

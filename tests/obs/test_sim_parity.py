@@ -34,9 +34,8 @@ from repro.faults.schedule import FaultSchedule
 from repro.membership.bounds import VSBounds
 from repro.membership.ring import RingConfig
 from repro.membership.service import TokenRingVS
-from repro.obs.export import jsonl_records
 from repro.obs.live.slo import check_bounds
-from repro.obs.live.stitch import stitch_events, stitch_sim
+from repro.obs.live.stitch import jsonl_records, stitch_events, stitch_sim
 from repro.rt.trace import (
     TO_EVENTS,
     VIEW_EVENTS,
@@ -65,7 +64,7 @@ CHAOS_FAULT_WINDOWS = (
 
 def pin(tracer, kind):
     """(count, sha256) of the tracer's JSONL records of one type."""
-    records = [r for r in jsonl_records(tracer=tracer) if r["type"] == kind]
+    records = [r for r in jsonl_records(tracer) if r["type"] == kind]
     blob = "".join(
         json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
         for r in records

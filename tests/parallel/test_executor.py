@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.faults import run_chaos_sweep
 from repro.parallel import (
     RunEnvelope,
     canonical_digest,
@@ -68,12 +69,26 @@ def test_canonical_digest_handles_dataclasses():
 
 
 def test_make_envelope_stamps_digest():
-    env = make_envelope(3, {"v": 1}, ok=True, stats={"n": 2}, wall_s=0.5)
+    env = make_envelope(3, {"v": 1}, ok=True, stats={"n": 2})
     assert isinstance(env, RunEnvelope)
     assert env.seed == 3
     assert env.digest == canonical_digest({"v": 1})
     assert env.stats == {"n": 2}
-    assert env.wall_s == 0.5
+
+
+def test_chaos_envelopes_are_a_function_of_the_seed():
+    """An envelope carries nothing read from the host: two sweeps over
+    the same seeds agree on every field but the result object."""
+    sweeps = [
+        run_chaos_sweep((1, 2, 3), [4, 7], horizon=150.0, settle=300.0, sends=5)
+        for _ in range(2)
+    ]
+    first, second = (
+        [dataclasses.replace(env, result=None) for env in sweep]
+        for sweep in sweeps
+    )
+    assert first == second
+    assert [env.seed for env in first] == [4, 7]
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,9 @@ full subprocess cluster smoke (tier-1 acceptance surface)."""
 
 from __future__ import annotations
 
+import ast
 import asyncio
+import inspect
 import json
 import socket
 import time
@@ -14,8 +16,9 @@ from repro.membership.service import TokenRingVS
 from repro.obs.live.report import (
     bounds_for_delta,
     bounds_from_timeline,
-    build_report,
+    build_reports,
 )
+from repro.rt import cluster as cluster_module
 from repro.rt.cluster import LiveCluster, NodeStartError, free_port, run_cluster
 from repro.rt.clock import LiveScheduler
 from repro.rt.node import (
@@ -177,6 +180,24 @@ class TestClusterHelpers:
         view = initial_view_for(("p2", "p1", "p3"))
         assert view.id == (0, "p1")
         assert view.set == frozenset({"p1", "p2", "p3"})
+
+    def test_driver_leaves_stitching_and_judging_to_the_report(self):
+        """The driver captures and verifies; ``python -m repro.obs
+        report`` alone stitches, judges and totals a capture."""
+        tree = ast.parse(inspect.getsource(cluster_module))
+        imported = {
+            node.module
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+        }
+        imported |= {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+        }
+        assert "repro.obs.live.snapshot" in imported
+        assert not imported & {"repro.obs.live.report", "repro.obs.live.stitch"}
 
 
 class TestOneNodeShape:
@@ -380,22 +401,22 @@ class TestLiveClusterSmoke:
         for p in ("p1", "p2", "p3"):
             assert (tmp_path / f"{p}.events.jsonl").exists()
             assert (tmp_path / f"{p}.report.json").exists()
-        # The driver wrote the cluster-wide observability artifacts:
-        # streamed metrics, the driver timeline, stitched spans and the
-        # whole-cluster Perfetto trace.
+        # The driver wrote the report's inputs, streamed metrics and
+        # its timeline, and nothing derived from them.
         assert (tmp_path / "metrics.jsonl").exists()
         assert (tmp_path / "cluster.timeline.json").exists()
-        assert (tmp_path / "cluster.spans.jsonl").exists()
-        assert (tmp_path / "cluster.trace.json").exists()
-        obs = report["obs"]
-        assert "stitch_error" not in obs
-        # Snapshots streamed from every node (at minimum the final
-        # stats poll in stop()), and the spans genuinely crossed nodes.
-        assert sorted(obs["metrics_nodes"]) == ["p1", "p2", "p3"]
-        assert obs["metrics_snapshots"] >= 3
-        assert obs["message_spans"] >= 6
-        assert obs["cross_node_spans"] > 0
-        assert obs["slo_ok"] and obs["bounds_ok"]
+        assert not list(tmp_path.glob("cluster*.spans.jsonl"))
+        assert not list(tmp_path.glob("cluster*.trace.json"))
+        assert "obs" not in report and "wire" not in report
+        # The report stitches the capture: snapshots streamed from
+        # every node (at minimum the final stats poll in stop()), and
+        # the spans genuinely crossed nodes.
+        (obs,) = build_reports(tmp_path).values()
+        assert sorted(obs.metrics.nodes()) == ["p1", "p2", "p3"]
+        assert len(obs.metrics) >= 3
+        assert len(obs.run.tracer.message_spans) >= 6
+        assert obs.run.cross_node_spans() > 0
+        assert all(v.ok for v in obs.slos) and obs.bounds_verdict.ok
         # The report's wire section totals the nodes' last streamed
         # stats frames.
         last: dict[str, dict] = {}
@@ -407,7 +428,7 @@ class TestLiveClusterSmoke:
             frame["metrics"]["transport"]["wire"]["tx"]["binary"]["frames"]
             for frame in last.values()
         )
-        wire = build_report(tmp_path).to_dict()["wire"]
+        wire = obs.to_dict()["wire"]
         assert wire["out/binary"]["frames"] == tx_frames > 0
 
     def test_report_cli_judges_live_run_clean(self, tmp_path):
@@ -453,10 +474,9 @@ class TestLivePartitionSoak:
         assert report["views_installed"] >= 2 * nodes
         # The capture stitches across nodes, with the firewall window
         # annotated so faulted spans leave the SLO population.
-        obs = report["obs"]
-        assert "stitch_error" not in obs
-        assert obs["cross_node_spans"] > 0
-        assert obs["fault_windows"] >= 1
-        assert sorted(obs["metrics_nodes"]) == sorted(
+        (obs,) = build_reports(tmp_path).values()
+        assert obs.run.cross_node_spans() > 0
+        assert len(obs.run.tracer.faults) >= 1
+        assert sorted(obs.metrics.nodes()) == sorted(
             f"p{i + 1}" for i in range(nodes)
         )

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +87,31 @@ class TestLogNames:
     def test_empty_directory_has_no_groups(self, tmp_path):
         assert group_event_logs(tmp_path) == {}
         assert shard_log_paths(tmp_path, ONE_GROUP) == []
+
+
+class TestInitialView:
+    """v0 lives beside the log rules, so the node, the verifier and the
+    stitcher share one body."""
+
+    def test_whole_group_with_the_least_id_in_any_order(self):
+        for order in (PROCS, PROCS[::-1], list(PROCS[1:] + PROCS[:1])):
+            assert initial_view_for(order) == V0
+        assert V0.id == (0, "p1")
+        assert V0.set == frozenset(PROCS)
+
+    def test_stitcher_reads_v0_without_the_node_daemon(self):
+        code = (
+            "import sys\n"
+            "import repro.obs.live.stitch\n"
+            "print('repro.rt.node' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestEventLog:

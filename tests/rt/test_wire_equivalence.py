@@ -19,6 +19,7 @@ from collections import Counter
 
 import pytest
 
+from repro.obs.live.report import build_reports
 from repro.rt.cluster import run_cluster
 from repro.rt.trace import (
     ONE_GROUP,
@@ -54,11 +55,12 @@ class TestWireEquivalence:
     def test_digest_is_stable_across_reruns_of_one_codec(self, two_runs):
         # The digest must not hash timing: two fresh live runs of the
         # same seeded scenario collide even though their logs differ.
-        for _, report, _ in two_runs:
+        for log_dir, report, _ in two_runs:
             assert report["ok"], (report["violations"], report["to_reason"])
             assert report["delivered_complete"]
             assert report["violations"] == []
-            assert report["wire"]["nodes"]["tx/binary"]["frames"] > 0
+            (obs,) = build_reports(log_dir).values()
+            assert obs.to_dict()["wire"]["out/binary"]["frames"] > 0
         (_, _, first), (_, _, second) = two_runs
         assert first == second
 

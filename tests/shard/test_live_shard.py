@@ -181,11 +181,11 @@ class TestLiveEpisode:
         assert report["sends"] == sends
         assert report["router"]["pending_total"] == 0
         assert report["polled_complete"]
-        obs = report["obs"]
-        assert "stitch_error" not in obs
+        obs = build_reports(log_dir)
         for group, entry in report["groups"].items():
-            assert obs["groups"][group]["message_spans"] >= entry["sends"]
-            assert obs["groups"][group]["unmatched_events"] == 0
+            tracer = obs[group].run.tracer
+            assert len(tracer.message_spans) >= entry["sends"]
+            assert tracer.unmatched_events == 0
 
 
 class TestVacuousCapture:

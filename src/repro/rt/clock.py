@@ -14,12 +14,23 @@ This module (with the rest of :mod:`repro.rt`) is the sanctioned
 wall-clock carve-out of the DET002 determinism rule: live runs are not
 replayable from a seed by construction, and their correctness is
 checked from captured traces instead (see :mod:`repro.rt.trace`).
+
+Every callback the scheduler runs is one *step* of the node, and its
+end calls :attr:`LiveScheduler.on_step_end` — where a live node sends
+the step's frames and then lets its VStoTO runtimes catch up
+(INV-STEP-1 in :mod:`repro.rt.transport`).  The hook is inside
+:meth:`LiveScheduler.schedule`, so the callback a caller hands in is
+the one queued: a timer is still named after the code that armed it.
 """
 
 from __future__ import annotations
 
 import asyncio
 from collections.abc import Callable
+
+
+def _no_step_end() -> None:
+    """A scheduler with no node behind it ends its steps silently."""
 
 
 class LiveTimerHandle:
@@ -61,6 +72,9 @@ class LiveScheduler:
         self._loop = loop if loop is not None else asyncio.get_event_loop()
         self._t0 = self._loop.time()
         self.events_scheduled = 0
+        #: Called when a step ends: after each callback this scheduler
+        #: runs, and by the transport after each read it dispatches.
+        self.on_step_end: Callable[[], None] = _no_step_end
 
     @property
     def now(self) -> float:
@@ -74,8 +88,14 @@ class LiveScheduler:
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         self.events_scheduled += 1
-        handle = self._loop.call_later(delay, callback)
+        handle = self._loop.call_later(delay, self._step, callback)
         return LiveTimerHandle(handle, self.now + delay)
+
+    def _step(self, callback: Callable[[], None]) -> None:
+        try:
+            callback()
+        finally:
+            self.on_step_end()
 
     def schedule_at(
         self, time: float, callback: Callable[[], None]

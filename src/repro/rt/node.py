@@ -8,7 +8,24 @@ default one), all over one :class:`~repro.rt.transport.LiveNetwork`:
 each stack sends through its own :class:`~repro.shard.live.GroupNet`
 and the transport's one endpoint, a
 :class:`~repro.shard.live.GroupDemux`, hands inbound frames to their
-group.  One group is the N = 1 case of that path, not a different one.
+group's :class:`LiveNodeService`, which passes them to the ring member.
+One group is the N = 1 case of that path, not a different one.
+
+The node runs in steps (a read's messages, or one timer callback), and
+the end of a step is a pipeline boundary (INV-STEP-1 in
+:mod:`repro.rt.transport`).  Within a step the ring member logs each VS
+output (``newview``/``gprcv``/``safe``) as it happens and queues it for
+the runtime; when the step ends the node first writes the step's
+frames — the forwarded token among them, behind the write-ahead log
+flush — and then lets each group's runtime consume its queue in order.
+So the next hop works on the token while this node's VStoTO delivers,
+confirms and logs its ``brcv`` lines.  A group's queue is also emptied
+before its member's next step and before a client ``bcast``.  In the
+I/O-automaton composition a VS output is a VStoTO input, and the
+runtime's locally controlled reactions may come after any VS step,
+the token's send included; the simulator's
+:class:`~repro.membership.service.TokenRingVS` stays synchronous.
+
 The node exposes a small control plane to the cluster driver:
 
 - ``go`` — start the ring (replied once every outbound peer stream is
@@ -44,6 +61,7 @@ import asyncio
 import functools
 import json
 import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, cast
@@ -70,15 +88,20 @@ ViewCallback = Callable[[View, str], None]
 
 
 class LiveNodeService:
-    """The per-node VS service façade.
+    """One group's VS service façade at this node.
 
     Presents the slice of :class:`~repro.membership.service.TokenRingVS`
     that :class:`~repro.membership.ring.RingMember` (RingService
     protocol) and :class:`~repro.core.vstoto.runtime.VStoTORuntime`
     consume, backed by one live transport and one local ring member.
     Every VS external event at this node is recorded to the event log
-    before being forwarded, and so is every view-lifecycle event
-    (:meth:`record_view_event`).
+    when it happens, and so is every view-lifecycle event
+    (:meth:`record_view_event`).  The client callback of a VS output is
+    queued, not called: :meth:`catch_up` applies the queue, oldest
+    first, when the node's step ends, and before the ring member takes
+    its next step (:meth:`on_message`, the group's endpoint behind the
+    node's demux) or the client's next ``bcast`` is applied
+    (INV-STEP-1 in :mod:`repro.rt.transport`).
     """
 
     def __init__(
@@ -97,6 +120,7 @@ class LiveNodeService:
         self.on_gprcv: DeliveryCallback | None = None
         self.on_safe: DeliveryCallback | None = None
         self.on_newview: ViewCallback | None = None
+        self._pending: deque[tuple[Callable[..., None], tuple[Any, ...]]] = deque()
 
     # -- TokenRingVS-compatible client surface -------------------------
     def start(self) -> None:
@@ -118,17 +142,31 @@ class LiveNodeService:
     def emit_newview(self, view: View, p: str) -> None:
         self._record("newview", view, p)
         if self.on_newview is not None:
-            self.on_newview(view, p)
+            self._pending.append((self.on_newview, (view, p)))
 
     def emit_gprcv(self, payload: Any, src: str, dst: str) -> None:
         self._record("gprcv", payload, src, dst)
         if self.on_gprcv is not None:
-            self.on_gprcv(payload, src, dst)
+            self._pending.append((self.on_gprcv, (payload, src, dst)))
 
     def emit_safe(self, payload: Any, src: str, dst: str) -> None:
         self._record("safe", payload, src, dst)
         if self.on_safe is not None:
-            self.on_safe(payload, src, dst)
+            self._pending.append((self.on_safe, (payload, src, dst)))
+
+    def catch_up(self) -> None:
+        """Hand the client every queued VS output, oldest first."""
+        pending = self._pending
+        while pending:
+            callback, args = pending.popleft()
+            callback(*args)
+
+    def on_message(self, src: str, message: Any) -> None:
+        """The ring member's step on an inbound message, taken once the
+        client has caught up with its last one."""
+        self.catch_up()
+        assert self.member is not None
+        self.member.on_message(src, message)
 
     def record_view_event(self, name: str, *args: Any) -> None:
         """Log a ``formation``, ``createview`` or ``established`` event."""
@@ -194,10 +232,11 @@ class LiveNode:
         self.network.register(
             GroupDemux(
                 proc_id,
-                {g: s.member for g, s in self._stacks.items()},
+                {g: s.service for g, s in self._stacks.items()},
                 default=names[0],
             )
         )
+        self.scheduler.on_step_end = self._end_step
         self.first_group = names[0]
         self.started = False
         self.sends_accepted = 0
@@ -235,6 +274,13 @@ class LiveNode:
     async def run_until_stopped(self) -> None:
         await self._stopping
 
+    def _end_step(self) -> None:
+        """INV-STEP-1: the step's frames leave, then every group's
+        client catches up with the step's VS outputs."""
+        self.network.flush()
+        for stack in self._stacks.values():
+            stack.service.catch_up()
+
     def _on_deliver(
         self, log: EventLog, value: Any, origin: str, dst: str
     ) -> None:
@@ -260,6 +306,7 @@ class LiveNode:
                 self.sends_rejected += 1
                 return
             self.sends_accepted += 1
+            stack.service.catch_up()
             stack.log.record("bcast", value, self.proc_id)
             stack.runtime.broadcast(self.proc_id, value)
         elif ctl.op == "block":
@@ -339,10 +386,12 @@ class LiveNode:
         path.write_text(json.dumps(report, indent=2), encoding="utf-8")
 
     async def close(self) -> None:
-        """Stop every ring timer and pending retransmission, then the
-        transport, then write out and close the logs: a closed node
-        neither logs nor sends again (its loop may live on)."""
+        """Let every client catch up, stop every ring timer and pending
+        retransmission, then the transport, then write out and close
+        the logs: a closed node neither logs nor sends again (its loop
+        may live on)."""
         for stack in self._stacks.values():
+            stack.service.catch_up()
             stack.member.stop()
         await self.network.close()
         for stack in self._stacks.values():
@@ -414,20 +463,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="number of VS group runtimes to host on this node "
         "(default 1)",
     )
-    parser.add_argument(
-        "--flush-interval",
-        type=float,
-        default=0.0,
-        help="batching window in seconds for outbound frames (default "
-        "0, as is any negative value: coalesce same-loop-turn sends "
-        "without added latency)",
-    )
     return parser
 
 
 def resolve_flush_after(wire: str, flush_interval: float) -> float:
-    """The CLI's rule: a negative interval means 0.0, batching within
-    the loop turn.  ``wire`` accepts only ``"binary"``."""
+    """A batching window for ``LiveNode``/``NodeClient(flush_after=)``:
+    a negative interval means 0.0, the node's own window (a step's
+    frames leave when the step ends).  ``wire`` accepts only
+    ``"binary"``.  The CLI has no window to set; the in-process
+    benchmark builds its nodes through this."""
     check_wire(wire)
     return max(flush_interval, 0.0)
 
@@ -443,7 +487,7 @@ async def amain(argv: list[str] | None = None) -> int:
         args.log_dir,
         config=default_ring_config(args.delta),
         max_frame=args.max_frame,
-        flush_after=resolve_flush_after("binary", args.flush_interval),
+        flush_after=0.0,
         shards=args.shards,
     )
     await node.start()

@@ -36,6 +36,16 @@ The log contract, INV-LOG-1:
   line, which is all trace inclusion needs and what
   :func:`load_event_logs` accepts.
 
+Beside it, INV-STEP-1 (stated in :mod:`repro.rt.transport`): a live
+node logs a VS output when its ring member emits it, but its VStoTO
+runtime consumes that output only after the step's frames have left.
+A group's queue is emptied before the member's next step and before a
+client ``bcast``, so the ``bcast``/``gprcv``/``safe``/``newview`` lines
+of a file are its runtime's inputs in the order it applied them.  The
+``gpsnd`` and ``brcv`` lines the runtime writes in reply follow the
+lines of the step that caused them and precede the next step's, but
+may be stamped after a peer logged the forwarded token's outputs.
+
 :func:`load_event_logs` merges the per-node files into one global
 sequence ordered by ``(ts, node, seq)``.  All nodes run on one host in
 the supported deployment, so timestamps come from a single clock; the

@@ -31,6 +31,25 @@ drops mid-flight; frames sent while disconnected or blocked are lost
 this).  Before any frame reaches a socket the transport calls its
 :meth:`~LiveNetwork.write_ahead` hooks, through which a node empties
 its event logs (INV-LOG-1 in :mod:`repro.rt.trace`).
+
+A node's work comes in *steps*: the dispatch of every message one read
+took off a stream, or one callback of the
+:class:`~repro.rt.clock.LiveScheduler` (a ring timer, a launch tick, a
+writer flush).  Each step ends in
+:attr:`~repro.rt.clock.LiveScheduler.on_step_end`, through which a
+live node keeps INV-STEP-1:
+
+- *frames first* — the node flushes its peer writers (behind the
+  write-ahead log flush) before any client consumes the step's VS
+  outputs, so the token leaves while VStoTO works;
+- *the client catches up* — each group's VStoTO runtime then takes the
+  ``newview``/``gprcv``/``safe`` outputs queued for it, oldest first;
+  a group's queue is also emptied before its ring member takes its
+  next step and before a client ``bcast`` is applied.
+
+So a runtime applies its inputs in the order its log records them, and
+it is never behind its ring member across a view change: a ``gpsnd`` it
+issues is filed under the view whose outputs it is consuming.
 """
 
 from __future__ import annotations
@@ -134,8 +153,9 @@ class LiveNetwork:
     flush_after:
         Batching window in seconds for outbound protocol frames.
         ``None`` disables batching (every message is its own frame);
-        ``0.0`` coalesces messages sent within the same event-loop turn
-        without adding latency.
+        ``0.0`` coalesces the messages sent within one event-loop
+        turn into one frame per peer; a live node writes them as soon
+        as the step that sent them ends (:meth:`flush`).
     flush_max_bytes:
         Flush the batch queue early once it holds this many payload
         bytes (clamped to half the frame ceiling).
@@ -416,6 +436,7 @@ class LiveNetwork:
                             await self._on_ctl(src, message, replier)
                         continue
                     self._dispatch(src, message)
+                self.simulator.on_step_end()
         except asyncio.CancelledError:
             # Server shutdown cancels every connection handler; the
             # finally below still runs, and the cancellation must reach
